@@ -28,13 +28,10 @@ class ErasurePattern:
         object.__setattr__(self, "slots", slots)
         if slots and not (0 <= slots[0] and slots[-1] < self.horizon):
             raise ValueError("erased slots outside horizon")
+        object.__setattr__(self, "_slot_set", frozenset(slots))
 
     def is_erased(self, slot: int) -> bool:
         return slot in self._slot_set
-
-    @property
-    def _slot_set(self):
-        return set(self.slots)
 
     def serialize(self) -> str:
         """Text form: one "start:length" line per erased run."""

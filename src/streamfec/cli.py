@@ -1,8 +1,10 @@
 """Command-line harness: verify, simulate, encode, decode, bounds.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
-error.  A ``--config`` file supplies key=value defaults (keys named like
-the long flags, with underscores); explicit flags override it.
+error, 4 inconsistent channel stream (the received symbols contradict
+each other, so no codeword of the codec produced them).  A ``--config``
+file supplies key=value defaults (keys named like the long flags, with
+underscores); explicit flags override it.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from . import channel, oracle, wire
 from .desco import (CombinedCodec, DeScoCodec, DeScoParams, burst_loss_count,
                     descriptor, ia_sco_build, optimal_delay, parse_descriptor,
                     rate_upper_bound, sweep_max_delay)
+from .gf import InconsistentSystemError
 from .sco import capacity
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INCONSISTENT = 4
 
 
 class UsageError(Exception):
@@ -241,18 +245,18 @@ def cmd_decode(args, out) -> int:
     packed = [[0 if v is None else v for v in slot] for slot in recovered]
     with open(args.out, "wb") as fh:
         fh.write(wire.pack_stream(packed, codec.field))
+    misses = log.misses
     if args.log:
+        missed = set(misses)
         with open(args.log, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["slot", "recovery_slot", "delay", "miss"])
-            misses = set(log.misses)
-            for slot in range(log.horizon):
-                t = log.slot_time(slot)
-                w.writerow([slot,
-                            "" if t is None else t,
-                            "" if t is None else t - slot,
-                            int(slot in misses)])
-    print(f"decoded {log.horizon} slots, {len(log.misses)} misses", file=out)
+            w.writerows([slot,
+                         "" if t is None else t,
+                         "" if t is None else t - slot,
+                         int(slot in missed)]
+                        for slot, t in enumerate(log.slot_times))
+    print(f"decoded {log.horizon} slots, {len(misses)} misses", file=out)
     return EXIT_OK
 
 
@@ -317,6 +321,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InconsistentSystemError as exc:
+        print(f"error: inconsistent channel stream: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

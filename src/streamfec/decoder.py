@@ -12,16 +12,35 @@ per-diagonal elimination.
 Progress is propagated to a fixpoint inside each time step, so recovery
 times reflect the earliest slot at which the staged procedure can pin a
 sub-symbol.
+
+Causality invariant: every template offset is <= 0, i.e. a parity sent
+at slot t only involves source sub-symbols of slots t - reach .. t, where
+``reach`` is the widest template reach over the components
+(``Component`` rejects anything else).  Two shortcuts rest on it.  A
+sub-symbol received at slot t cannot appear in any parity seen before
+t, so it is stored directly instead of being propagated.  An erased
+sub-symbol older than t - reach appears in no later parity, so it is
+dropped from the set of unresolved terms that the "all terms known"
+parity test consults; once no erased sub-symbol is within reach, a slot's
+parities are skipped without looking at their terms.
+
+``encode_symbols`` evaluates the same templates column-wise over a
+source array, so encoder and decoder share one parity definition.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .gf import GF, IncrementalSystem
-from .sco import ScoCodec, Var
+
+if TYPE_CHECKING:  # sco imports this module at run time
+    from .sco import ScoCodec, Var
 
 
 @dataclass(frozen=True)
@@ -46,12 +65,22 @@ class StreamLog:
     sub_times: Dict[Var, Optional[int]]
     trace: List[TraceEvent] = dc_field(default_factory=list)
 
+    @cached_property
+    def slot_times(self) -> List[Optional[int]]:
+        """Recovery time of every slot in the horizon: the latest time of
+        its sub-symbols, None if any is missing.  Computed on first use;
+        ``sub_times`` must not change afterwards."""
+        get = self.sub_times.get
+        subs = range(self.n_subs)
+        out: List[Optional[int]] = []
+        for slot in range(self.horizon):
+            times = [get((slot, k)) for k in subs]
+            out.append(None if None in times else max(times))
+        return out
+
     def slot_time(self, slot: int) -> Optional[int]:
-        """Slot recovery time: the latest sub-symbol time (None if any missing)."""
-        times = [self.sub_times.get((slot, k)) for k in range(self.n_subs)]
-        if any(t is None for t in times):
-            return None
-        return max(times)
+        """Slot recovery time (None if any sub-symbol is missing)."""
+        return self.slot_times[slot] if 0 <= slot < self.horizon else None
 
     def slot_delay(self, slot: int) -> Optional[int]:
         t = self.slot_time(slot)
@@ -59,16 +88,13 @@ class StreamLog:
 
     @property
     def misses(self) -> List[int]:
-        out = []
-        for slot in range(self.horizon):
-            t = self.slot_time(slot)
-            if t is None or t > slot + self.deadline:
-                out.append(slot)
-        return out
+        deadline = self.deadline
+        return [slot for slot, t in enumerate(self.slot_times)
+                if t is None or t > slot + deadline]
 
     @property
     def fully_recovered(self) -> bool:
-        return all(self.slot_time(s) is not None for s in range(self.horizon))
+        return None not in self.slot_times
 
 
 class Component:
@@ -76,7 +102,9 @@ class Component:
 
     The component's parity j contributing to combined slot t is the one
     it emitted at t - shift on its own clock.  Term positions relative to
-    t are fixed per parity row, so they are precomputed once.
+    t are fixed per parity row, so they are precomputed once.  ``reach``
+    is how many slots before t the oldest term lies.  A term after t
+    would break the decoder's causality invariant and raises ValueError.
     """
 
     def __init__(self, codec: ScoCodec, shift: int = 0):
@@ -87,8 +115,14 @@ class Component:
             diag_off = codec.diag_of_parity(-shift, j)
             entries = []
             for (slot, sub), coeff in codec.parity_terms(-shift, j).items():
+                if slot > 0:
+                    raise ValueError(
+                        f"parity {j} at shift {shift} has a term {slot} slots "
+                        "after its emission slot; templates must be causal")
                 entries.append((slot, sub, coeff))
             self.templates.append((diag_off, entries))
+        self.reach = max((-ds for _, entries in self.templates
+                          for ds, _, _ in entries), default=0)
 
     def terms(self, t: int, j: int) -> Tuple[int, Dict[Var, int]]:
         diag_off, entries = self.templates[j]
@@ -96,6 +130,52 @@ class Component:
 
     def own_slot(self, t: int) -> int:
         return t - self.shift
+
+
+def source_array(rows: Sequence[Sequence[int]], width: int, field: GF) -> np.ndarray:
+    """Source rows as an (n, width) int64 array of elements of ``field``.
+
+    Raises ValueError on a row of another width or on an element outside
+    [0, field.order), before any element is used as a table index.
+    """
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"expected {width} sub-symbols per slot")
+    try:
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError as exc:
+        raise ValueError(f"element out of range for {field}") from exc
+    bad = (arr < 0) | (arr >= field.order)
+    if bad.any():
+        raise ValueError(f"element {int(arr[bad][0])} out of range for {field}")
+    return arr
+
+
+def encode_symbols(components: Sequence[Component], field: GF,
+                   source: np.ndarray) -> np.ndarray:
+    """Channel symbols for a checked (n_slots, n_subs) source array.
+
+    Row t is source row t followed by the combined parities of slot t:
+    parity j sums, over the components, each template-j term
+    ``coeff * source[t + ds][sub]``, with time before slot 0 zero.  Each
+    term is one gather over the zero-padded source column (one product
+    row lookup unless coeff is 1), accumulated in the field.
+    """
+    n_slots, n_subs = source.shape
+    reach = max(comp.reach for comp in components)
+    padded = np.zeros((reach + n_slots, n_subs), dtype=np.int64)
+    padded[reach:] = source
+    n_par = len(components[0].templates)
+    out = np.empty((n_slots, n_subs + n_par), dtype=np.int64)
+    out[:, :n_subs] = source
+    for j in range(n_par):
+        acc = np.zeros(n_slots, dtype=np.int64)
+        for comp in components:
+            for ds, sub, coeff in comp.templates[j][1]:
+                col = padded[reach + ds:reach + ds + n_slots, sub]
+                acc = field.add_arrays(
+                    acc, col if coeff == 1 else field.mul_row(coeff)[col])
+        out[:, n_subs + j] = acc
+    return out
 
 
 class _PendingParity:
@@ -124,6 +204,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     """
     horizon = len(received)
     ncomp = len(components)
+    reach = max(comp.reach for comp in components)
     known: Dict[Var, int] = {}
     times: Dict[Var, Optional[int]] = {}
     trace: List[TraceEvent] = []
@@ -134,13 +215,12 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
 
     queue: deque = deque()  # (var, value, attribution | None)
     ready: deque = deque()  # pending indices whose counts changed
-    unresolved: Set[Var] = set()  # erased sub-symbols not yet recovered
-
-    def is_known(var: Var) -> bool:
-        return var[0] < 0 or var in known
-
-    def value_of(var: Var) -> int:
-        return 0 if var[0] < 0 else known[var]
+    # erased sub-symbols not yet recovered and still within template reach
+    unresolved: Set[Var] = set()
+    erased_slots: deque = deque()  # erased slots with entries in unresolved
+    probes = [[(ds, sub) for comp in components
+               for ds, sub, _ in comp.templates[j][1]]
+              for j in range(n_parities)]
 
     def enqueue_known(var: Var, value: int, prov) -> None:
         if var in known:
@@ -198,40 +278,52 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 try_release(ready.popleft(), now)
 
     for t in range(horizon):
+        while erased_slots and erased_slots[0] < t - reach:
+            old = erased_slots.popleft()
+            for k in range(n_subs):
+                unresolved.discard((old, k))
         slot = received[t]
         if slot is None:
             for k in range(n_subs):
-                times.setdefault((t, k), None)
+                times[(t, k)] = None
                 unresolved.add((t, k))
+            erased_slots.append(t)
             drain(t)
             continue
         if len(slot) != n_subs + n_parities:
             raise ValueError(f"slot {t}: expected {n_subs + n_parities} symbols")
+        # causal templates: no pending parity or system involves slot t yet
         for k in range(n_subs):
-            enqueue_known((t, k), slot[k], None)
-            times.setdefault((t, k), t)
-        drain(t)
+            var = (t, k)
+            known[var] = slot[k]
+            times[var] = t
+        if not unresolved:
+            continue
         for j in range(n_parities):
             # fast path: a parity whose terms are all known adds nothing
-            if not any((t + ds, sub) in unresolved
-                       for _, entries in (comp.templates[j] for comp in components)
-                       for ds, sub, _ in entries):
+            if not any((t + ds, sub) in unresolved for ds, sub in probes[j]):
                 continue
             pp = _PendingParity(t, j, slot[n_subs + j], ncomp)
             idx = len(pending)
             for ci, comp in enumerate(components):
-                cw, terms = comp.terms(t, j)
-                pp.codewords[ci] = cw
-                for var, coeff in terms.items():
-                    if is_known(var):
-                        pp.consts[ci] = field.add(
-                            pp.consts[ci], field.mul(coeff, value_of(var)))
-                    else:
-                        pp.unknowns[ci][var] = coeff
+                diag_off, entries = comp.templates[j]
+                pp.codewords[ci] = t + diag_off
+                unknowns = pp.unknowns[ci]
+                const = 0
+                for ds, sub, coeff in entries:
+                    if t + ds < 0:
+                        continue  # zero padding before the stream start
+                    var = (t + ds, sub)
+                    value = known.get(var)
+                    if value is None:
+                        unknowns[var] = coeff
                         watchers.setdefault(var, []).append((idx, ci))
+                    else:
+                        const = field.add(const, field.mul(coeff, value))
+                pp.consts[ci] = const
             pending.append(pp)
             ready.append(idx)
         drain(t)
 
-    values = {var: val for var, val in known.items() if 0 <= var[0] < horizon}
-    return values, times, trace
+    # only received or once-unknown sub-symbols are keys: all in the horizon
+    return known, times, trace

@@ -21,9 +21,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bebc import BurstParityMatrix
-from .decoder import Component, StreamLog, TraceEvent, staged_decode
+from .decoder import (Component, StreamLog, TraceEvent, encode_symbols,
+                      source_array, staged_decode)
 from .gf import GF, default_field
-from .sco import MAIN, OFF, ScoCodec, ScoParams, Var
+from .sco import MAIN, OFF, ScoCodec, ScoParams
 
 
 def optimal_delay(b: int, t: int, alpha: Fraction) -> int:
@@ -145,52 +146,24 @@ class CombinedCodec:
 
     # -- encoding -------------------------------------------------------
 
-    def q_value(self, tau: int, j: int, expanded_source: Sequence[Sequence[int]]) -> int:
-        v1 = self.c1.parity_value(tau, j, expanded_source)
-        base = tau - self.shift
-        if base < 0:
-            return v1
-        v2 = self.c2.parity_value(base, j, expanded_source)
-        return self.field.add(v1, v2)
-
     def encode_stream(self, source: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
         """Encode stream-slot source symbols (subs_per_slot values each)."""
         n, t0, b0 = self.expansion, self.t0, self.b0
-        expanded: List[List[int]] = []
-        for s in source:
-            if len(s) != n * t0:
-                raise ValueError(f"expected {n * t0} sub-symbols per slot")
-            for r in range(n):
-                expanded.append(list(s[r * t0:(r + 1) * t0]))
-        out: List[Tuple[int, ...]] = []
-        for i in range(len(source)):
-            sym: List[int] = []
-            for r in range(n):
-                tau = i * n + r
-                sym.extend(expanded[tau])
-                sym.extend(self.q_value(tau, j, expanded) for j in range(b0))
-            out.append(tuple(sym))
-        return out
+        expanded = source_array(source, n * t0, self.field).reshape(-1, t0)
+        sym = encode_symbols(self.components, self.field, expanded)
+        return list(map(tuple, sym.reshape(len(source), n * (t0 + b0)).tolist()))
 
     def encode_step(self, history: Sequence[Sequence[int]],
                     s_now: Sequence[int]) -> Tuple[int, ...]:
-        return self.encode_stream(list(history) + [list(s_now)])[-1]
+        """encode_stream(history + [s_now])[-1], reading only the history
+        slots that the current slot's parities reach."""
+        n = self.expansion
+        reach = max(comp.reach for comp in self.components)
+        keep = -(-reach // n)  # stream slots covering `reach` expanded slots
+        window = list(history[max(0, len(history) - keep):]) + [s_now]
+        return self.encode_stream(window)[-1]
 
     # -- decoding -------------------------------------------------------
-
-    def _decode_raw(self, received: Sequence[Optional[Sequence[int]]]):
-        n, t0, b0 = self.expansion, self.t0, self.b0
-        expanded: List[Optional[Tuple[int, ...]]] = []
-        for sym in received:
-            if sym is None:
-                expanded.extend([None] * n)
-                continue
-            if len(sym) != self.symbol_width:
-                raise ValueError(f"expected {self.symbol_width} symbols per slot")
-            for r in range(n):
-                chunk = sym[r * (t0 + b0):(r + 1) * (t0 + b0)]
-                expanded.append(tuple(chunk))
-        return staged_decode(self.components, self.field, t0, b0, expanded)
 
     def decode(self, received: Sequence[Optional[Sequence[int]]], user: int):
         """Decode for user 1 or 2; differs only in the miss deadline.
@@ -201,20 +174,44 @@ class CombinedCodec:
         """
         if user not in (1, 2):
             raise ValueError("user must be 1 or 2")
-        values, times, trace = self._decode_raw(received)
-        n, t0 = self.expansion, self.t0
+        n, t0, b0 = self.expansion, self.t0, self.b0
         horizon = len(received)
-        stream = [[values.get((i * n + r, k))
-                   for r in range(n) for k in range(t0)]
-                  for i in range(horizon)]
-        sub_times: Dict[Var, Optional[int]] = {}
-        for (tau, k), tm in times.items():
-            var = (tau // n, (tau % n) * t0 + k)
-            sub_times[var] = None if tm is None else tm // n
+        if n == 1:
+            # the expanded clock is the stream clock
+            values, sub_times, trace = staged_decode(
+                self.components, self.field, t0, b0, received)
+            stream = [list(sym[:t0]) if sym is not None
+                      else [values.get((i, k)) for k in range(t0)]
+                      for i, sym in enumerate(received)]
+        else:
+            values, times, trace = staged_decode(
+                self.components, self.field, t0, b0, self._expand(received))
+            stream = [[values.get((i * n + r, k))
+                       for r in range(n) for k in range(t0)]
+                      for i in range(horizon)]
+            sub_times = {}
+            for (tau, k), tm in times.items():
+                var = (tau // n, (tau % n) * t0 + k)
+                sub_times[var] = None if tm is None else tm // n
         deadline = self.user1_deadline if user == 1 else self.user2_deadline
         log = StreamLog(horizon=horizon, n_subs=n * t0, deadline=deadline,
                         sub_times=sub_times, trace=trace)
         return stream, log
+
+    def _expand(self, received: Sequence[Optional[Sequence[int]]]
+                ) -> List[Optional[Tuple[int, ...]]]:
+        """Split each stream slot into its expanded slots."""
+        n, t0, b0 = self.expansion, self.t0, self.b0
+        expanded: List[Optional[Tuple[int, ...]]] = []
+        for sym in received:
+            if sym is None:
+                expanded.extend([None] * n)
+                continue
+            if len(sym) != self.symbol_width:
+                raise ValueError(f"expected {self.symbol_width} symbols per slot")
+            for r in range(n):
+                expanded.append(tuple(sym[r * (t0 + b0):(r + 1) * (t0 + b0)]))
+        return expanded
 
     def decode_user1(self, received):
         return self.decode(received, 1)

@@ -4,12 +4,16 @@ Field elements are plain ints in [0, q).  A ``GF`` instance owns the
 arithmetic; ``FieldElement`` is a thin operator wrapper for scalar work.
 Binary extension fields use log/antilog tables for multiplication; a
 polynomial long-division multiply is kept as an independent slow path.
+Whole arrays of elements are multiplied by a constant through per-constant
+product rows (``mul_row``), built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 # Canonical reduction polynomials per degree (bit i = coefficient of x^i).
@@ -35,6 +39,7 @@ CANONICAL_POLY = {
 }
 
 _TABLE_MAX_DEGREE = 16
+_ROW_MAX_ORDER = 1 << 16  # product rows cost one int64 per field element
 
 
 class MixedFieldError(ValueError):
@@ -108,6 +113,7 @@ class GF:
         self.degree = degree
         self._log: Optional[List[int]] = None
         self._alog: Optional[List[int]] = None
+        self._rows: Dict[int, np.ndarray] = {}
         if kind == "binary" and degree is not None and degree <= _TABLE_MAX_DEGREE:
             self._build_tables()
 
@@ -217,6 +223,30 @@ class GF:
             base = self.mul(base, base)
             e >>= 1
         return res
+
+    # -- array arithmetic (int64 numpy arrays of elements) ---------------
+
+    def mul_row(self, c: int) -> np.ndarray:
+        """Product row of ``c``: ``row[x] == mul(c, x)`` for every element x.
+
+        Rows are built on first request and kept, so ``mul_row(c)[xs]``
+        multiplies a whole array by ``c`` with one gather.
+        """
+        row = self._rows.get(c)
+        if row is None:
+            if self.order > _ROW_MAX_ORDER:
+                raise ValueError(f"no product rows for {self}: order above "
+                                 f"{_ROW_MAX_ORDER}")
+            row = np.array([self.mul(c, x) for x in range(self.order)],
+                           dtype=np.int64)
+            self._rows[c] = row
+        return row
+
+    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise field sum of two arrays of elements."""
+        if self.kind == "binary":
+            return a ^ b
+        return (a + b) % self.order
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(self.check(value), self)

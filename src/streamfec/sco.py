@@ -10,11 +10,14 @@ and every erased source symbol is recovered within ``t * step`` slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from collections import deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bebc import BurstParityMatrix, make_burst_parity
+from .decoder import (Component, StreamLog, encode_symbols, source_array,
+                      staged_decode)
 from .gf import GF, default_field
 
 Var = Tuple[int, int]  # (slot, sub-symbol index)
@@ -183,40 +186,44 @@ class ScoCodec:
 
 
 class ScoEncoder:
-    """Streaming encoder; keeps the source window needed by the parities."""
+    """Streaming encoder; keeps only the source window the parities reach."""
 
     def __init__(self, codec: ScoCodec):
         self.codec = codec
-        self._history: List[Tuple[int, ...]] = []
+        self._component = Component(codec)
+        self._window: Deque[Tuple[int, ...]] = deque(
+            maxlen=self._component.reach)
 
     def push(self, subs: Sequence[int]) -> ChannelSymbol:
-        codec = self.codec
-        if len(subs) != codec.t:
-            raise ValueError(f"expected {codec.t} sub-symbols")
-        self._history.append(tuple(subs))
-        slot = len(self._history) - 1
-        parities = tuple(codec.parity_value(slot, j, self._history)
-                         for j in range(codec.b))
-        return ChannelSymbol(tuple(subs), parities)
+        window = list(self._window) + [tuple(subs)]
+        sym = _encode_rows(self.codec, self._component, window)[-1]
+        self._window.append(window[-1])
+        return sym
+
+
+def _encode_rows(codec: ScoCodec, component: Component,
+                 rows: Sequence[Sequence[int]]) -> List[ChannelSymbol]:
+    """Channel symbols of consecutive source rows, the first at slot 0."""
+    src = source_array(rows, codec.t, codec.field)
+    t = codec.t
+    return [ChannelSymbol(tuple(row[:t]), tuple(row[t:]))
+            for row in encode_symbols([component], codec.field, src).tolist()]
 
 
 def sco_encode_step(codec: ScoCodec, history: Sequence[Sequence[int]],
                     s_now: Sequence[int]) -> ChannelSymbol:
     """One encoder step: emit (s_now, parities) given the prior source window.
 
-    ``history`` holds the source symbols before the current slot (only
-    the last t*step matter); earlier time is zero-padded.
+    ``history`` holds the source symbols before the current slot; only
+    the last ``memory_bound`` are read, and earlier time is zero-padded.
     """
-    enc = ScoEncoder(codec)
-    out = None
-    for s in list(history) + [list(s_now)]:
-        out = enc.push(s)
-    return out
+    comp = Component(codec)
+    window = list(history[max(0, len(history) - comp.reach):]) + [s_now]
+    return _encode_rows(codec, comp, window)[-1]
 
 
 def encode_stream(codec: ScoCodec, source: Sequence[Sequence[int]]) -> List[ChannelSymbol]:
-    enc = ScoEncoder(codec)
-    return [enc.push(s) for s in source]
+    return _encode_rows(codec, Component(codec), source)
 
 
 def sco_decode(codec: ScoCodec, received: Sequence[Optional[ChannelSymbol]],
@@ -227,8 +234,6 @@ def sco_decode(codec: ScoCodec, received: Sequence[Optional[ChannelSymbol]],
     recovery times; a slot whose recovery exceeds ``deadline`` (default
     t*step) counts as a miss rather than an error.
     """
-    from .decoder import Component, StreamLog, staged_decode
-
     if deadline is None:
         deadline = memory_bound(codec.params)
     flat = [None if x is None else (tuple(x.subs) + tuple(x.parities))

@@ -176,6 +176,26 @@ def test_decode_without_pattern_is_clean(tmp_path):
     assert code == cli.EXIT_OK and "0 misses" in text
 
 
+def test_decode_inconsistent_stream_exits_4(tmp_path, capsys):
+    # A zero stream with one non-zero source element at slot 1: after the
+    # erasures at 0 and 4-5, two parities pin one sub-symbol differently.
+    codec = desco_build(DeScoParams(2, 5, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    stream = [[0] * codec.symbol_width for _ in range(24)]
+    stream[1][1] = 1
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(wire.pack_stream(stream, codec.field))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("0:1\n4:2\n")
+    code, _ = run(["decode", "--descriptor", str(desc), "--in", str(enc),
+                   "--pattern", str(pattern), "--out", str(tmp_path / "d.bin")])
+    assert code == cli.EXIT_INCONSISTENT == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: inconsistent channel stream: ")
+    assert err.count("\n") == 1
+
+
 def test_encode_missing_input_is_io_error(tmp_path):
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(desco_build(DeScoParams(1, 2, 2))))

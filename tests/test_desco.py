@@ -122,6 +122,29 @@ def test_encode_step_matches_stream():
         assert codec.encode_step(src[:t], src[t]) == full[t]
 
 
+@pytest.mark.parametrize("codec", [desco_build(DeScoParams(1, 2, 2)),
+                                   desco_build(DeScoParams(2, 3, 3, 2)),
+                                   ia_sco_build(1, 2, 2)])
+def test_encode_step_reads_only_the_reach(codec):
+    reach = max(comp.reach for comp in codec.components)
+    keep = -(-reach // codec.expansion)  # stream slots holding the reach
+    src = random_source(codec, 3 * keep + 4)
+    full = codec.encode_stream(src)
+    for t in range(len(src)):
+        old = max(0, t - keep)
+        history = [None] * old + src[old:t]
+        assert codec.encode_step(history, src[t]) == full[t], t
+
+
+def test_encode_rejects_elements_outside_the_field():
+    codec = desco_build(DeScoParams(1, 2, 2))  # GF(4), 2 subs per slot
+    for bad in ([[0, -1]], [[4, 0]], [[0, 1], [2, 1 << 70]]):
+        with pytest.raises(ValueError):
+            codec.encode_stream(bad)
+    with pytest.raises(ValueError):
+        codec.encode_stream([[0, 1, 2]])
+
+
 def test_combined_codec_rejects_mismatched_components():
     c = desco_build(DeScoParams(1, 2, 2))
     other = desco_build(DeScoParams(2, 3, 2))

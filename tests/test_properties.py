@@ -1,0 +1,192 @@
+"""Property tests over random sources and random multi-burst patterns.
+
+Codecs: single-user (also over a prime field, whose array sums are
+taken mod p), DE-SCo with integer and with rational alpha (expansion 2),
+and the interference-avoidance baseline.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from streamfec.channel import ErasurePattern, apply
+from streamfec.decoder import Component
+from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build
+from streamfec.gf import GF
+from streamfec.oracle import ml_decode_times
+from streamfec.sco import ScoCodec, ScoParams, encode_stream, sco_decode
+from streamfec.wire import element_width, pack_stream, unpack_stream
+
+CODECS = {
+    "single": ScoCodec(ScoParams(2, 3)),
+    "single-gf7": ScoCodec(ScoParams(2, 3, field=GF.prime(7))),
+    "desco": DeScoCodec(DeScoParams(1, 2, 2)),
+    "desco-rational": DeScoCodec(DeScoParams(2, 3, 3, 2)),
+    "ia": ia_sco_build(1, 2, 2),
+}
+
+
+def subs_per_slot(codec):
+    return codec.t if isinstance(codec, ScoCodec) else codec.subs_per_slot
+
+
+def encode(codec, source):
+    if isinstance(codec, ScoCodec):
+        return encode_stream(codec, source)
+    return codec.encode_stream(source)
+
+
+def flat(symbol):
+    return symbol.flat() if hasattr(symbol, "flat") else symbol
+
+
+def decode(codec, rx):
+    if isinstance(codec, ScoCodec):
+        return sco_decode(codec, rx)
+    return codec.decode(rx, 2)
+
+
+@st.composite
+def channel_runs(draw, codec, max_horizon=28):
+    """(source, erasure pattern) with a few bursts anywhere in the stream."""
+    horizon = draw(st.integers(6, max_horizon))
+    element = st.integers(0, codec.field.order - 1)
+    width = subs_per_slot(codec)
+    source = draw(st.lists(st.lists(element, min_size=width, max_size=width),
+                           min_size=horizon, max_size=horizon))
+    bursts = draw(st.lists(st.tuples(st.integers(0, horizon - 1),
+                                     st.integers(1, 4)), max_size=4))
+    erased = {s for start, n in bursts
+              for s in range(start, min(horizon, start + n))}
+    return source, ErasurePattern(tuple(erased), horizon)
+
+
+def reference_parities(codec, source):
+    """Per expanded slot, the parities from ScoCodec.parity_value and from
+    Component.terms, computed element by element."""
+    if isinstance(codec, ScoCodec):
+        comps, n_par, expanded = [Component(codec)], codec.b, source
+    else:
+        t0 = codec.t0
+        comps, n_par = codec.components, codec.b0
+        expanded = [row[r * t0:(r + 1) * t0] for row in source
+                    for r in range(codec.expansion)]
+    f = codec.field
+    by_value, by_terms = [], []
+    for tau in range(len(expanded)):
+        pv, pt = [], []
+        for j in range(n_par):
+            a = b = 0
+            for comp in comps:
+                a = f.add(a, comp.codec.parity_value(comp.own_slot(tau), j,
+                                                     expanded))
+                for (slot, sub), c in comp.terms(tau, j)[1].items():
+                    if slot >= 0:
+                        b = f.add(b, f.mul(c, expanded[slot][sub]))
+            pv.append(a)
+            pt.append(b)
+        by_value.append(pv)
+        by_terms.append(pt)
+    return by_value, by_terms
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_array_encoder_matches_scalar_reference(name, data):
+    codec = CODECS[name]
+    source, _ = data.draw(channel_runs(codec))
+    stream = [flat(sym) for sym in encode(codec, source)]
+    by_value, by_terms = reference_parities(codec, source)
+    assert by_value == by_terms
+    n = 1 if isinstance(codec, ScoCodec) else codec.expansion
+    t0 = subs_per_slot(codec) // n
+    for i, sym in enumerate(stream):
+        for r in range(n):
+            chunk = sym[r * len(sym) // n:(r + 1) * len(sym) // n]
+            assert list(chunk[:t0]) == list(source[i][r * t0:(r + 1) * t0])
+            assert list(chunk[t0:]) == by_value[i * n + r], (i, r)
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_staged_decode_never_returns_a_wrong_value(name, data):
+    codec = CODECS[name]
+    source, pattern = data.draw(channel_runs(codec))
+    recovered, _ = decode(codec, apply(pattern, encode(codec, source)))
+    for i, slot in enumerate(recovered):
+        for k, v in enumerate(slot):
+            assert v is None or v == source[i][k], (i, k)
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_staged_decode_is_never_earlier_than_ml(name, data):
+    codec = CODECS[name]
+    source, pattern = data.draw(channel_runs(codec))
+    _, log = decode(codec, apply(pattern, encode(codec, source)))
+    ml = ml_decode_times(codec, pattern)
+    for var, t in log.sub_times.items():
+        if t is not None:
+            assert ml[var] is not None and ml[var] <= t, var
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_cached_slot_times_match_definition(name, data):
+    codec = CODECS[name]
+    source, pattern = data.draw(channel_runs(codec))
+    _, log = decode(codec, apply(pattern, encode(codec, source)))
+
+    def slot_time(slot):
+        times = [log.sub_times.get((slot, k)) for k in range(log.n_subs)]
+        return None if any(t is None for t in times) else max(times)
+
+    for slot in range(-2, log.horizon + 2):
+        assert log.slot_time(slot) == slot_time(slot), slot
+    assert log.misses == [s for s in range(log.horizon)
+                          if slot_time(s) is None
+                          or slot_time(s) > s + log.deadline]
+    assert log.fully_recovered == all(slot_time(s) is not None
+                                      for s in range(log.horizon))
+
+
+FIELDS = [GF.binary(1), GF.binary(3), GF.binary(8), GF.binary(9),
+          GF.binary(16), GF.prime(7), GF.prime(257), GF.prime(65537)]
+
+
+@st.composite
+def packed_streams(draw):
+    field = draw(st.sampled_from(FIELDS))
+    width = draw(st.integers(1, 5))
+    element = st.integers(0, field.order - 1)
+    slots = draw(st.lists(st.tuples(*[element] * width), max_size=12))
+    return field, width, slots
+
+
+@given(packed_streams())
+def test_wire_roundtrip(case):
+    field, width, slots = case
+    data = pack_stream(slots, field)
+    assert len(data) == len(slots) * width * element_width(field)
+    assert unpack_stream(data, field, width) == slots
+
+
+@given(packed_streams(), st.data())
+def test_wire_rejects_out_of_range_elements(case, data):
+    field, width, slots = case
+    if not slots:
+        return
+    i = data.draw(st.integers(0, len(slots) * width - 1))
+    bad = data.draw(st.one_of(st.integers(max_value=-1),
+                              st.integers(min_value=field.order)))
+    flat = [v for slot in slots for v in slot]
+    flat[i] = bad
+    rows = [flat[s:s + width] for s in range(0, len(flat), width)]
+    with pytest.raises(ValueError):
+        pack_stream(rows, field)
+    # the same element read back from the wire names its byte offset
+    w = element_width(field)
+    if 0 <= bad < 256 ** w:
+        good = bytearray(pack_stream(slots, field))
+        good[i * w:(i + 1) * w] = bad.to_bytes(w, "big")
+        with pytest.raises(ValueError, match=f"byte {i * w}:"):
+            unpack_stream(bytes(good), field, width)

@@ -82,6 +82,36 @@ def test_encode_step_matches_streaming_encoder():
         assert enc.push(src[t]) == sco_encode_step(codec, src[:t], src[t])
 
 
+def test_encode_step_reads_only_memory():
+    codec = ScoCodec(ScoParams(2, 3, step=2))
+    m = memory_bound(codec.params)
+    src = random_source(codec, 3 * m)
+    full = encode_stream(codec, src)
+    for t in range(len(src)):
+        old = max(0, t - m)
+        history = [None] * old + src[old:t]
+        assert sco_encode_step(codec, history, src[t]) == full[t], t
+
+
+def test_encoders_reject_elements_outside_the_field():
+    codec = ScoCodec(ScoParams(2, 3))  # GF(8)
+    enc = ScoEncoder(codec)
+    for bad in ([0, 0, -1], [8, 0, 0]):
+        with pytest.raises(ValueError):
+            encode_stream(codec, [bad])
+        with pytest.raises(ValueError):
+            enc.push(bad)
+    assert enc.push([1, 2, 3]) == encode_stream(codec, [[1, 2, 3]])[0]
+
+
+def test_component_rejects_non_causal_templates():
+    from streamfec.decoder import Component
+    codec = ScoCodec(ScoParams(1, 2))
+    assert Component(codec).reach == memory_bound(codec.params)
+    with pytest.raises(ValueError, match="causal"):
+        Component(codec, shift=-2)
+
+
 # ---------------------------------------------------------
 # Vertical interleaving
 # ---------------------------------------------------------
