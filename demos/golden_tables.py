@@ -7,23 +7,22 @@ codes (interference avoidance vs. embedded) side by side.
 
 import random
 
-from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build
+from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
 from streamfec.gf import GF
-from streamfec.sco import (ScoCodec, ScoParams, encode_stream,
-                           vertical_interleave)
+from streamfec.sco import ScoParams, vertical_interleave
 
 GF2 = GF.binary(1)
 SLOTS = 14
 
 
 def show_single(title, params, src):
-    codec = ScoCodec(params)
-    stream = encode_stream(codec, src)
+    stream = sco_build(params).encode_stream(src)
     print(f"\n{title}  (rate {params.rate})")
     for row in range(params.t):
-        print("  s%d |" % row, " ".join(str(sym.subs[row]) for sym in stream))
+        print("  s%d |" % row, " ".join(str(sym[row]) for sym in stream))
     for row in range(params.b):
-        print("  p%d |" % row, " ".join(str(sym.parities[row]) for sym in stream))
+        print("  p%d |" % row,
+              " ".join(str(sym[params.t + row]) for sym in stream))
 
 
 def show_combined(title, codec, src):

@@ -15,14 +15,14 @@ from .channel import (ErasurePattern, apply, parse_pattern, periodic_pattern,
 from .decoder import Component, StreamLog, TraceEvent, staged_decode
 from .desco import (CombinedCodec, DeScoCodec, DeScoParams, desco_build,
                     descriptor, ia_sco_build, optimal_delay, parse_descriptor,
-                    rate_upper_bound, source_expand, sweep_max_delay)
-from .gf import (GF, FieldElement, IncrementalSystem, InconsistentSystemError,
-                 MixedFieldError, SolveResult, default_field, solve_linear)
+                    rate_upper_bound, sco_build, source_expand,
+                    sweep_max_delay)
+from .gf import (GF, IncrementalSystem, InconsistentSystemError, SolveResult,
+                 default_field, solve_linear)
 from .oracle import (DebtState, ml_decode_times, rlc_burst_losses,
                      rlc_decode_times, rlc_partial_threshold,
                      rlc_perfect_threshold)
-from .sco import (ChannelSymbol, ScoCodec, ScoEncoder, ScoParams, capacity,
-                  encode_stream, memory_bound, sco_decode, sco_encode_step,
-                  split_urgent, vertical_interleave)
+from .sco import (ScoCodec, ScoParams, capacity, memory_bound, split_urgent,
+                  vertical_interleave)
 
 __version__ = "0.1.0"

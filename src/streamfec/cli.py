@@ -64,7 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_codec_flags(sp)
     sp.add_argument("--window", type=int)
 
-    sp = sub.add_parser("simulate", help="segmented-burst loss experiment")
+    sp = sub.add_parser(
+        "simulate", help="segmented-burst loss experiment (approximate)",
+        description="Each segment's losses are counted as those of one "
+        "isolated burst.  A burst may end on a segment's last slot and the "
+        "next start on the following segment's first slot; such back-to-back "
+        "bursts interact, so at any --segment-len the curve is approximate.")
     add_codec_flags(sp)
     sp.add_argument("--bmax-list", dest="bmax_list")
     sp.add_argument("--segment-len", type=int, dest="segment_len", default=2000)
@@ -127,6 +132,15 @@ def cmd_verify(args, out) -> int:
 
 
 def simulate_records(args) -> List[Dict[str, object]]:
+    """Loss records per (b_max, scheme, user) over seeded segment bursts.
+
+    Losses per segment are ``burst_loss_count`` of one isolated burst of
+    the drawn length.  ``channel.draw_segment_burst`` can end a burst on
+    a segment's last slot and start the next on the following segment's
+    first slot, so two bursts can arrive back to back and interact at
+    any ``segment_len``: the counts approximate a full decode of the
+    pattern.
+    """
     _require(args, "b1", "t1", "alpha_num", "bmax_list")
     params = DeScoParams(args.b1, args.t1, args.alpha_num, args.alpha_den or 1)
     try:

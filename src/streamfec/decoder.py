@@ -33,14 +33,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gf import GF, IncrementalSystem
-
-if TYPE_CHECKING:  # sco imports this module at run time
-    from .sco import ScoCodec, Var
+from .sco import ScoCodec, Var
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""Two-user diversity-embedded streaming codec.
+"""Streaming codecs: single-user, and two-user diversity-embedded.
+
+``CombinedCodec`` is the one codec class.  Its parity stream is the sum
+of one or more component codes' parity streams, each delayed by its
+shift; a single-user code (``sco_build``) is one component at shift 0.
 
 A base streaming code C1 serves the strong receiver (burst b1, delay t1).
 A second code C2 of the same rate family runs along reversed diagonals;
@@ -21,10 +25,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bebc import BurstParityMatrix
-from .decoder import (Component, StreamLog, TraceEvent, encode_symbols,
-                      source_array, staged_decode)
+from .decoder import (Component, StreamLog, encode_symbols, source_array,
+                      staged_decode)
 from .gf import GF, default_field
-from .sco import MAIN, OFF, ScoCodec, ScoParams
+from .sco import MAIN, OFF, ScoCodec, ScoParams, Var, memory_bound
 
 
 def optimal_delay(b: int, t: int, alpha: Fraction) -> int:
@@ -109,28 +113,39 @@ def source_expand(b1: int, t1: int, a: int, b: int) -> Tuple[DeScoParams, int]:
 
 
 class CombinedCodec:
-    """Shared machinery for parity-combined two-component codecs.
+    """Streaming codec whose parity stream sums one or more component codes.
 
+    A single-user code is one component at shift 0; the two-user codecs
+    add a second component whose parities are delayed by its shift.
     Works on an expanded clock with ``expansion`` expanded slots per
     stream slot.  A channel symbol per stream slot is the concatenation
     of its expanded slots, each carrying ``t0`` source sub-symbols and
-    ``b0`` combined parities.
+    ``b0`` combined parities.  ``deadlines[u - 1]`` is user u's delay
+    target in stream slots.
     """
 
-    def __init__(self, c1: ScoCodec, c2: ScoCodec, shift: int,
-                 expansion: int, user1_deadline: int, user2_deadline: int):
-        if c1.field != c2.field or c1.t != c2.t or c1.b != c2.b:
+    def __init__(self, components: Sequence[Component], expansion: int,
+                 deadlines: Sequence[int]):
+        first = components[0].codec
+        if any((c.codec.field, c.codec.t, c.codec.b)
+               != (first.field, first.t, first.b) for c in components):
             raise ValueError("component codecs must share field and base size")
-        self.c1 = c1
-        self.c2 = c2
-        self.shift = shift
+        self.components = list(components)
         self.expansion = expansion
-        self.field = c1.field
-        self.t0 = c1.t
-        self.b0 = c1.b
-        self.user1_deadline = user1_deadline
-        self.user2_deadline = user2_deadline
-        self.components = [Component(c1, 0), Component(c2, shift)]
+        self.deadlines = tuple(deadlines)
+        self.field = first.field
+        self.t0 = first.t
+        self.b0 = first.b
+
+    def deadline(self, user: int) -> int:
+        """Delay target of ``user``; ValueError names the valid users."""
+        if not 1 <= user <= len(self.deadlines):
+            raise ValueError(f"user must be in 1..{len(self.deadlines)}")
+        return self.deadlines[user - 1]
+
+    @property
+    def user2_deadline(self) -> int:
+        return self.deadline(2)
 
     @property
     def subs_per_slot(self) -> int:
@@ -166,19 +181,18 @@ class CombinedCodec:
     # -- decoding -------------------------------------------------------
 
     def decode(self, received: Sequence[Optional[Sequence[int]]], user: int):
-        """Decode for user 1 or 2; differs only in the miss deadline.
+        """Decode for one user; users differ only in the miss deadline.
 
         Returns (stream, log) on the stream clock: stream[i] lists the
         subs_per_slot recovered sub-symbols (None where unrecovered), and
         the log's times are expressed in stream slots.
         """
-        if user not in (1, 2):
-            raise ValueError("user must be 1 or 2")
+        deadline = self.deadline(user)
         n, t0, b0 = self.expansion, self.t0, self.b0
         horizon = len(received)
         if n == 1:
             # the expanded clock is the stream clock
-            values, sub_times, trace = staged_decode(
+            values, times, trace = staged_decode(
                 self.components, self.field, t0, b0, received)
             stream = [list(sym[:t0]) if sym is not None
                       else [values.get((i, k)) for k in range(t0)]
@@ -189,14 +203,19 @@ class CombinedCodec:
             stream = [[values.get((i * n + r, k))
                        for r in range(n) for k in range(t0)]
                       for i in range(horizon)]
-            sub_times = {}
-            for (tau, k), tm in times.items():
-                var = (tau // n, (tau % n) * t0 + k)
-                sub_times[var] = None if tm is None else tm // n
-        deadline = self.user1_deadline if user == 1 else self.user2_deadline
         log = StreamLog(horizon=horizon, n_subs=n * t0, deadline=deadline,
-                        sub_times=sub_times, trace=trace)
+                        sub_times=self.stream_times(times), trace=trace)
         return stream, log
+
+    def stream_times(self, times: Dict[Var, Optional[int]]
+                     ) -> Dict[Var, Optional[int]]:
+        """Map (expanded slot, sub) -> expanded time onto the stream clock;
+        ``times`` itself at expansion 1."""
+        n, t0 = self.expansion, self.t0
+        if n == 1:
+            return times
+        return {(tau // n, (tau % n) * t0 + k): None if tm is None else tm // n
+                for (tau, k), tm in times.items()}
 
     def _expand(self, received: Sequence[Optional[Sequence[int]]]
                 ) -> List[Optional[Tuple[int, ...]]]:
@@ -212,12 +231,6 @@ class CombinedCodec:
             for r in range(n):
                 expanded.append(tuple(sym[r * (t0 + b0):(r + 1) * (t0 + b0)]))
         return expanded
-
-    def decode_user1(self, received):
-        return self.decode(received, 1)
-
-    def decode_user2(self, received):
-        return self.decode(received, 2)
 
 
 class DeScoCodec(CombinedCodec):
@@ -235,13 +248,19 @@ class DeScoCodec(CombinedCodec):
                                 field=field), h)
         c2 = ScoCodec(ScoParams(b0, t0, step=params.a - params.b,
                                 orientation=OFF, field=field), h or c1.h)
-        super().__init__(c1, c2, shift=params.delta, expansion=n,
-                         user1_deadline=params.t1,
-                         user2_deadline=params.user2_deadline)
+        super().__init__([Component(c1), Component(c2, params.delta)], n,
+                         (params.t1, params.user2_deadline))
 
 
 def desco_build(params: DeScoParams, field: Optional[GF] = None) -> DeScoCodec:
     return DeScoCodec(params, field)
+
+
+def sco_build(params: ScoParams,
+              h: Optional[BurstParityMatrix] = None) -> CombinedCodec:
+    """Single-user streaming code: one component, deadline t * step."""
+    return CombinedCodec([Component(ScoCodec(params, h))], 1,
+                         (memory_bound(params),))
 
 
 def ia_sco_build(b1: int, t1: int, alpha: int,
@@ -258,8 +277,8 @@ def ia_sco_build(b1: int, t1: int, alpha: int,
         field = default_field(t1, b1)
     c1 = ScoCodec(ScoParams(b1, t1, field=field))
     c2 = ScoCodec(ScoParams(b1, t1, step=alpha, field=field), c1.h)
-    return CombinedCodec(c1, c2, shift=t1, expansion=1,
-                         user1_deadline=t1, user2_deadline=alpha * t1 + t1)
+    return CombinedCodec([Component(c1), Component(c2, t1)], 1,
+                         (t1, alpha * t1 + t1))
 
 
 # -- burst sweeps ---------------------------------------------------------
@@ -276,7 +295,7 @@ def burst_decode_log(codec: CombinedCodec, start: int, length: int,
     so the log applies to any source content."""
     if horizon is None:
         # slots after the last deadline cannot change any miss verdict
-        horizon = start + length + codec.user2_deadline + 2
+        horizon = start + length + max(codec.deadlines) + 2
     rx: List[Optional[Tuple[int, ...]]] = list(zero_stream(codec, horizon))
     for s in range(start, start + length):
         rx[s] = None
@@ -292,7 +311,7 @@ def burst_loss_count(codec: CombinedCodec, length: int, user: int) -> int:
     """
     if length == 0:
         return 0
-    start = 3 * (codec.user1_deadline + codec.user2_deadline)
+    start = 3 * sum(codec.deadlines)
     log = burst_decode_log(codec, start, length, user)
     return len(log.misses)
 
@@ -300,9 +319,8 @@ def burst_loss_count(codec: CombinedCodec, length: int, user: int) -> int:
 def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
                     window: Optional[int] = None) -> Tuple[int, int]:
     """(max recovery delay, miss count) over every burst start in a window."""
-    deadline = codec.user1_deadline if user == 1 else codec.user2_deadline
     if window is None:
-        window = 10 * (codec.user1_deadline + codec.user2_deadline)
+        window = 10 * sum(codec.deadlines)
     worst = 0
     misses = 0
     for start in range(window - burst_len + 1):
@@ -322,7 +340,7 @@ def descriptor(codec: DeScoCodec) -> str:
     """Text block (key=value lines) reconstructing the codec bit-exactly."""
     p = codec.params
     rows = ",".join("-".join(format(v, "x") for v in row)
-                    for row in codec.c1.h.rows)
+                    for row in codec.components[0].codec.h.rows)
     lines = [f"b1={p.b1}", f"t1={p.t1}", f"a={p.a}", f"b={p.b}",
              f"field={codec.field.degree}", f"h={rows}"]
     return "\n".join(lines) + "\n"

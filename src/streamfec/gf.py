@@ -1,9 +1,9 @@
 """Finite-field arithmetic over GF(p) and GF(2^m).
 
 Field elements are plain ints in [0, q).  A ``GF`` instance owns the
-arithmetic; ``FieldElement`` is a thin operator wrapper for scalar work.
-Binary extension fields use log/antilog tables for multiplication; a
-polynomial long-division multiply is kept as an independent slow path.
+arithmetic.  Binary extension fields use log/antilog tables for
+multiplication; a polynomial long-division multiply is kept as an
+independent slow path.
 Whole arrays of elements are multiplied by a constant through per-constant
 product rows (``mul_row``), built on first use.
 """
@@ -40,10 +40,6 @@ CANONICAL_POLY = {
 
 _TABLE_MAX_DEGREE = 16
 _ROW_MAX_ORDER = 1 << 16  # product rows cost one int64 per field element
-
-
-class MixedFieldError(ValueError):
-    """Raised when an operation mixes elements of different fields."""
 
 
 class InconsistentSystemError(RuntimeError):
@@ -168,11 +164,6 @@ class GF:
 
     # -- element arithmetic (ints) ------------------------------------
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} out of range for field of order {self.order}")
-        return a
-
     def add(self, a: int, b: int) -> int:
         if self.kind == "binary":
             return a ^ b
@@ -248,9 +239,6 @@ class GF:
             return a ^ b
         return (a + b) % self.order
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self.check(value), self)
-
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -264,33 +252,6 @@ class GF:
         if self.kind == "prime":
             return f"GF({self.order})"
         return f"GF(2^{self.degree})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A scalar bound to its field; mixing fields raises MixedFieldError."""
-
-    value: int
-    field: GF
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement")
-        if other.field != self.field:
-            raise MixedFieldError("operands belong to different fields")
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.add(self.value, self._coerce(other)), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.sub(self.value, self._coerce(other)), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field.mul(self.value, self._coerce(other)), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
 
 
 def default_field(t: int, b: int) -> GF:

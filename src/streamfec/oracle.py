@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .channel import ErasurePattern
 from .decoder import Component
 from .gf import GF, IncrementalSystem
-from .sco import ScoCodec, Var
+from .sco import Var
 
 
 def _ml_times_expanded(components: Sequence[Component], field: GF,
@@ -65,25 +65,17 @@ def ml_decode_times(codec, pattern: ErasurePattern,
                     horizon: Optional[int] = None) -> Dict[Var, Optional[int]]:
     """Earliest per-sub-symbol determination times for a codec under a pattern.
 
-    ``codec`` is a single-user ScoCodec or a two-user CombinedCodec; the
-    pattern and the returned times are on the stream clock, with
-    sub-symbol indices matching the codec's decode output.
+    ``codec`` is a ``CombinedCodec`` (single- or two-user); the pattern
+    and the returned times are on the stream clock, with sub-symbol
+    indices matching the codec's decode output.
     """
     if horizon is None:
         horizon = pattern.horizon
+    n = codec.expansion
     erased_slots = set(pattern.slots)
-    if isinstance(codec, ScoCodec):
-        erased = [t in erased_slots for t in range(horizon)]
-        return _ml_times_expanded([Component(codec)], codec.field,
-                                  codec.t, codec.b, erased)
-    n, t0 = codec.expansion, codec.t0
-    erased = [((tau // n) in erased_slots) for tau in range(horizon * n)]
-    raw = _ml_times_expanded(codec.components, codec.field, t0,
-                             codec.b0, erased)
-    out: Dict[Var, Optional[int]] = {}
-    for (tau, k), tm in raw.items():
-        out[(tau // n, (tau % n) * t0 + k)] = None if tm is None else tm // n
-    return out
+    erased = [(tau // n) in erased_slots for tau in range(horizon * n)]
+    return codec.stream_times(_ml_times_expanded(
+        codec.components, codec.field, codec.t0, codec.b0, erased))
 
 
 # -- random-linear-code information-debt model ---------------------------

@@ -6,18 +6,19 @@ codewords of a low-delay burst block code, whose parity symbols ride
 along with later source symbols.  A burst of up to ``b * step`` channel
 erasures then meets every diagonal codeword in at most ``b`` positions,
 and every erased source symbol is recovered within ``t * step`` slots.
+
+This module holds the parameters and the diagonal geometry.  Encoding
+and decoding go through ``desco.sco_build``, which wraps a code as a
+one-component ``CombinedCodec``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .bebc import BurstParityMatrix, make_burst_parity
-from .decoder import (Component, StreamLog, encode_symbols, source_array,
-                      staged_decode)
 from .gf import GF, default_field
 
 Var = Tuple[int, int]  # (slot, sub-symbol index)
@@ -106,16 +107,8 @@ def split_urgent(params: ScoParams, subs: Sequence[int]) -> Tuple[Tuple[int, ...
             tuple(subs[t - 1 - e] for e in range(b, t)))
 
 
-class ChannelSymbol(NamedTuple):
-    subs: Tuple[int, ...]
-    parities: Tuple[int, ...]
-
-    def flat(self) -> Tuple[int, ...]:
-        return self.subs + self.parities
-
-
 class ScoCodec:
-    """Encoder/decoder layout for one streaming code.
+    """Diagonal layout of one streaming code.
 
     The diagonal codeword with index i has information entry k at
     (slot, sub) given by ``info_entry(i, k)`` and parity j transmitted at
@@ -183,65 +176,3 @@ class ScoCodec:
                 continue
             acc = f.add(acc, f.mul(coeff, source[s_slot][sub]))
         return acc
-
-
-class ScoEncoder:
-    """Streaming encoder; keeps only the source window the parities reach."""
-
-    def __init__(self, codec: ScoCodec):
-        self.codec = codec
-        self._component = Component(codec)
-        self._window: Deque[Tuple[int, ...]] = deque(
-            maxlen=self._component.reach)
-
-    def push(self, subs: Sequence[int]) -> ChannelSymbol:
-        window = list(self._window) + [tuple(subs)]
-        sym = _encode_rows(self.codec, self._component, window)[-1]
-        self._window.append(window[-1])
-        return sym
-
-
-def _encode_rows(codec: ScoCodec, component: Component,
-                 rows: Sequence[Sequence[int]]) -> List[ChannelSymbol]:
-    """Channel symbols of consecutive source rows, the first at slot 0."""
-    src = source_array(rows, codec.t, codec.field)
-    t = codec.t
-    return [ChannelSymbol(tuple(row[:t]), tuple(row[t:]))
-            for row in encode_symbols([component], codec.field, src).tolist()]
-
-
-def sco_encode_step(codec: ScoCodec, history: Sequence[Sequence[int]],
-                    s_now: Sequence[int]) -> ChannelSymbol:
-    """One encoder step: emit (s_now, parities) given the prior source window.
-
-    ``history`` holds the source symbols before the current slot; only
-    the last ``memory_bound`` are read, and earlier time is zero-padded.
-    """
-    comp = Component(codec)
-    window = list(history[max(0, len(history) - comp.reach):]) + [s_now]
-    return _encode_rows(codec, comp, window)[-1]
-
-
-def encode_stream(codec: ScoCodec, source: Sequence[Sequence[int]]) -> List[ChannelSymbol]:
-    return _encode_rows(codec, Component(codec), source)
-
-
-def sco_decode(codec: ScoCodec, received: Sequence[Optional[ChannelSymbol]],
-               deadline: Optional[int] = None):
-    """Decode a channel stream with erased slots (``None``).
-
-    Returns (recovered stream, log).  The log records per-sub-symbol
-    recovery times; a slot whose recovery exceeds ``deadline`` (default
-    t*step) counts as a miss rather than an error.
-    """
-    if deadline is None:
-        deadline = memory_bound(codec.params)
-    flat = [None if x is None else (tuple(x.subs) + tuple(x.parities))
-            for x in received]
-    values, times, trace = staged_decode(
-        [Component(codec)], codec.field, codec.t, codec.b, flat)
-    horizon = len(received)
-    stream = [[values.get((t, k)) for k in range(codec.t)] for t in range(horizon)]
-    log = StreamLog(horizon=horizon, n_subs=codec.t, deadline=deadline,
-                    sub_times=times, trace=trace)
-    return stream, log

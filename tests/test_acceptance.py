@@ -15,12 +15,12 @@ from streamfec import cli
 from streamfec.channel import (HIGH_DELAY, apply, periodic_pattern,
                                single_burst)
 from streamfec.desco import (DeScoCodec, DeScoParams, desco_build,
-                             ia_sco_build, rate_upper_bound, zero_stream)
+                             ia_sco_build, rate_upper_bound, sco_build,
+                             zero_stream)
 from streamfec.gf import GF
 from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
                               rlc_partial_threshold, rlc_perfect_threshold)
-from streamfec.sco import (ChannelSymbol, ScoCodec, ScoParams, encode_stream,
-                           sco_decode, vertical_interleave)
+from streamfec.sco import ScoParams, vertical_interleave
 
 GF2 = GF.binary(1)
 rng = random.Random(20240820)
@@ -44,15 +44,15 @@ def test_golden_parity_tables():
     started = time.monotonic()
 
     def check_sco(params, formulas):
-        codec = ScoCodec(params)
+        codec = sco_build(params)
         src = rand_bits(params.t, 20)
 
         def s(j, t):
             return src[t][j] if t >= 0 else 0
 
-        for t, sym in enumerate(encode_stream(codec, src)):
-            assert sym.subs == tuple(src[t])
-            assert sym.parities == tuple(f(s, t) for f in formulas), t
+        for t, sym in enumerate(codec.encode_stream(src)):
+            assert sym[:params.t] == tuple(src[t])
+            assert sym[params.t:] == tuple(f(s, t) for f in formulas), t
 
     # (2,3) code: two parities combining s0/s1 at lag 3 with s2
     check_sco(ScoParams(2, 3, field=GF2),
@@ -151,12 +151,11 @@ def test_tightness_grid():
 # ---------------------------------------------------------------------
 
 def test_recovery_ordering_25():
-    codec = ScoCodec(ScoParams(2, 5, field=GF2))
+    codec = sco_build(ScoParams(2, 5, field=GF2))
     i = 12  # burst occupies slots i-2, i-1
-    zero = ChannelSymbol((0,) * 5, (0,) * 2)
-    rx = [zero] * 30
+    rx = list(zero_stream(codec, 30))
     rx[i - 2] = rx[i - 1] = None
-    _, log = sco_decode(codec, rx)
+    _, log = codec.decode(rx, 1)
     assert log.misses == []
     by_var = {(ev.slot, ev.sub): ev for ev in log.trace}
     for slot in (i - 2, i - 1):
@@ -230,9 +229,10 @@ def test_oracle_equivalence_random():
         b1 = rng.randint(1, t1)
         kind = rng.choice(("sco", "desco", "ia"))
         if kind == "sco":
-            codec = ScoCodec(ScoParams(b1, t1, step=rng.randint(1, 2)))
-            deadline = t1 * codec.params.step
-            tolerance = b1 * codec.params.step
+            params = ScoParams(b1, t1, step=rng.randint(1, 2))
+            codec = sco_build(params)
+            deadline = t1 * params.step
+            tolerance = b1 * params.step
         elif kind == "desco":
             a, b = rng.choice([(2, 1), (3, 1), (3, 2), (5, 2)])
             if b1 % b:
@@ -250,13 +250,8 @@ def test_oracle_equivalence_random():
         length = rng.randint(1, tolerance)
         horizon = start + length + 3 * deadline + 4
         pattern = single_burst(start, length, horizon)
-        if isinstance(codec, ScoCodec):
-            zero = ChannelSymbol((0,) * codec.t, (0,) * codec.b)
-            rx = apply(pattern, [zero] * horizon)
-            _, log = sco_decode(codec, rx)
-        else:
-            rx = apply(pattern, zero_stream(codec, horizon))
-            _, log = codec.decode(rx, user=2)
+        rx = apply(pattern, zero_stream(codec, horizon))
+        _, log = codec.decode(rx, user=len(codec.deadlines))
         oracle_times = ml_decode_times(codec, pattern)
         for var, t in log.sub_times.items():
             assert oracle_times[var] == t, (kind, b1, t1, start, length, var)

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from streamfec.channel import apply, single_burst
+from streamfec.decoder import Component
 from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
                              burst_decode_log, burst_loss_count, desco_build,
                              descriptor, ia_sco_build, optimal_delay,
-                             parse_descriptor, rate_upper_bound, source_expand,
-                             sweep_max_delay, zero_stream)
+                             parse_descriptor, rate_upper_bound, sco_build,
+                             source_expand, sweep_max_delay, zero_stream)
 from streamfec.gf import GF
-from streamfec.sco import capacity
+from streamfec.sco import ScoParams, capacity
 
 rng = random.Random(20240818)
 
@@ -149,8 +150,9 @@ def test_combined_codec_rejects_mismatched_components():
     c = desco_build(DeScoParams(1, 2, 2))
     other = desco_build(DeScoParams(2, 3, 2))
     with pytest.raises(ValueError):
-        CombinedCodec(c.c1, other.c2, shift=3, expansion=1,
-                      user1_deadline=2, user2_deadline=5)
+        CombinedCodec([c.components[0],
+                       Component(other.components[1].codec, shift=3)],
+                      expansion=1, deadlines=(2, 5))
 
 
 # ---------------------------------------------------------
@@ -290,5 +292,8 @@ def test_decode_rejects_bad_user_and_width():
     stream = codec.encode_stream(random_source(codec, 5))
     with pytest.raises(ValueError):
         codec.decode(stream, user=3)
+    single = sco_build(ScoParams(1, 2))
+    with pytest.raises(ValueError, match=r"1\.\.1"):
+        single.decode(single.encode_stream([[0, 1]] * 4), user=2)
     with pytest.raises(ValueError):
         codec.decode([stream[0][:2]] + list(stream[1:]), user=1)

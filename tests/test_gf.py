@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from streamfec.gf import (GF, FieldElement, IncrementalSystem,
-                          InconsistentSystemError, MixedFieldError,
+from streamfec.gf import (GF, IncrementalSystem, InconsistentSystemError,
                           default_field, is_irreducible, solve_linear)
 
 
@@ -124,25 +123,6 @@ def test_tables_deterministic():
     for a in range(g1.order):
         for b in (3, 17, 30):
             assert g1.mul(a, b) == g2.mul(a, b)
-
-
-# ---------------------------------------------------------
-# FieldElement wrapper
-# ---------------------------------------------------------
-
-def test_field_element_ops_and_mixing():
-    g3, g4 = GF.binary(3), GF.binary(4)
-    x = g3.element(0b011)
-    y = g3.element(0b101)
-    assert (x + y).value == 0b110
-    assert (x * x.inverse()).value == 1
-    with pytest.raises(MixedFieldError):
-        _ = x + g4.element(1)
-
-
-def test_field_element_range_check():
-    with pytest.raises(ValueError):
-        GF.binary(2).element(7)
 
 
 # ---------------------------------------------------------

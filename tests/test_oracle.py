@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from streamfec.channel import ErasurePattern, single_burst
-from streamfec.desco import DeScoParams, desco_build, ia_sco_build
+from streamfec.desco import (DeScoParams, desco_build, ia_sco_build,
+                             sco_build, zero_stream)
 from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
                               rlc_decode_times, rlc_partial_threshold,
                               rlc_perfect_threshold)
-from streamfec.sco import ScoCodec, ScoParams, sco_decode
-from streamfec.desco import zero_stream
+from streamfec.sco import ScoParams
 
 rng = random.Random(20240819)
 
@@ -18,28 +18,19 @@ rng = random.Random(20240819)
 # Unrestricted-decoder oracle
 # ---------------------------------------------------------
 
-def staged_times_sco(codec, pattern):
-    from streamfec.sco import ChannelSymbol
-    zero = ChannelSymbol(tuple([0] * codec.t), tuple([0] * codec.b))
-    rx = [None if t in set(pattern.slots) else zero
-          for t in range(pattern.horizon)]
-    _, log = sco_decode(codec, rx)
-    return log.sub_times
-
-
-def staged_times_combined(codec, pattern):
+def staged_times(codec, pattern):
     stream = zero_stream(codec, pattern.horizon)
     rx = [None if t in set(pattern.slots) else stream[t]
           for t in range(pattern.horizon)]
-    _, log = codec.decode(rx, user=2)
+    _, log = codec.decode(rx, user=len(codec.deadlines))
     return log.sub_times
 
 
 def test_ml_matches_staged_on_single_user_bursts():
-    codec = ScoCodec(ScoParams(2, 3))
+    codec = sco_build(ScoParams(2, 3))
     for start in (5, 9):
         pattern = single_burst(start, 2, 20)
-        assert ml_decode_times(codec, pattern) == staged_times_sco(codec, pattern)
+        assert ml_decode_times(codec, pattern) == staged_times(codec, pattern)
 
 
 def test_ml_matches_staged_on_combined_random_patterns():
@@ -53,17 +44,17 @@ def test_ml_matches_staged_on_combined_random_patterns():
                           if rng.random() < 0.12)
             pattern = ErasurePattern(slots, horizon)
             assert ml_decode_times(codec, pattern) == \
-                staged_times_combined(codec, pattern)
+                staged_times(codec, pattern)
 
 
 def test_ml_unrecoverable_stays_none():
-    codec = ScoCodec(ScoParams(1, 2))
+    codec = sco_build(ScoParams(1, 2))
     times = ml_decode_times(codec, single_burst(4, 4, 20))
     assert any(t is None for t in times.values())
 
 
 def test_ml_clean_slots_are_instant():
-    codec = ScoCodec(ScoParams(2, 3))
+    codec = sco_build(ScoParams(2, 3))
     times = ml_decode_times(codec, ErasurePattern((), 8))
     assert all(times[(s, k)] == s for s in range(8) for k in range(3))
 

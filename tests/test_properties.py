@@ -9,40 +9,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamfec.channel import ErasurePattern, apply
-from streamfec.decoder import Component
-from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build
+from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
 from streamfec.gf import GF
 from streamfec.oracle import ml_decode_times
-from streamfec.sco import ScoCodec, ScoParams, encode_stream, sco_decode
+from streamfec.sco import ScoParams
 from streamfec.wire import element_width, pack_stream, unpack_stream
 
 CODECS = {
-    "single": ScoCodec(ScoParams(2, 3)),
-    "single-gf7": ScoCodec(ScoParams(2, 3, field=GF.prime(7))),
+    "single": sco_build(ScoParams(2, 3)),
+    "single-gf7": sco_build(ScoParams(2, 3, field=GF.prime(7))),
     "desco": DeScoCodec(DeScoParams(1, 2, 2)),
     "desco-rational": DeScoCodec(DeScoParams(2, 3, 3, 2)),
     "ia": ia_sco_build(1, 2, 2),
 }
 
 
-def subs_per_slot(codec):
-    return codec.t if isinstance(codec, ScoCodec) else codec.subs_per_slot
-
-
-def encode(codec, source):
-    if isinstance(codec, ScoCodec):
-        return encode_stream(codec, source)
-    return codec.encode_stream(source)
-
-
-def flat(symbol):
-    return symbol.flat() if hasattr(symbol, "flat") else symbol
-
-
 def decode(codec, rx):
-    if isinstance(codec, ScoCodec):
-        return sco_decode(codec, rx)
-    return codec.decode(rx, 2)
+    """Decode for the codec's last (slowest) user."""
+    return codec.decode(rx, len(codec.deadlines))
 
 
 @st.composite
@@ -50,7 +34,7 @@ def channel_runs(draw, codec, max_horizon=28):
     """(source, erasure pattern) with a few bursts anywhere in the stream."""
     horizon = draw(st.integers(6, max_horizon))
     element = st.integers(0, codec.field.order - 1)
-    width = subs_per_slot(codec)
+    width = codec.subs_per_slot
     source = draw(st.lists(st.lists(element, min_size=width, max_size=width),
                            min_size=horizon, max_size=horizon))
     bursts = draw(st.lists(st.tuples(st.integers(0, horizon - 1),
@@ -63,13 +47,10 @@ def channel_runs(draw, codec, max_horizon=28):
 def reference_parities(codec, source):
     """Per expanded slot, the parities from ScoCodec.parity_value and from
     Component.terms, computed element by element."""
-    if isinstance(codec, ScoCodec):
-        comps, n_par, expanded = [Component(codec)], codec.b, source
-    else:
-        t0 = codec.t0
-        comps, n_par = codec.components, codec.b0
-        expanded = [row[r * t0:(r + 1) * t0] for row in source
-                    for r in range(codec.expansion)]
+    t0 = codec.t0
+    comps, n_par = codec.components, codec.b0
+    expanded = [row[r * t0:(r + 1) * t0] for row in source
+                for r in range(codec.expansion)]
     f = codec.field
     by_value, by_terms = [], []
     for tau in range(len(expanded)):
@@ -94,11 +75,11 @@ def reference_parities(codec, source):
 def test_array_encoder_matches_scalar_reference(name, data):
     codec = CODECS[name]
     source, _ = data.draw(channel_runs(codec))
-    stream = [flat(sym) for sym in encode(codec, source)]
+    stream = codec.encode_stream(source)
     by_value, by_terms = reference_parities(codec, source)
     assert by_value == by_terms
-    n = 1 if isinstance(codec, ScoCodec) else codec.expansion
-    t0 = subs_per_slot(codec) // n
+    n = codec.expansion
+    t0 = codec.subs_per_slot // n
     for i, sym in enumerate(stream):
         for r in range(n):
             chunk = sym[r * len(sym) // n:(r + 1) * len(sym) // n]
@@ -111,7 +92,7 @@ def test_array_encoder_matches_scalar_reference(name, data):
 def test_staged_decode_never_returns_a_wrong_value(name, data):
     codec = CODECS[name]
     source, pattern = data.draw(channel_runs(codec))
-    recovered, _ = decode(codec, apply(pattern, encode(codec, source)))
+    recovered, _ = decode(codec, apply(pattern, codec.encode_stream(source)))
     for i, slot in enumerate(recovered):
         for k, v in enumerate(slot):
             assert v is None or v == source[i][k], (i, k)
@@ -122,7 +103,7 @@ def test_staged_decode_never_returns_a_wrong_value(name, data):
 def test_staged_decode_is_never_earlier_than_ml(name, data):
     codec = CODECS[name]
     source, pattern = data.draw(channel_runs(codec))
-    _, log = decode(codec, apply(pattern, encode(codec, source)))
+    _, log = decode(codec, apply(pattern, codec.encode_stream(source)))
     ml = ml_decode_times(codec, pattern)
     for var, t in log.sub_times.items():
         if t is not None:
@@ -134,7 +115,7 @@ def test_staged_decode_is_never_earlier_than_ml(name, data):
 def test_cached_slot_times_match_definition(name, data):
     codec = CODECS[name]
     source, pattern = data.draw(channel_runs(codec))
-    _, log = decode(codec, apply(pattern, encode(codec, source)))
+    _, log = decode(codec, apply(pattern, codec.encode_stream(source)))
 
     def slot_time(slot):
         times = [log.sub_times.get((slot, k)) for k in range(log.n_subs)]

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from streamfec.channel import apply, single_burst
+from streamfec.desco import sco_build
 from streamfec.gf import GF
-from streamfec.sco import (MAIN, OFF, ScoCodec, ScoEncoder, ScoParams,
-                           capacity, encode_stream, memory_bound, sco_decode,
-                           sco_encode_step, split_urgent, vertical_interleave)
+from streamfec.sco import (MAIN, OFF, ScoCodec, ScoParams, capacity,
+                           memory_bound, split_urgent, vertical_interleave)
 
 GF2 = GF.binary(1)
 rng = random.Random(20240817)
@@ -15,13 +15,14 @@ rng = random.Random(20240817)
 
 def random_source(codec, slots):
     q = codec.field.order
-    return [[rng.randrange(q) for _ in range(codec.t)] for _ in range(slots)]
+    return [[rng.randrange(q) for _ in range(codec.subs_per_slot)]
+            for _ in range(slots)]
 
 
 def decode_with_burst(codec, source, start, length):
-    stream = encode_stream(codec, source)
+    stream = codec.encode_stream(source)
     rx = apply(single_burst(start, length, len(stream)), stream)
-    return sco_decode(codec, rx)
+    return codec.decode(rx, 1)
 
 
 # ---------------------------------------------------------
@@ -45,16 +46,16 @@ def test_rate_is_b_over_t_plus_b():
 # ---------------------------------------------------------
 
 def check_parities(params, formulas, slots=20):
-    codec = ScoCodec(params)
+    codec = sco_build(params)
     src = [[rng.randrange(2) for _ in range(params.t)] for _ in range(slots)]
 
     def s(j, t):
         return src[t][j] if t >= 0 else 0
 
-    stream = encode_stream(codec, src)
+    stream = codec.encode_stream(src)
     for t in range(slots):
-        assert stream[t].subs == tuple(src[t])
-        assert stream[t].parities == tuple(f(s, t) for f in formulas), t
+        assert stream[t][:params.t] == tuple(src[t])
+        assert stream[t][params.t:] == tuple(f(s, t) for f in formulas), t
 
 
 def test_23_main_parities():
@@ -69,39 +70,40 @@ def test_12_main_parity():
 
 
 def test_zero_source_gives_zero_parities():
-    codec = ScoCodec(ScoParams(2, 5, field=GF2))
-    for sym in encode_stream(codec, [[0] * 5] * 12):
-        assert sym.parities == (0, 0)
+    codec = sco_build(ScoParams(2, 5, field=GF2))
+    for sym in codec.encode_stream([[0] * 5] * 12):
+        assert sym[5:] == (0, 0)
 
 
 def test_encode_step_matches_streaming_encoder():
-    codec = ScoCodec(ScoParams(2, 3, field=GF2))
+    codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 10)
-    enc = ScoEncoder(codec)
     for t in range(10):
-        assert enc.push(src[t]) == sco_encode_step(codec, src[:t], src[t])
+        assert codec.encode_step(src[:t], src[t]) == \
+            codec.encode_stream(src[:t + 1])[t]
 
 
 def test_encode_step_reads_only_memory():
-    codec = ScoCodec(ScoParams(2, 3, step=2))
-    m = memory_bound(codec.params)
+    params = ScoParams(2, 3, step=2)
+    codec = sco_build(params)
+    m = memory_bound(params)
     src = random_source(codec, 3 * m)
-    full = encode_stream(codec, src)
+    full = codec.encode_stream(src)
     for t in range(len(src)):
         old = max(0, t - m)
         history = [None] * old + src[old:t]
-        assert sco_encode_step(codec, history, src[t]) == full[t], t
+        assert codec.encode_step(history, src[t]) == full[t], t
 
 
 def test_encoders_reject_elements_outside_the_field():
-    codec = ScoCodec(ScoParams(2, 3))  # GF(8)
-    enc = ScoEncoder(codec)
+    codec = sco_build(ScoParams(2, 3))  # GF(8)
     for bad in ([0, 0, -1], [8, 0, 0]):
         with pytest.raises(ValueError):
-            encode_stream(codec, [bad])
+            codec.encode_stream([bad])
         with pytest.raises(ValueError):
-            enc.push(bad)
-    assert enc.push([1, 2, 3]) == encode_stream(codec, [[1, 2, 3]])[0]
+            codec.encode_step([], bad)
+    assert codec.encode_step([], [1, 2, 3]) == \
+        codec.encode_stream([[1, 2, 3]])[0]
 
 
 def test_component_rejects_non_causal_templates():
@@ -122,20 +124,22 @@ def test_interleave_12_alpha2_parity():
 
 
 def test_interleave_equals_decimated_substreams():
-    base = ScoCodec(ScoParams(1, 2, field=GF2))
-    inter = ScoCodec(vertical_interleave(base.params, 2))
+    base_params = ScoParams(1, 2, field=GF2)
+    base = sco_build(base_params)
+    inter = sco_build(vertical_interleave(base_params, 2))
     src = random_source(inter, 16)
-    got = encode_stream(inter, src)
+    got = inter.encode_stream(src)
     for phase in range(2):
-        sub = encode_stream(base, src[phase::2])
+        sub = base.encode_stream(src[phase::2])
         for k, sym in enumerate(sub):
-            assert got[2 * k + phase].parities == sym.parities
+            assert got[2 * k + phase][2:] == sym[2:]
 
 
 def test_interleave_alpha3_corrects_length3_bursts():
-    codec = ScoCodec(vertical_interleave(ScoParams(1, 2, field=GF2), 3))
+    params = vertical_interleave(ScoParams(1, 2, field=GF2), 3)
+    codec = sco_build(params)
     src = random_source(codec, 40)
-    for start in range(40 - 3 - memory_bound(codec.params)):  # tail slack
+    for start in range(40 - 3 - memory_bound(params)):  # tail slack
         out, log = decode_with_burst(codec, src, start, 3)
         assert [list(map(int, s)) for s in out] == src
         assert log.misses == []  # every symbol within delay 6
@@ -146,7 +150,7 @@ def test_interleave_alpha3_corrects_length3_bursts():
 # ---------------------------------------------------------
 
 def test_23_burst_recovered_within_3():
-    codec = ScoCodec(ScoParams(2, 3, field=GF2))
+    codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 25)
     out, log = decode_with_burst(codec, src, 9, 2)
     assert [list(map(int, s)) for s in out] == src
@@ -155,9 +159,9 @@ def test_23_burst_recovered_within_3():
 
 
 def test_no_erasures_passthrough():
-    codec = ScoCodec(ScoParams(2, 3, field=GF2))
+    codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 10)
-    out, log = sco_decode(codec, encode_stream(codec, src))
+    out, log = codec.decode(codec.encode_stream(src), 1)
     assert [list(map(int, s)) for s in out] == src
     assert log.misses == []
     for slot in range(10):
@@ -165,7 +169,7 @@ def test_no_erasures_passthrough():
 
 
 def test_oversized_burst_marks_losses_not_raises():
-    codec = ScoCodec(ScoParams(1, 2, field=GF2))
+    codec = sco_build(ScoParams(1, 2, field=GF2))
     src = random_source(codec, 20)
     out, log = decode_with_burst(codec, src, 8, 4)
     assert log.misses  # some slots lost
@@ -176,7 +180,7 @@ def test_exhaustive_small_grid():
     for t in range(1, 5):
         for b in range(1, t + 1):
             for step in (1, 2, 3):
-                codec = ScoCodec(ScoParams(b, t, step=step))
+                codec = sco_build(ScoParams(b, t, step=step))
                 window = 5 * (t + b)
                 src = random_source(codec, window + t * step + b * step + 2)
                 for start in range(window - b * step + 1):
@@ -187,13 +191,13 @@ def test_exhaustive_small_grid():
 
 
 def test_multiple_separated_bursts():
-    codec = ScoCodec(ScoParams(2, 3, field=GF2))
+    codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 40)
-    stream = encode_stream(codec, src)
+    stream = codec.encode_stream(src)
     rx = list(stream)
     for s in (5, 6, 20, 21):  # separation >> (t+b)*step
         rx[s] = None
-    out, log = sco_decode(codec, rx)
+    out, log = codec.decode(rx, 1)
     assert [list(map(int, s)) for s in out] == src
     assert log.misses == []
 
@@ -222,15 +226,15 @@ def test_memory_bound_values():
 
 def test_memory_twin_stream():
     params = ScoParams(2, 5, field=GF2)
-    codec = ScoCodec(params)
+    codec = sco_build(params)
     src_a = random_source(codec, 20)
     src_b = [list(s) for s in src_a]
     src_b[5] = [v ^ 1 for v in src_b[5]]  # perturb at lag 6 from slot 11
-    a = encode_stream(codec, src_a)
-    b = encode_stream(codec, src_b)
+    a = codec.encode_stream(src_a)
+    b = codec.encode_stream(src_b)
     lag = memory_bound(params)
     for t in range(5 + lag + 1, 20):
-        assert a[t].parities == b[t].parities
+        assert a[t][5:] == b[t][5:]
 
 
 def test_split_urgent_main():
