@@ -17,8 +17,7 @@ from .desco import (CombinedCodec, DeScoCodec, DeScoParams, desco_build,
                     descriptor, ia_sco_build, optimal_delay, parse_descriptor,
                     rate_upper_bound, sco_build, source_expand,
                     sweep_max_delay)
-from .gf import (GF, IncrementalSystem, InconsistentSystemError, SolveResult,
-                 default_field, solve_linear)
+from .gf import GF, IncrementalSystem, InconsistentSystemError, default_field
 from .oracle import (DebtState, ml_decode_times, rlc_burst_losses,
                      rlc_decode_times, rlc_partial_threshold,
                      rlc_perfect_threshold)

@@ -35,9 +35,13 @@ class BurstParityMatrix:
             raise ValueError("need 1 <= b <= t")
         if len(self.rows) != self.t - self.b:
             raise ValueError("H must have t-b rows")
-        for r in self.rows:
+        for k, r in enumerate(self.rows):
             if len(r) != self.b:
                 raise ValueError("H must have b columns")
+            for j, v in enumerate(r):
+                if not 0 <= v < self.field.order:
+                    raise ValueError(f"H entry {v} at row {k}, column {j} "
+                                     f"is outside {self.field}")
 
 
 def _generator_rows(h: BurstParityMatrix) -> List[List[int]]:
@@ -104,7 +108,7 @@ def make_burst_parity(t: int, b: int, field: Optional[GF] = None) -> BurstParity
         raise ValueError(f"field order {field.order} < t + b = {t + b}")
     # Cauchy matrix: entry [k][j] = 1 / (x_k - y_j) with disjoint x, y sets.
     rows = tuple(
-        tuple(field.inv(field.sub(k, t - b + j)) for j in range(b))
+        tuple(field.inv(field.add(k, t - b + j)) for j in range(b))
         for k in range(t - b)
     )
     h = BurstParityMatrix(rows, t, b, field)

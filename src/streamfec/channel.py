@@ -30,9 +30,6 @@ class ErasurePattern:
             raise ValueError("erased slots outside horizon")
         object.__setattr__(self, "_slot_set", frozenset(slots))
 
-    def is_erased(self, slot: int) -> bool:
-        return slot in self._slot_set
-
     def serialize(self) -> str:
         """Text form: one "start:length" line per erased run."""
         lines = []

@@ -156,7 +156,7 @@ def encode_symbols(components: Sequence[Component], field: GF,
     parity j sums, over the components, each template-j term
     ``coeff * source[t + ds][sub]``, with time before slot 0 zero.  Each
     term is one gather over the zero-padded source column (one product
-    row lookup unless coeff is 1), accumulated in the field.
+    row lookup unless coeff is 1), accumulated with XOR, the field's sum.
     """
     n_slots, n_subs = source.shape
     reach = max(comp.reach for comp in components)
@@ -170,8 +170,7 @@ def encode_symbols(components: Sequence[Component], field: GF,
         for comp in components:
             for ds, sub, coeff in comp.templates[j][1]:
                 col = padded[reach + ds:reach + ds + n_slots, sub]
-                acc = field.add_arrays(
-                    acc, col if coeff == 1 else field.mul_row(coeff)[col])
+                acc = acc ^ (col if coeff == 1 else field.mul_row(coeff)[col])
         out[:, n_subs + j] = acc
     return out
 
@@ -256,7 +255,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             pp.released.add(ci)
             rhs = pp.value
             for cj in range(ncomp):
-                rhs = field.sub(rhs, pp.consts[cj])
+                rhs = field.add(rhs, pp.consts[cj])
             skey = (ci, pp.codewords[ci])
             sysm = systems.setdefault(skey, IncrementalSystem(field))
             eq = dict(pp.unknowns[ci])

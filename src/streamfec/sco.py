@@ -111,9 +111,9 @@ class ScoCodec:
     """Diagonal layout of one streaming code.
 
     The diagonal codeword with index i has information entry k at
-    (slot, sub) given by ``info_entry(i, k)`` and parity j transmitted at
-    ``parity_slot(i, j)``.  Parity values follow the burst block code's
-    systematic parity map.
+    (slot, sub) given by ``info_entry(i, k)``; ``diag_of_parity(slot, j)``
+    names the diagonal whose parity j is transmitted in ``slot``.  Parity
+    values follow the burst block code's systematic parity map.
     """
 
     def __init__(self, params: ScoParams, h: Optional[BurstParityMatrix] = None):
@@ -135,11 +135,6 @@ class ScoCodec:
         if self.params.orientation == MAIN:
             return (i + k * self.step, k)
         return (i - (self.t - 1 - k) * self.step, self.t - 1 - k)
-
-    def parity_slot(self, i: int, j: int) -> int:
-        if self.params.orientation == MAIN:
-            return i + (self.t + j) * self.step
-        return i + self.step * (j + 1)
 
     def diag_of_parity(self, slot: int, j: int) -> int:
         if self.params.orientation == MAIN:

@@ -5,7 +5,7 @@ import pytest
 from streamfec.bebc import (BurstParityMatrix, LdBebcCode,
                             UnrecoverableBurstError, make_burst_parity,
                             verify_burst_correcting, verify_delay_profile)
-from streamfec.gf import GF, IncrementalSystem, default_field, solve_linear
+from streamfec.gf import GF, IncrementalSystem, default_field
 
 GF2 = GF.binary(1)
 

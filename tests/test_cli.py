@@ -215,6 +215,19 @@ def test_encode_corrupt_input_is_usage_error(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_encode_parity_entry_outside_field_is_usage_error(tmp_path, capsys):
+    desc = tmp_path / "codec.txt"
+    desc.write_text("b1=2\nt1=5\na=2\nfield=3\nh=6-1f,5-2,1-3\n")
+    src = tmp_path / "src.bin"
+    src.write_bytes(bytes(5 * 4))
+    code, _ = run(["encode", "--descriptor", str(desc),
+                   "--in", str(src), "--out", str(tmp_path / "x.bin")])
+    assert code == cli.EXIT_USAGE == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 0, column 1" in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------
 # bounds
 # ---------------------------------------------------------

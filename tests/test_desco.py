@@ -285,6 +285,10 @@ def test_parse_descriptor_errors():
         parse_descriptor("b1=1\nt1=2\n")  # missing keys
     with pytest.raises(ValueError):
         parse_descriptor("nonsense line\n")
+    with pytest.raises(ValueError, match="row 0, column 1"):
+        parse_descriptor("b1=2\nt1=5\na=2\nfield=3\nh=6-1f,5-2,1-3\n")
+    with pytest.raises(ValueError, match="1..16"):
+        parse_descriptor("b1=1\nt1=2\na=2\nfield=17\n")
 
 
 def test_decode_rejects_bad_user_and_width():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from streamfec.gf import (GF, IncrementalSystem, InconsistentSystemError,
-                          default_field, is_irreducible, solve_linear)
+from streamfec.gf import (CANONICAL_POLY, GF, IncrementalSystem,
+                          InconsistentSystemError, default_field)
 
 
 def exhaustive(gf):
@@ -13,22 +13,25 @@ def exhaustive(gf):
 # Construction
 # ---------------------------------------------------------
 
-def test_prime_field_rejects_composites():
-    with pytest.raises(ValueError):
-        GF.prime(6)
-    GF.prime(7)  # fine
+def test_field_degree_limits():
+    for m in (0, 17):
+        with pytest.raises(ValueError):
+            GF.binary(m)
 
 
-def test_binary_field_rejects_reducible_poly():
-    # x^3 + 1 = (x+1)(x^2+x+1)
-    with pytest.raises(ValueError):
-        GF.binary(3, poly=0b1001)
-
-
-def test_irreducibility_check():
-    assert is_irreducible(0b1011, 3)       # x^3+x+1
-    assert not is_irreducible(0b1001, 3)   # x^3+1
-    assert not is_irreducible(0b1010, 3)   # divisible by x
+def test_canonical_polynomials_are_primitive():
+    # x generates all 2^m - 1 nonzero elements, so the antilog table is a
+    # permutation of 1..2^m - 1 and the log table inverts it.
+    assert sorted(CANONICAL_POLY) == list(range(1, 17))
+    for m in CANONICAL_POLY:
+        g = GF.binary(m)
+        powers, x = [], 1
+        for _ in range(g.order - 1):
+            powers.append(x)
+            x = g.mul_polynomial(x, 2)
+        assert x == 1
+        assert g._alog == powers
+        assert sorted(powers) == list(range(1, g.order))
 
 
 def test_default_field_is_smallest_fitting():
@@ -59,11 +62,11 @@ def test_gf8_mul_example():
 
 
 def test_identity_and_annihilator():
-    for g in (GF.prime(7), GF.binary(4)):
-        for a in exhaustive(g):
-            assert g.mul(a, 1) == a
-            assert g.mul(a, 0) == 0
-            assert g.add(a, 0) == a
+    g = GF.binary(4)
+    for a in exhaustive(g):
+        assert g.mul(a, 1) == a
+        assert g.mul(a, 0) == 0
+        assert g.add(a, 0) == a
 
 
 def test_table_mul_matches_polynomial_oracle():
@@ -76,10 +79,9 @@ def test_table_mul_matches_polynomial_oracle():
 
 
 def test_inverse_exhaustive_small():
-    for g in (GF.prime(7), GF.binary(3), GF.binary(4)):
+    for g in (GF.binary(3), GF.binary(4)):
         for a in range(1, g.order):
             assert g.mul(a, g.inv(a)) == 1
-    assert GF.prime(7).inv(3) == 5
 
 
 def test_inv_zero_raises():
@@ -88,7 +90,7 @@ def test_inv_zero_raises():
 
 
 def test_axioms_exhaustive_up_to_16():
-    for g in (GF.binary(1), GF.prime(5), GF.binary(2), GF.binary(3), GF.binary(4)):
+    for g in (GF.binary(1), GF.binary(2), GF.binary(3), GF.binary(4)):
         els = exhaustive(g)
         for a in els:
             for b in els:
@@ -129,32 +131,13 @@ def test_tables_deterministic():
 # Linear solving
 # ---------------------------------------------------------
 
-def test_solve_identity():
-    g = GF.binary(3)
-    res = solve_linear([[1, 0], [0, 1]], [5, 2], g)
-    assert res.unique and res.solution == [5, 2]
-
-
-def test_solve_underdetermined_reports_free():
-    g = GF.binary(1)
-    res = solve_linear([[1, 1]], [0], g)
-    assert not res.unique
-    assert sorted(res.free) == [0, 1]
-    assert res.pinned == {}
-
-
 def test_solve_partially_pinned():
     g = GF.binary(1)
+    sys = IncrementalSystem(g)
     # x0 pinned, x1/x2 entangled
-    res = solve_linear([[1, 0, 0], [0, 1, 1]], [1, 0], g)
-    assert not res.unique
-    assert res.pinned == {0: 1}
-
-
-def test_solve_inconsistent_raises():
-    g = GF.binary(1)
-    with pytest.raises(InconsistentSystemError):
-        solve_linear([[1, 1], [1, 1]], [0, 1], g)
+    sys.add_equation({0: 1}, 1)
+    sys.add_equation({1: 1, 2: 1}, 0)
+    assert sys.solved == {0: 1}
 
 
 def test_solve_roundtrip_random_full_rank():
@@ -164,16 +147,19 @@ def test_solve_roundtrip_random_full_rank():
     while found < 20:
         a = [[int(v) for v in rng.integers(0, 16, size=4)] for _ in range(4)]
         y = [int(v) for v in rng.integers(0, 16, size=4)]
+        sys = IncrementalSystem(g)
         try:
-            res = solve_linear(a, y, g)
+            for row, want in zip(a, y):
+                sys.add_equation({k: c for k, c in enumerate(row) if c}, want)
         except InconsistentSystemError:
             continue  # rank-deficient draw with incompatible y
-        if not res.unique:
+        if len(sys.solved) < 4:
             continue
         found += 1
+        solution = [sys.solved[k] for k in range(4)]
         for row, want in zip(a, y):
             acc = 0
-            for coeff, x in zip(row, res.solution):
+            for coeff, x in zip(row, solution):
                 acc = g.add(acc, g.mul(coeff, x))
             assert acc == want
 

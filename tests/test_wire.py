@@ -11,7 +11,6 @@ def test_element_width():
     assert element_width(GF.binary(8)) == 1
     assert element_width(GF.binary(9)) == 2
     assert element_width(GF.binary(16)) == 2
-    assert element_width(GF.prime(257)) == 2
 
 
 def test_pack_golden_bytes():
