@@ -3,12 +3,20 @@
 Patterns are immutable sets of erased slots over a finite horizon:
 single bursts, the periodic patterns used by the rate-converse argument,
 and the segmented random-burst model used for loss-probability runs.
+
+In the segmented model each segment's burst comes from its own generator,
+seeded with ``SeedSequence([seed, segment])``; ``draw_segment_burst`` is
+the one definition of a segment's burst.  ``burst_length_counts`` tallies
+the lengths that definition draws for many b_max values at once: it builds
+each segment's generator once and replays its starting state for every
+b_max, so the counts (and the loss curve built from them) are the same as
+one ``draw_segment_burst`` call per segment and b_max.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -91,6 +99,11 @@ def periodic_pattern(b1: int, b2: int, t2: int, regime: str, periods: int,
     return ErasurePattern(tuple(slots), periods * period)
 
 
+def _segment_bits(seed: int, segment: int) -> np.random.PCG64:
+    """The bit generator that one segment's burst is drawn from."""
+    return np.random.PCG64(np.random.SeedSequence([seed, segment]))
+
+
 def draw_segment_burst(seed: int, segment: int, segment_len: int,
                        b_max: int) -> Tuple[int, int]:
     """(start, length) of the burst in one segment, reproducible from seed.
@@ -98,10 +111,36 @@ def draw_segment_burst(seed: int, segment: int, segment_len: int,
     Length is uniform on {0..b_max}; start uniform over the placements
     keeping the burst inside the segment (offset within the segment).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, segment]))
+    rng = np.random.Generator(_segment_bits(seed, segment))
     length = int(rng.integers(0, b_max + 1))
     start = int(rng.integers(0, segment_len - length + 1)) if length else 0
     return start, length
+
+
+def burst_length_counts(seed: int, segments: int,
+                        b_max_list: Iterable[int]) -> Dict[int, List[int]]:
+    """Per distinct b_max, how many of the segments draw each burst length.
+
+    ``counts[b_max][length]`` is the number of segments ``seg`` in
+    ``range(segments)`` whose ``draw_segment_burst(seed, seg, _, b_max)``
+    has that length.  The length is the first draw of the segment's
+    generator, so the generator is built once per segment and its state
+    restored before the draw for each b_max; a repeated b_max is counted
+    once.  Raises ValueError on a negative b_max.
+    """
+    distinct = sorted(set(b_max_list))
+    if distinct and distinct[0] < 0:
+        raise ValueError(f"b_max must be >= 0, got {distinct[0]}")
+    counts = {b_max: [0] * (b_max + 1) for b_max in distinct}
+    for seg in range(segments):
+        bits = _segment_bits(seed, seg)
+        rng = np.random.Generator(bits)
+        start = bits.state
+        for i, b_max in enumerate(distinct):
+            if i:
+                bits.state = start
+            counts[b_max][int(rng.integers(0, b_max + 1))] += 1
+    return counts
 
 
 def segmented_bursts(segment_len: int, b_max: int, segments: int,

@@ -135,10 +135,13 @@ def simulate_records(args) -> List[Dict[str, object]]:
     """Loss records per (b_max, scheme, user) over seeded segment bursts.
 
     Losses per segment are ``burst_loss_count`` of one isolated burst of
-    the drawn length.  ``channel.draw_segment_burst`` can end a burst on
-    a segment's last slot and start the next on the following segment's
-    first slot, so two bursts can arrive back to back and interact at
-    any ``segment_len``: the counts approximate a full decode of the
+    the drawn length; ``channel.burst_length_counts`` gives the lengths
+    for every b_max from one generator per segment.  Rows follow
+    ``--bmax-list`` in its order, a repeated value repeating its rows.
+    ``channel.draw_segment_burst`` can end a burst on a segment's last
+    slot and start the next on the following segment's first slot, so
+    two bursts can arrive back to back and interact at any
+    ``segment_len``: the counts approximate a full decode of the
     pattern.
     """
     _require(args, "b1", "t1", "alpha_num", "bmax_list")
@@ -155,6 +158,8 @@ def simulate_records(args) -> List[Dict[str, object]]:
     for u in users:
         if u not in (1, 2):
             raise UsageError(f"unknown user {u}")
+    if any(b < 0 for b in bmax_list):
+        raise UsageError(f"--bmax-list values must be >= 0: {args.bmax_list}")
     if any(b >= args.segment_len for b in bmax_list):
         raise UsageError("bmax values must be smaller than segment-len")
     if args.segments < 1:
@@ -182,14 +187,12 @@ def simulate_records(args) -> List[Dict[str, object]]:
                 loss_cache[key] = burst_loss_count(codecs[scheme], length, user)
         return loss_cache[key]
 
+    # burst lengths per segment are scheme-independent for fairness
+    length_counts = channel.burst_length_counts(args.seed, args.segments,
+                                                bmax_list)
     records: List[Dict[str, object]] = []
     for b_max in bmax_list:
-        # burst lengths per segment are scheme-independent for fairness
-        counts = [0] * (b_max + 1)
-        for seg in range(args.segments):
-            _, length = channel.draw_segment_burst(args.seed, seg,
-                                                   args.segment_len, b_max)
-            counts[length] += 1
+        counts = length_counts[b_max]
         total = args.segments * args.segment_len
         for scheme in schemes:
             for user in users:
@@ -300,7 +303,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         # pre-scan for --config so its values become defaults
         if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
+            at = argv.index("--config") + 1
+            if at == len(argv):
+                raise UsageError("--config needs a path")
+            cfg_path = argv[at]
             cfg = _read_config(cfg_path)
             parser.set_defaults(**cfg)
             for sp in parser.subcommands.values():
@@ -329,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

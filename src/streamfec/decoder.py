@@ -241,7 +241,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 if not pp.unknowns[ci]:
                     ready.append(idx)
         for skey in sys_vars.pop(var, set()):
-            newly = systems[skey].add_equation({var: 1}, value)
+            newly = systems[skey].substitute(var, value)
             for v2, val2 in newly.items():
                 enqueue_known(v2, val2, (skey[0], -1, -1))
 

@@ -140,6 +140,7 @@ class IncrementalSystem:
 
     Equations arrive one at a time; ``add_equation`` returns the variables
     newly determined by the accumulated system, with their values.
+    ``substitute`` adds the one-variable equation ``var = value``.
     """
 
     def __init__(self, field: GF):
@@ -206,4 +207,38 @@ class IncrementalSystem:
                         coef = orow.pop(pv, 0)
                         if coef:
                             self._rows[opv] = (orow, f.add(oc, f.mul(coef, pc)))
+        return newly
+
+    def substitute(self, var: Hashable, value: int) -> Dict[Hashable, int]:
+        """``add_equation({var: 1}, value)``, without its row search.
+
+        A solved ``var`` is only checked against ``value``.  Otherwise,
+        unless ``var`` is a pivot (then ``add_equation`` runs), ``coeff *
+        value`` folds into the constant of each row holding ``var``; rows
+        are fully reduced, so a row left without terms solves its pivot
+        and no other row holds that pivot.  Returns what ``add_equation``
+        would, in the same order: the pivots solved, then ``var``.
+        """
+        known = self.solved.get(var)
+        if known is not None:
+            if known != value:
+                raise InconsistentSystemError("contradictory equation")
+            return {}
+        if var in self._rows:
+            return self.add_equation({var: 1}, value)
+        f = self.field
+        newly: Dict[Hashable, int] = {}
+        for pv, (prow, pc) in list(self._rows.items()):
+            coef = prow.pop(var, 0)
+            if not coef:
+                continue
+            pc = f.add(pc, f.mul(coef, value))
+            if prow:
+                self._rows[pv] = (prow, pc)
+            else:
+                del self._rows[pv]
+                self.solved[pv] = pc
+                newly[pv] = pc
+        self.solved[var] = value
+        newly[var] = value
         return newly

@@ -1,9 +1,9 @@
 import pytest
 
 from streamfec.channel import (HIGH_DELAY, LOW_DELAY, ErasurePattern, apply,
-                               draw_segment_burst, parse_pattern,
-                               periodic_pattern, segmented_bursts,
-                               single_burst)
+                               burst_length_counts, draw_segment_burst,
+                               parse_pattern, periodic_pattern,
+                               segmented_bursts, single_burst)
 
 
 def test_pattern_normalizes_and_checks_bounds():
@@ -118,3 +118,23 @@ def test_apply_masks_erased_slots():
     assert apply(p, ["a", "b", "c", "d"]) == ["a", None, "c", None]
     with pytest.raises(ValueError):
         apply(p, ["a", "b"])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1009])
+def test_burst_length_counts_match_draws(seed):
+    segments = 300
+    counts = burst_length_counts(seed, segments, range(9))
+    assert sorted(counts) == list(range(9))
+    for b_max in range(9):
+        expect = [0] * (b_max + 1)
+        for seg in range(segments):
+            expect[draw_segment_burst(seed, seg, 20, b_max)[1]] += 1
+        assert counts[b_max] == expect, b_max
+
+
+def test_burst_length_counts_repeats_and_validation():
+    assert burst_length_counts(3, 50, [4, 0, 4]) == burst_length_counts(3, 50, [0, 4])
+    assert sum(burst_length_counts(3, 50, [4, 4])[4]) == 50
+    assert burst_length_counts(3, 50, []) == {}
+    with pytest.raises(ValueError):
+        burst_length_counts(3, 50, [2, -1])

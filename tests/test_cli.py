@@ -1,6 +1,10 @@
 import csv
 import io
 import random
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from streamfec import cli, wire
 from streamfec.desco import DeScoParams, desco_build, descriptor
@@ -55,6 +59,12 @@ SIM = ["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
        "--seed", "9"]
 
 
+def sim_bmax(bmax_list):
+    """SIM with its --bmax-list value replaced."""
+    at = SIM.index("--bmax-list") + 1
+    return SIM[:at] + [bmax_list] + SIM[at + 1:]
+
+
 def test_simulate_csv_schema_and_determinism(tmp_path):
     code1, text1 = run(SIM)
     code2, text2 = run(SIM)
@@ -81,8 +91,11 @@ def test_simulate_to_file_matches_stdout(tmp_path):
 
 
 def test_simulate_zero_bmax_is_lossless():
-    _, text = run(SIM[:8] + ["--bmax-list", "0"] + SIM[10:])
-    for row in csv.DictReader(io.StringIO(text)):
+    code, text = run(sim_bmax("0"))
+    assert code == cli.EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 6
+    for row in rows:
         assert row["symbols_lost"] == "0"
 
 
@@ -98,9 +111,54 @@ def test_simulate_rejects_bad_scheme():
     assert code == cli.EXIT_USAGE
 
 
-def test_simulate_rejects_bmax_ge_segment_len():
-    code, _ = run(SIM[:8] + ["--bmax-list", "50"] + SIM[10:])
+def test_simulate_rejects_bmax_ge_segment_len(capsys):
+    code, _ = run(sim_bmax("50"))
     assert code == cli.EXIT_USAGE
+    assert "smaller than segment-len" in capsys.readouterr().err
+
+
+def test_simulate_bmax_list_order_and_repeats():
+    def rows_for(bmax_list):
+        _, text = run(sim_bmax(bmax_list))
+        return list(csv.DictReader(io.StringIO(text)))
+
+    rows = rows_for("4,0,4")
+    assert [r["b_max"] for r in rows] == ["4"] * 6 + ["0"] * 6 + ["4"] * 6
+    alone = {b: rows_for(b) for b in ("0", "4")}
+    assert rows == alone["4"] + alone["0"] + alone["4"]
+
+
+def test_simulate_rejects_negative_bmax(capsys):
+    code, _ = run(sim_bmax("2,-1"))
+    assert code == cli.EXIT_USAGE
+    assert "--bmax-list" in capsys.readouterr().err
+
+
+def test_simulate_loss_curve_matches_bench_golden():
+    """The benchmark's loss-curve run reproduces its golden CSV."""
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" \
+        / "loss_curve_seed7.csv"
+    code, text = run(["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+                      "--bmax-list", "0,1,2,3,4,5,6,7,8",
+                      "--segment-len", "100", "--segments", "10000",
+                      "--seed", "7", "--schemes", "desco,ia,rlc"])
+    assert code == cli.EXIT_OK
+    assert text == golden.read_text()
+
+
+def test_simulate_builds_one_seed_sequence_per_segment(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    code, _ = run(sim_bmax("0,1,2,3,4,5,6,7,8"))
+    assert code == cli.EXIT_OK
+    # one per segment, not one per segment and b_max
+    assert len(built) == int(SIM[SIM.index("--segments") + 1])
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -118,6 +176,20 @@ def test_config_file_bad_line(tmp_path):
     cfg.write_text("what\n")
     code, _ = run(["--config", str(cfg), "verify"])
     assert code == cli.EXIT_USAGE
+
+
+def test_config_without_path_is_usage_error(capsys):
+    assert cli.main(["--config"]) == cli.EXIT_USAGE
+    assert "--config needs a path" in capsys.readouterr().err
+
+
+def test_index_error_in_a_command_propagates(monkeypatch):
+    def broken(args, out):
+        raise IndexError("codec bug")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    with pytest.raises(IndexError, match="codec bug"):
+        run(["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2"])
 
 
 # ---------------------------------------------------------

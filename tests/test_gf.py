@@ -1,3 +1,6 @@
+import copy
+import random
+
 import numpy as np
 import pytest
 
@@ -179,3 +182,42 @@ def test_incremental_system_contradiction():
     sys.add_equation({"a": 1}, 1)
     with pytest.raises(InconsistentSystemError):
         sys.add_equation({"a": 1}, 0)
+
+
+def test_substitute_matches_add_equation():
+    """``substitute`` returns and leaves what ``add_equation`` would, in
+    the same order, whether the variable is solved, a pivot, a non-pivot
+    term or absent."""
+    g = GF.binary(3)
+    rng = random.Random(5)
+    cases = {"solved": 0, "pivot": 0, "term": 0, "absent": 0}
+    for _ in range(300):
+        base = IncrementalSystem(g)
+        try:
+            for _ in range(rng.randint(1, 5)):
+                terms = {v: rng.randrange(1, 8)
+                         for v in rng.sample(range(8), rng.randint(1, 4))}
+                base.add_equation(terms, rng.randrange(8))
+        except InconsistentSystemError:
+            continue
+        var = rng.randrange(9)
+        value = base.solved.get(var, rng.randrange(8))
+        in_rows = any(var in row for row, _ in base._rows.values())
+        kind = ("solved" if var in base.solved else "pivot" if var in base._rows
+                else "term" if in_rows else "absent")
+        cases[kind] += 1
+        a, b = copy.deepcopy(base), copy.deepcopy(base)
+        got = b.substitute(var, value)
+        assert list(got.items()) == list(a.add_equation({var: 1}, value).items())
+        assert list(b.solved.items()) == list(a.solved.items())
+        assert b._rows == a._rows
+    assert min(cases.values()) >= 10, cases
+
+
+def test_substitute_contradiction():
+    g = GF.binary(2)
+    sys = IncrementalSystem(g)
+    sys.add_equation({"a": 1}, 0)
+    assert sys.substitute("a", 0) == {}
+    with pytest.raises(InconsistentSystemError):
+        sys.substitute("a", 3)
