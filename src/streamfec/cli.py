@@ -60,9 +60,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha-num", type=int, dest="alpha_num")
         sp.add_argument("--alpha-den", type=int, dest="alpha_den", default=1)
 
-    sp = sub.add_parser("verify", help="exhaustive burst-start delay sweep")
+    sp = sub.add_parser(
+        "verify", help="burst delay sweep over every start in a window",
+        description="Worst recovery delay and misses of one burst (b1 for "
+        "user 1, b2 for user 2) over every start in 0..window-burst.  Exact, "
+        "but only starts 0..R are decoded, R being the widest parity reach "
+        "in stream slots: the codes are causal and time-invariant, so a "
+        "burst at any later start decodes like the one at R, shifted.")
     add_codec_flags(sp)
-    sp.add_argument("--window", type=int)
+    sp.add_argument("--window", type=int,
+                    help="default 10*(t1+b1); at least b2")
 
     sp = sub.add_parser(
         "simulate", help="segmented-burst loss experiment (approximate)",
@@ -111,13 +118,16 @@ def _require(args, *names):
 def _codec_from_args(args) -> DeScoCodec:
     _require(args, "b1", "t1", "alpha_num")
     return DeScoCodec(DeScoParams(args.b1, args.t1, args.alpha_num,
-                                  args.alpha_den or 1))
+                                  args.alpha_den))
 
 
 def cmd_verify(args, out) -> int:
     codec = _codec_from_args(args)
     p = codec.params
-    window = args.window or 10 * (p.t1 + p.b1)
+    window = 10 * (p.t1 + p.b1) if args.window is None else args.window
+    if window < p.b2:
+        # a shorter window holds no start of the user-2 burst
+        raise UsageError(f"--window must be at least b2 = {p.b2}: {window}")
     u1, m1 = sweep_max_delay(codec, p.b1, 1, window)
     u2, m2 = sweep_max_delay(codec, p.b2, 2, window)
     ok = (u1 == p.t1 and u2 == p.user2_deadline and m1 == 0 and m2 == 0)
@@ -145,7 +155,7 @@ def simulate_records(args) -> List[Dict[str, object]]:
     pattern.
     """
     _require(args, "b1", "t1", "alpha_num", "bmax_list")
-    params = DeScoParams(args.b1, args.t1, args.alpha_num, args.alpha_den or 1)
+    params = DeScoParams(args.b1, args.t1, args.alpha_num, args.alpha_den)
     try:
         bmax_list = [int(x) for x in str(args.bmax_list).split(",") if x.strip()]
     except ValueError as exc:

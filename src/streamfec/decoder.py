@@ -16,13 +16,18 @@ sub-symbol.
 Causality invariant: every template offset is <= 0, i.e. a parity sent
 at slot t only involves source sub-symbols of slots t - reach .. t, where
 ``reach`` is the widest template reach over the components
-(``Component`` rejects anything else).  Two shortcuts rest on it.  A
+(``Component`` rejects anything else).  Three shortcuts rest on it.  A
 sub-symbol received at slot t cannot appear in any parity seen before
 t, so it is stored directly instead of being propagated.  An erased
 sub-symbol older than t - reach appears in no later parity, so it is
 dropped from the set of unresolved terms that the "all terms known"
 parity test consults; once no erased sub-symbol is within reach, a slot's
-parities are skipped without looking at their terms.
+parities are skipped without looking at their terms.  And since the
+templates are also the same at every slot, a burst starting at stream
+slot s >= ``CombinedCodec.reach_slots`` meets no zero padding from
+before slot 0 and decodes exactly like the same burst at any other such
+start, shifted; ``desco.sweep_max_delay`` and ``desco.burst_loss_count``
+decode one such start in place of all of them.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.

@@ -136,6 +136,10 @@ class CombinedCodec:
         self.field = first.field
         self.t0 = first.t
         self.b0 = first.b
+        # stream slots covering the widest template reach: a parity never
+        # reads source older than this many slots back
+        reach = max(comp.reach for comp in self.components)
+        self.reach_slots = -(-reach // expansion)
 
     def deadline(self, user: int) -> int:
         """Delay target of ``user``; ValueError names the valid users."""
@@ -171,10 +175,8 @@ class CombinedCodec:
     def encode_step(self, history: Sequence[Sequence[int]],
                     s_now: Sequence[int]) -> Tuple[int, ...]:
         """encode_stream(history + [s_now])[-1], reading only the history
-        slots that the current slot's parities reach."""
-        n = self.expansion
-        reach = max(comp.reach for comp in self.components)
-        keep = -(-reach // n)  # stream slots covering `reach` expanded slots
+        slots that the current slot's parities reach (``reach_slots``)."""
+        keep = self.reach_slots
         window = list(history[max(0, len(history) - keep):]) + [s_now]
         return self.encode_stream(window)[-1]
 
@@ -306,26 +308,42 @@ def burst_decode_log(codec: CombinedCodec, start: int, length: int,
 def burst_loss_count(codec: CombinedCodec, length: int, user: int) -> int:
     """Deadline misses caused by one isolated burst of the given length.
 
-    The codecs are time-invariant, so a single well-separated burst
-    position characterizes every position away from the stream start.
+    The burst starts at ``codec.reach_slots``, the first start whose
+    decode no parity's zero padding before slot 0 reaches; by time
+    invariance (see ``sweep_max_delay``) it stands for every later start.
     """
     if length == 0:
         return 0
-    start = 3 * sum(codec.deadlines)
-    log = burst_decode_log(codec, start, length, user)
+    log = burst_decode_log(codec, codec.reach_slots, length, user)
     return len(log.misses)
 
 
 def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
                     window: Optional[int] = None) -> Tuple[int, int]:
-    """(max recovery delay, miss count) over every burst start in a window."""
+    """(max recovery delay, miss count) over every burst start in a window.
+
+    Exact without decoding every start.  Templates are causal and
+    time-invariant: a parity at slot t reads source of slots
+    t - reach_slots .. t only, with the same terms at every t.  A burst at
+    start s is touched only by parities at slots >= s, so the zero
+    padding before slot 0 enters its decode only when s < reach_slots.
+    ``burst_decode_log``'s horizon moves with the start, so every start
+    s >= reach_slots decodes like start reach_slots shifted by
+    s - reach_slots: the same delays, the same number of misses.  Starts
+    0 .. reach_slots - 1 are decoded one by one; the decode at
+    reach_slots stands for all later starts, its misses counted once per
+    start.
+    """
     if window is None:
         window = 10 * sum(codec.deadlines)
+    last = window - burst_len  # the last start in the window
     worst = 0
     misses = 0
-    for start in range(window - burst_len + 1):
+    for start in range(min(codec.reach_slots, last) + 1):
         log = burst_decode_log(codec, start, burst_len, user)
-        misses += len(log.misses)
+        # the decode at reach_slots stands for starts reach_slots .. last
+        copies = last - start + 1 if start == codec.reach_slots else 1
+        misses += copies * len(log.misses)
         for slot in range(start, start + burst_len):
             d = log.slot_delay(slot)
             if d is not None:

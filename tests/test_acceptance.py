@@ -14,9 +14,9 @@ from fractions import Fraction
 from streamfec import cli
 from streamfec.channel import (HIGH_DELAY, apply, periodic_pattern,
                                single_burst)
-from streamfec.desco import (DeScoCodec, DeScoParams, desco_build,
-                             ia_sco_build, rate_upper_bound, sco_build,
-                             zero_stream)
+from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
+                             desco_build, ia_sco_build, rate_upper_bound,
+                             sco_build, sweep_max_delay, zero_stream)
 from streamfec.gf import GF
 from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
                               rlc_partial_threshold, rlc_perfect_threshold)
@@ -102,7 +102,6 @@ def test_golden_parity_tables():
 # ---------------------------------------------------------------------
 
 def test_achievability_grid():
-    from streamfec.desco import sweep_max_delay
     started = time.monotonic()
     for (b1, t1, a, b) in GRID:
         p = DeScoParams(b1, t1, a, b)
@@ -116,6 +115,48 @@ def test_achievability_grid():
     assert elapsed < 120, f"grid sweep took {elapsed:.1f}s"
     print(f"PASS achievability grid: {len(GRID)} parameter sets, "
           f"delays (t1, ceil(alpha*t1)+b1) exact ({elapsed:.1f}s)")
+
+
+def full_sweep(codec, burst_len, user, window):
+    """Reference for ``sweep_max_delay``: one decode at every start."""
+    worst = misses = 0
+    for start in range(window - burst_len + 1):
+        log = burst_decode_log(codec, start, burst_len, user)
+        misses += len(log.misses)
+        for slot in range(start, start + burst_len):
+            d = log.slot_delay(slot)
+            if d is not None:
+                worst = max(worst, d)
+    return worst, misses
+
+
+def test_cut_sweep_equals_full_sweep():
+    started = time.monotonic()
+    for (b1, t1, a, b) in GRID:
+        p = DeScoParams(b1, t1, a, b)
+        codec = desco_build(p)
+        window = 10 * (t1 + b1)
+        for length, user in ((b1, 1), (p.b2, 2)):
+            assert sweep_max_delay(codec, length, user, window) \
+                == full_sweep(codec, length, user, window), (p, user)
+    # over-length bursts (misses > 0, so the interior decode's misses are
+    # multiplied) and windows shorter than reach_slots
+    missed = 0
+    for codec, b1, b2 in ((desco_build(DeScoParams(1, 2, 2)), 1, 2),
+                          (desco_build(DeScoParams(2, 3, 3, 2)), 2, 3),
+                          (ia_sco_build(2, 3, 2), 2, 4)):
+        for length in (b1, b2, b2 + 1):
+            for window in (codec.reach_slots - 1, codec.reach_slots + length,
+                           4 * codec.reach_slots):
+                for user in (1, 2):
+                    got = sweep_max_delay(codec, length, user, window)
+                    assert got == full_sweep(codec, length, user, window), \
+                        (codec.deadlines, length, window, user)
+                    missed += got[1] > 0
+    assert missed > 0
+    elapsed = time.monotonic() - started
+    print(f"PASS cut sweep equals the full sweep on {len(GRID)} sets "
+          f"and 3 over-length codecs ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------

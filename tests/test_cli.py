@@ -45,6 +45,31 @@ def test_invalid_params_is_usage_error():
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("window", ["0", "-5", "1"])
+def test_verify_window_below_b2_is_usage_error(window, capsys):
+    # b2 = 2: a shorter window holds no user-2 burst start
+    code, text = run(["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+                      "--window", window])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert "at least b2 = 2" in capsys.readouterr().err
+
+
+def test_verify_window_of_b2_is_accepted():
+    code, text = run(["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+                      "--window", "2"])
+    assert code == cli.EXIT_OK and "PASS" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2"],
+    ["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+     "--bmax-list", "1", "--segments", "3", "--segment-len", "10"]])
+def test_alpha_den_zero_is_usage_error(argv, capsys):
+    code, text = run(argv + ["--alpha-den", "0"])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert "need a > b >= 1" in capsys.readouterr().err
+
+
 def test_no_command_is_usage_error():
     code, _ = run([])
     assert code == cli.EXIT_USAGE

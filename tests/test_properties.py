@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamfec.channel import ErasurePattern, apply
-from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
+from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
+                             ia_sco_build, sco_build)
 from streamfec.gf import GF
 from streamfec.oracle import ml_decode_times
 from streamfec.sco import ScoParams
@@ -126,6 +127,38 @@ def test_cached_slot_times_match_definition(name, data):
                           or slot_time(s) > s + log.deadline]
     assert log.fully_recovered == all(slot_time(s) is not None
                                       for s in range(log.horizon))
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_burst_decodes_alike_at_every_start_past_reach(name, data):
+    codec = CODECS[name]
+    first = codec.reach_slots
+    start = data.draw(st.integers(first, first + 40))
+    length = data.draw(st.integers(1, 8))
+    user = data.draw(st.integers(1, len(codec.deadlines)))
+    ref = burst_decode_log(codec, first, length, user)
+    log = burst_decode_log(codec, start, length, user)
+    span = ref.horizon - first
+    assert log.horizon - start == span
+    assert [log.slot_delay(start + k) for k in range(span)] \
+        == [ref.slot_delay(first + k) for k in range(span)]
+    assert [m - start for m in log.misses] == [m - first for m in ref.misses]
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_encode_step_reads_reach_slots_of_history(name, data):
+    codec = CODECS[name]
+    keep = codec.reach_slots
+    assert keep == -(-max(c.reach for c in codec.components)
+                     // codec.expansion)
+    source, _ = data.draw(channel_runs(codec))
+    full = codec.encode_stream(source)
+    t = data.draw(st.integers(0, len(source) - 1))
+    old = max(0, t - keep)
+    history = [None] * old + source[old:t]  # older slots must go unread
+    assert codec.encode_step(history, source[t]) == full[t]
 
 
 FIELDS = [GF.binary(1), GF.binary(3), GF.binary(8), GF.binary(9),
