@@ -15,8 +15,7 @@ from .channel import (ErasurePattern, apply, parse_pattern, periodic_pattern,
 from .decoder import Component, StreamLog, TraceEvent, staged_decode
 from .desco import (CombinedCodec, DeScoCodec, DeScoParams, desco_build,
                     descriptor, ia_sco_build, optimal_delay, parse_descriptor,
-                    rate_upper_bound, sco_build, source_expand,
-                    sweep_max_delay)
+                    rate_upper_bound, sco_build, sweep_max_delay)
 from .gf import GF, IncrementalSystem, InconsistentSystemError, default_field
 from .oracle import (DebtState, ml_decode_times, rlc_burst_losses,
                      rlc_decode_times, rlc_partial_threshold,

@@ -63,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "verify", help="burst delay sweep over every start in a window",
         description="Worst recovery delay and misses of one burst (b1 for "
-        "user 1, b2 for user 2) over every start in 0..window-burst.  Exact, "
-        "but only starts 0..R are decoded, R being the widest parity reach "
-        "in stream slots: the codes are causal and time-invariant, so a "
-        "burst at any later start decodes like the one at R, shifted.")
+        "user 1, b2 for user 2) over every start in 0..window-burst.  Exact "
+        "from one decode per user: the codes are causal and time-invariant "
+        "and the stream before slot 0 counts as known zeros, so a burst at "
+        "any start decodes like the one at start 0, shifted.")
     add_codec_flags(sp)
     sp.add_argument("--window", type=int,
                     help="default 10*(t1+b1); at least b2")

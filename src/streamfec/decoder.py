@@ -13,6 +13,10 @@ Progress is propagated to a fixpoint inside each time step, so recovery
 times reflect the earliest slot at which the staged procedure can pin a
 sub-symbol.
 
+Everything runs on the stream clock: a rational-ratio codec's expanded
+clock is folded into its ``Component`` templates, so a received slot is
+one stream slot and every time is a stream slot.
+
 Causality invariant: every template offset is <= 0, i.e. a parity sent
 at slot t only involves source sub-symbols of slots t - reach .. t, where
 ``reach`` is the widest template reach over the components
@@ -22,12 +26,13 @@ t, so it is stored directly instead of being propagated.  An erased
 sub-symbol older than t - reach appears in no later parity, so it is
 dropped from the set of unresolved terms that the "all terms known"
 parity test consults; once no erased sub-symbol is within reach, a slot's
-parities are skipped without looking at their terms.  And since the
-templates are also the same at every slot, a burst starting at stream
-slot s >= ``CombinedCodec.reach_slots`` meets no zero padding from
-before slot 0 and decodes exactly like the same burst at any other such
-start, shifted; ``desco.sweep_max_delay`` and ``desco.burst_loss_count``
-decode one such start in place of all of them.
+parities are skipped without looking at their terms.  And a single burst
+in an otherwise received stream decodes alike wherever it starts: the
+templates are the same at every slot, and a term before slot 0 is a
+known zero just as a received slot's sub-symbol is known, so a burst at
+any start s >= 0 has the recovery times of the same burst at start 0,
+shifted by s.  ``desco``'s ``sweep_max_delay`` and ``burst_loss_count``
+decode the burst at start 0 in place of every start.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.
@@ -48,14 +53,22 @@ from .sco import ScoCodec, Var
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One recovered sub-symbol: which parity pinned it, and when."""
+    """One recovered sub-symbol: which parity pinned it, and when.
+
+    ``slot``, ``sub`` and ``time`` are on the stream clock, as in
+    ``StreamLog.sub_times``.  ``row`` is the stream parity row (r*b0 + j
+    for expanded parity j at sub-slot r, see ``Component``) and
+    ``parity_slot`` its emission slot on the component's own clock, the
+    expanded one when the expansion n > 1 (n*slot + r - shift).  Both are
+    -1 when the value came out of a diagonal system by substitution.
+    """
 
     slot: int
     sub: int
     time: int            # stream slot at which the value became known
     component: int       # index of the component whose parity was used
-    row: int             # parity row j within that component
-    parity_slot: int     # parity emission slot on the component's own clock
+    row: int             # stream parity row within that component
+    parity_slot: int     # emission slot on the component's own clock
 
 
 @dataclass
@@ -103,36 +116,52 @@ class StreamLog:
 class Component:
     """A component codec's view of the combined parity stream.
 
-    The component's parity j contributing to combined slot t is the one
-    it emitted at t - shift on its own clock.  Term positions relative to
-    t are fixed per parity row, so they are precomputed once.  ``reach``
-    is how many slots before t the oldest term lies.  A term after t
-    would break the decoder's causality invariant and raises ValueError.
+    The component's parity contributing to combined slot t is the one it
+    emitted at t - shift on its own clock, which at ``expansion`` n > 1
+    is the pseudo-expanded clock of n expanded slots per stream slot.
+    With t0 = codec.t and b0 = codec.b, stream slot t holds expanded
+    slots n*t + r for r in 0..n-1: sub-slot r's sub-symbol k is stream
+    sub r*t0 + k, and its parity j is stream parity row r*b0 + j.  An
+    expanded term offset ds of that row lands at stream offset
+    (r + ds) // n and stream sub ((r + ds) % n)*t0 + k; its diagonal
+    codeword is n*t plus the row's codeword offset.  Term positions
+    relative to t are fixed per row, so they are precomputed once.
+    ``reach`` is how many stream slots before t the oldest term lies.  A
+    term after its emission slot would break the decoder's causality
+    invariant and raises ValueError.
     """
 
-    def __init__(self, codec: ScoCodec, shift: int = 0):
+    def __init__(self, codec: ScoCodec, shift: int = 0, expansion: int = 1):
         self.codec = codec
         self.shift = shift
+        self.expansion = n = expansion
         self.templates: List[Tuple[int, List[Tuple[int, int, int]]]] = []
-        for j in range(codec.b):
-            diag_off = codec.diag_of_parity(-shift, j)
-            entries = []
-            for (slot, sub), coeff in codec.parity_terms(-shift, j).items():
-                if slot > 0:
-                    raise ValueError(
-                        f"parity {j} at shift {shift} has a term {slot} slots "
-                        "after its emission slot; templates must be causal")
-                entries.append((slot, sub, coeff))
-            self.templates.append((diag_off, entries))
+        for r in range(n):
+            for j in range(codec.b):
+                # sub-slot r's parity j was emitted at r - shift on the own
+                # clock; term slots are expanded, relative to stream slot 0
+                entries = []
+                for (slot, sub), coeff in codec.parity_terms(r - shift, j).items():
+                    if slot > r:
+                        raise ValueError(
+                            f"parity {j} at shift {shift} has a term {slot - r} "
+                            "slots after its emission slot; templates must be "
+                            "causal")
+                    entries.append((slot // n, (slot % n) * codec.t + sub, coeff))
+                self.templates.append((codec.diag_of_parity(r - shift, j),
+                                       entries))
         self.reach = max((-ds for _, entries in self.templates
                           for ds, _, _ in entries), default=0)
 
-    def terms(self, t: int, j: int) -> Tuple[int, Dict[Var, int]]:
-        diag_off, entries = self.templates[j]
-        return t + diag_off, {(t + ds, sub): c for ds, sub, c in entries}
+    def terms(self, t: int, row: int) -> Tuple[int, Dict[Var, int]]:
+        diag_off, entries = self.templates[row]
+        return (self.expansion * t + diag_off,
+                {(t + ds, sub): c for ds, sub, c in entries})
 
-    def own_slot(self, t: int) -> int:
-        return t - self.shift
+    def own_slot(self, t: int, row: int) -> int:
+        """Emission slot of stream parity row ``row`` at stream slot t on
+        the component's own (expanded) clock."""
+        return self.expansion * t + row // self.codec.b - self.shift
 
 
 def source_array(rows: Sequence[Sequence[int]], width: int, field: GF) -> np.ndarray:
@@ -266,7 +295,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             eq = dict(pp.unknowns[ci])
             for v in eq:
                 sys_vars.setdefault(v, set()).add(skey)
-            prov = (ci, pp.j, components[ci].own_slot(pp.t))
+            prov = (ci, pp.j, components[ci].own_slot(pp.t, pp.j))
             newly = sysm.add_equation(eq, rhs)
             for v2, val2 in newly.items():
                 enqueue_known(v2, val2, prov)
@@ -309,7 +338,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             idx = len(pending)
             for ci, comp in enumerate(components):
                 diag_off, entries = comp.templates[j]
-                pp.codewords[ci] = t + diag_off
+                pp.codewords[ci] = comp.expansion * t + diag_off
                 unknowns = pp.unknowns[ci]
                 const = 0
                 for ds, sub, coeff in entries:

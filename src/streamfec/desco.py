@@ -12,9 +12,13 @@ strong receiver decodes as if C2 were absent, while a weak receiver
 tolerating bursts up to b2 = alpha*b1 decodes with the minimum possible
 delay ceil(alpha*t1) + b1.
 
-Rational ratios alpha = a/b are handled by running the construction on a
-pseudo-expanded clock with n expanded slots per stream slot, n chosen as
-the smallest integer making n*alpha*t1 an integer.
+Rational ratios alpha = a/b are handled by building the construction on
+a pseudo-expanded clock with n expanded slots per stream slot, n chosen
+as the smallest integer making n*alpha*t1 an integer.  Each ``Component``
+folds that clock into its templates, so encoding and decoding run on
+stream slots only: a channel symbol is the subs_per_slot source
+sub-symbols followed by the parities_per_slot combined parities, at
+every n.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .bebc import BurstParityMatrix
 from .decoder import (Component, StreamLog, encode_symbols, source_array,
                       staged_decode)
 from .gf import GF, default_field
-from .sco import MAIN, OFF, ScoCodec, ScoParams, Var, memory_bound
+from .sco import MAIN, OFF, ScoCodec, ScoParams, memory_bound
 
 
 def optimal_delay(b: int, t: int, alpha: Fraction) -> int:
@@ -88,6 +92,13 @@ class DeScoParams:
         return self.b // math.gcd(self.b, self.t1)
 
     @property
+    def base_size(self) -> Tuple[int, int]:
+        """(b0, t0) = (n*b1/b, n*t1/b): burst and delay of the base code
+        that both components interleave on the expanded clock."""
+        n = self.expansion
+        return n * self.b1 // self.b, n * self.t1 // self.b
+
+    @property
     def delta(self) -> int:
         """Parity-stream shift in expanded slots."""
         return self.expansion * (self.t1 + self.b1)
@@ -105,41 +116,35 @@ class DeScoParams:
         return Fraction(self.t1, self.t1 + self.b1)
 
 
-def source_expand(b1: int, t1: int, a: int, b: int) -> Tuple[DeScoParams, int]:
-    """Pseudo-expansion: parameters on the n-times-faster clock, and n."""
-    p = DeScoParams(b1, t1, a, b)
-    n = p.expansion
-    return DeScoParams(n * b1, n * t1, a, b), n
-
-
 class CombinedCodec:
     """Streaming codec whose parity stream sums one or more component codes.
 
     A single-user code is one component at shift 0; the two-user codecs
-    add a second component whose parities are delayed by its shift.
-    Works on an expanded clock with ``expansion`` expanded slots per
-    stream slot.  A channel symbol per stream slot is the concatenation
-    of its expanded slots, each carrying ``t0`` source sub-symbols and
-    ``b0`` combined parities.  ``deadlines[u - 1]`` is user u's delay
-    target in stream slots.
+    add a second component whose parities are delayed by its shift.  The
+    components share one expansion, which their templates fold into
+    stream slots (see ``Component``).  A channel symbol per stream slot
+    is its ``subs_per_slot`` source sub-symbols followed by its
+    ``parities_per_slot`` combined parities.  ``deadlines[u - 1]`` is
+    user u's delay target in stream slots.
     """
 
-    def __init__(self, components: Sequence[Component], expansion: int,
+    def __init__(self, components: Sequence[Component],
                  deadlines: Sequence[int]):
-        first = components[0].codec
-        if any((c.codec.field, c.codec.t, c.codec.b)
-               != (first.field, first.t, first.b) for c in components):
-            raise ValueError("component codecs must share field and base size")
+        first = components[0]
+        if any((c.codec.field, c.codec.t, c.codec.b, c.expansion)
+               != (first.codec.field, first.codec.t, first.codec.b,
+                   first.expansion) for c in components):
+            raise ValueError(
+                "components must share field, base size and expansion")
         self.components = list(components)
-        self.expansion = expansion
         self.deadlines = tuple(deadlines)
-        self.field = first.field
-        self.t0 = first.t
-        self.b0 = first.b
+        self.field = first.codec.field
+        self.subs_per_slot = first.expansion * first.codec.t
+        self.parities_per_slot = len(first.templates)
+        self.symbol_width = self.subs_per_slot + self.parities_per_slot
         # stream slots covering the widest template reach: a parity never
         # reads source older than this many slots back
-        reach = max(comp.reach for comp in self.components)
-        self.reach_slots = -(-reach // expansion)
+        self.reach_slots = max(comp.reach for comp in self.components)
 
     def deadline(self, user: int) -> int:
         """Delay target of ``user``; ValueError names the valid users."""
@@ -151,26 +156,13 @@ class CombinedCodec:
     def user2_deadline(self) -> int:
         return self.deadline(2)
 
-    @property
-    def subs_per_slot(self) -> int:
-        return self.expansion * self.t0
-
-    @property
-    def parities_per_slot(self) -> int:
-        return self.expansion * self.b0
-
-    @property
-    def symbol_width(self) -> int:
-        return self.subs_per_slot + self.parities_per_slot
-
     # -- encoding -------------------------------------------------------
 
     def encode_stream(self, source: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
         """Encode stream-slot source symbols (subs_per_slot values each)."""
-        n, t0, b0 = self.expansion, self.t0, self.b0
-        expanded = source_array(source, n * t0, self.field).reshape(-1, t0)
-        sym = encode_symbols(self.components, self.field, expanded)
-        return list(map(tuple, sym.reshape(len(source), n * (t0 + b0)).tolist()))
+        arr = source_array(source, self.subs_per_slot, self.field)
+        sym = encode_symbols(self.components, self.field, arr)
+        return list(map(tuple, sym.tolist()))
 
     def encode_step(self, history: Sequence[Sequence[int]],
                     s_now: Sequence[int]) -> Tuple[int, ...]:
@@ -185,54 +177,21 @@ class CombinedCodec:
     def decode(self, received: Sequence[Optional[Sequence[int]]], user: int):
         """Decode for one user; users differ only in the miss deadline.
 
-        Returns (stream, log) on the stream clock: stream[i] lists the
-        subs_per_slot recovered sub-symbols (None where unrecovered), and
-        the log's times are expressed in stream slots.
+        Returns (stream, log): stream[i] lists the subs_per_slot recovered
+        sub-symbols of slot i (None where unrecovered), and the log holds
+        each sub-symbol's recovery slot.
         """
         deadline = self.deadline(user)
-        n, t0, b0 = self.expansion, self.t0, self.b0
-        horizon = len(received)
-        if n == 1:
-            # the expanded clock is the stream clock
-            values, times, trace = staged_decode(
-                self.components, self.field, t0, b0, received)
-            stream = [list(sym[:t0]) if sym is not None
-                      else [values.get((i, k)) for k in range(t0)]
-                      for i, sym in enumerate(received)]
-        else:
-            values, times, trace = staged_decode(
-                self.components, self.field, t0, b0, self._expand(received))
-            stream = [[values.get((i * n + r, k))
-                       for r in range(n) for k in range(t0)]
-                      for i in range(horizon)]
-        log = StreamLog(horizon=horizon, n_subs=n * t0, deadline=deadline,
-                        sub_times=self.stream_times(times), trace=trace)
+        n_subs = self.subs_per_slot
+        values, times, trace = staged_decode(
+            self.components, self.field, n_subs, self.parities_per_slot,
+            received)
+        stream = [list(sym[:n_subs]) if sym is not None
+                  else [values.get((i, k)) for k in range(n_subs)]
+                  for i, sym in enumerate(received)]
+        log = StreamLog(horizon=len(received), n_subs=n_subs,
+                        deadline=deadline, sub_times=times, trace=trace)
         return stream, log
-
-    def stream_times(self, times: Dict[Var, Optional[int]]
-                     ) -> Dict[Var, Optional[int]]:
-        """Map (expanded slot, sub) -> expanded time onto the stream clock;
-        ``times`` itself at expansion 1."""
-        n, t0 = self.expansion, self.t0
-        if n == 1:
-            return times
-        return {(tau // n, (tau % n) * t0 + k): None if tm is None else tm // n
-                for (tau, k), tm in times.items()}
-
-    def _expand(self, received: Sequence[Optional[Sequence[int]]]
-                ) -> List[Optional[Tuple[int, ...]]]:
-        """Split each stream slot into its expanded slots."""
-        n, t0, b0 = self.expansion, self.t0, self.b0
-        expanded: List[Optional[Tuple[int, ...]]] = []
-        for sym in received:
-            if sym is None:
-                expanded.extend([None] * n)
-                continue
-            if len(sym) != self.symbol_width:
-                raise ValueError(f"expected {self.symbol_width} symbols per slot")
-            for r in range(n):
-                expanded.append(tuple(sym[r * (t0 + b0):(r + 1) * (t0 + b0)]))
-        return expanded
 
 
 class DeScoCodec(CombinedCodec):
@@ -242,15 +201,14 @@ class DeScoCodec(CombinedCodec):
                  h: Optional[BurstParityMatrix] = None):
         self.params = params
         n = params.expansion
-        eb1, et1 = n * params.b1, n * params.t1
-        b0, t0 = eb1 // params.b, et1 // params.b
+        b0, t0 = params.base_size
         if field is None:
             field = default_field(t0, b0)
         c1 = ScoCodec(ScoParams(b0, t0, step=params.b, orientation=MAIN,
                                 field=field), h)
         c2 = ScoCodec(ScoParams(b0, t0, step=params.a - params.b,
                                 orientation=OFF, field=field), h or c1.h)
-        super().__init__([Component(c1), Component(c2, params.delta)], n,
+        super().__init__([Component(c1, 0, n), Component(c2, params.delta, n)],
                          (params.t1, params.user2_deadline))
 
 
@@ -261,7 +219,7 @@ def desco_build(params: DeScoParams, field: Optional[GF] = None) -> DeScoCodec:
 def sco_build(params: ScoParams,
               h: Optional[BurstParityMatrix] = None) -> CombinedCodec:
     """Single-user streaming code: one component, deadline t * step."""
-    return CombinedCodec([Component(ScoCodec(params, h))], 1,
+    return CombinedCodec([Component(ScoCodec(params, h))],
                          (memory_bound(params),))
 
 
@@ -279,7 +237,7 @@ def ia_sco_build(b1: int, t1: int, alpha: int,
         field = default_field(t1, b1)
     c1 = ScoCodec(ScoParams(b1, t1, field=field))
     c2 = ScoCodec(ScoParams(b1, t1, step=alpha, field=field), c1.h)
-    return CombinedCodec([Component(c1), Component(c2, t1)], 1,
+    return CombinedCodec([Component(c1), Component(c2, t1)],
                          (t1, alpha * t1 + t1))
 
 
@@ -308,47 +266,33 @@ def burst_decode_log(codec: CombinedCodec, start: int, length: int,
 def burst_loss_count(codec: CombinedCodec, length: int, user: int) -> int:
     """Deadline misses caused by one isolated burst of the given length.
 
-    The burst starts at ``codec.reach_slots``, the first start whose
-    decode no parity's zero padding before slot 0 reaches; by time
-    invariance (see ``sweep_max_delay``) it stands for every later start.
+    The burst starts at slot 0; a burst decodes alike at every start (see
+    the ``decoder`` module), so it stands for any other start.
     """
     if length == 0:
         return 0
-    log = burst_decode_log(codec, codec.reach_slots, length, user)
-    return len(log.misses)
+    return len(burst_decode_log(codec, 0, length, user).misses)
 
 
 def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
                     window: Optional[int] = None) -> Tuple[int, int]:
     """(max recovery delay, miss count) over every burst start in a window.
 
-    Exact without decoding every start.  Templates are causal and
-    time-invariant: a parity at slot t reads source of slots
-    t - reach_slots .. t only, with the same terms at every t.  A burst at
-    start s is touched only by parities at slots >= s, so the zero
-    padding before slot 0 enters its decode only when s < reach_slots.
-    ``burst_decode_log``'s horizon moves with the start, so every start
-    s >= reach_slots decodes like start reach_slots shifted by
-    s - reach_slots: the same delays, the same number of misses.  Starts
-    0 .. reach_slots - 1 are decoded one by one; the decode at
-    reach_slots stands for all later starts, its misses counted once per
-    start.
+    Exact with one decode.  A burst decodes alike at every start >= 0
+    (see the ``decoder`` module), and ``burst_decode_log``'s horizon
+    moves with the start, so the burst at start 0 has the delays of
+    every start, and its misses count once per start in
+    0 .. window - burst_len.  ValueError if the window holds no start.
     """
     if window is None:
         window = 10 * sum(codec.deadlines)
-    last = window - burst_len  # the last start in the window
-    worst = 0
-    misses = 0
-    for start in range(min(codec.reach_slots, last) + 1):
-        log = burst_decode_log(codec, start, burst_len, user)
-        # the decode at reach_slots stands for starts reach_slots .. last
-        copies = last - start + 1 if start == codec.reach_slots else 1
-        misses += copies * len(log.misses)
-        for slot in range(start, start + burst_len):
-            d = log.slot_delay(slot)
-            if d is not None:
-                worst = max(worst, d)
-    return worst, misses
+    if window < burst_len:
+        raise ValueError(f"window {window} is shorter than the burst "
+                         f"length {burst_len}")
+    log = burst_decode_log(codec, 0, burst_len, user)
+    delays = [log.slot_delay(slot) for slot in range(burst_len)]
+    worst = max((d for d in delays if d is not None), default=0)
+    return worst, (window - burst_len + 1) * len(log.misses)
 
 
 # -- codec descriptor ---------------------------------------------------
@@ -384,8 +328,6 @@ def parse_descriptor(text: str) -> DeScoCodec:
     if kv.get("h"):
         rows = tuple(tuple(int(x, 16) for x in row.split("-"))
                      for row in kv["h"].split(","))
-        n = params.expansion
-        t0 = n * params.t1 // params.b
-        b0 = n * params.b1 // params.b
+        b0, t0 = params.base_size
         h = BurstParityMatrix(rows, t0, b0, field)
     return DeScoCodec(params, field, h)

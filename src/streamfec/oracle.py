@@ -13,37 +13,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .channel import ErasurePattern
-from .decoder import Component
-from .gf import GF, IncrementalSystem
+from .gf import IncrementalSystem
 from .sco import Var
 
 
-def _ml_times_expanded(components: Sequence[Component], field: GF,
-                       n_subs: int, n_parities: int,
-                       erased: Sequence[bool]) -> Dict[Var, Optional[int]]:
-    """Earliest determination times on the (expanded) slot clock.
+def ml_decode_times(codec, pattern: ErasurePattern,
+                    horizon: Optional[int] = None) -> Dict[Var, Optional[int]]:
+    """Earliest per-sub-symbol determination times for a codec under a pattern.
 
-    Only the coefficient structure matters for determination times, so
-    the elimination runs against an all-zero right-hand side.
+    ``codec`` is a ``CombinedCodec`` (single- or two-user); the pattern,
+    the returned times and the sub-symbol indices are those of its decode
+    output.  Only the coefficient structure matters for determination
+    times, so the elimination runs against an all-zero right-hand side.
     """
-    horizon = len(erased)
+    if horizon is None:
+        horizon = pattern.horizon
+    field = codec.field
+    n_subs = codec.subs_per_slot
+    erased = set(pattern.slots)
     times: Dict[Var, Optional[int]] = {}
     unknown = set()
     system = IncrementalSystem(field)
     for t in range(horizon):
-        if erased[t]:
+        if t in erased:
             for k in range(n_subs):
                 unknown.add((t, k))
                 times[(t, k)] = None
             continue
         for k in range(n_subs):
             times[(t, k)] = t
-        for j in range(n_parities):
+        for j in range(codec.parities_per_slot):
             terms: Dict[Var, int] = {}
-            for comp in components:
+            for comp in codec.components:
                 _, part = comp.terms(t, j)
                 for var, coeff in part.items():
                     if var in unknown:
@@ -59,23 +63,6 @@ def _ml_times_expanded(components: Sequence[Component], field: GF,
                 if times.get(var) is None:
                     times[var] = t
     return times
-
-
-def ml_decode_times(codec, pattern: ErasurePattern,
-                    horizon: Optional[int] = None) -> Dict[Var, Optional[int]]:
-    """Earliest per-sub-symbol determination times for a codec under a pattern.
-
-    ``codec`` is a ``CombinedCodec`` (single- or two-user); the pattern
-    and the returned times are on the stream clock, with sub-symbol
-    indices matching the codec's decode output.
-    """
-    if horizon is None:
-        horizon = pattern.horizon
-    n = codec.expansion
-    erased_slots = set(pattern.slots)
-    erased = [(tau // n) in erased_slots for tau in range(horizon * n)]
-    return codec.stream_times(_ml_times_expanded(
-        codec.components, codec.field, codec.t0, codec.b0, erased))
 
 
 # -- random-linear-code information-debt model ---------------------------

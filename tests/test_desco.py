@@ -9,7 +9,7 @@ from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
                              burst_decode_log, burst_loss_count, desco_build,
                              descriptor, ia_sco_build, optimal_delay,
                              parse_descriptor, rate_upper_bound, sco_build,
-                             source_expand, sweep_max_delay, zero_stream)
+                             sweep_max_delay, zero_stream)
 from streamfec.gf import GF
 from streamfec.sco import ScoParams, capacity
 
@@ -83,9 +83,11 @@ def test_params_validation():
 
 
 def test_source_expand():
-    expanded, n = source_expand(2, 5, 3, 2)
-    assert n == 2
-    assert (expanded.b1, expanded.t1) == (4, 10)
+    p = DeScoParams(2, 5, 3, 2)
+    b0, t0 = p.base_size
+    assert p.expansion == 2
+    # (n*b1, n*t1) on the expanded clock is the base code at step b
+    assert (p.b * b0, p.b * t0) == (4, 10)
 
 
 # ---------------------------------------------------------
@@ -127,8 +129,7 @@ def test_encode_step_matches_stream():
                                    desco_build(DeScoParams(2, 3, 3, 2)),
                                    ia_sco_build(1, 2, 2)])
 def test_encode_step_reads_only_the_reach(codec):
-    reach = max(comp.reach for comp in codec.components)
-    keep = -(-reach // codec.expansion)  # stream slots holding the reach
+    keep = max(comp.reach for comp in codec.components)  # in stream slots
     src = random_source(codec, 3 * keep + 4)
     full = codec.encode_stream(src)
     for t in range(len(src)):
@@ -152,7 +153,11 @@ def test_combined_codec_rejects_mismatched_components():
     with pytest.raises(ValueError):
         CombinedCodec([c.components[0],
                        Component(other.components[1].codec, shift=3)],
-                      expansion=1, deadlines=(2, 5))
+                      deadlines=(2, 5))
+    with pytest.raises(ValueError):  # one expansion for all components
+        CombinedCodec([c.components[0],
+                       Component(c.components[1].codec, 3, expansion=2)],
+                      deadlines=(2, 5))
 
 
 # ---------------------------------------------------------
@@ -204,6 +209,13 @@ def test_delay_grid():
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
         w2, m2 = sweep_max_delay(codec, p.b2, user=2, window=window)
         assert (w2, m2) == (p.user2_deadline, 0), (b1, t1, a, b)
+
+
+def test_sweep_rejects_a_window_without_a_start():
+    codec = desco_build(DeScoParams(1, 2, 2))
+    with pytest.raises(ValueError, match="shorter than the burst"):
+        sweep_max_delay(codec, 2, 2, 1)
+    assert sweep_max_delay(codec, 2, 2, 2) == (5, 0)  # one start fits
 
 
 def test_zero_stream_burst_is_structural():

@@ -44,26 +44,28 @@ def channel_runs(draw, codec, max_horizon=28):
 
 
 def reference_parities(codec, source):
-    """Per expanded slot, the parities from ScoCodec.parity_value and from
-    Component.terms, computed element by element."""
-    t0 = codec.t0
-    comps, n_par = codec.components, codec.b0
-    expanded = [row[r * t0:(r + 1) * t0] for row in source
-                for r in range(codec.expansion)]
+    """Per stream slot, the parities from ScoCodec.parity_value on the
+    expanded clock and from Component.terms on the stream clock, computed
+    element by element.  Stream row r * b0 + j is expanded parity j at
+    sub-slot r."""
     f = codec.field
+    n = codec.components[0].expansion
+    t0, b0 = codec.components[0].codec.t, codec.components[0].codec.b
+    expanded = [row[r * t0:(r + 1) * t0] for row in source for r in range(n)]
     by_value, by_terms = [], []
-    for tau in range(len(expanded)):
+    for i in range(len(source)):
         pv, pt = [], []
-        for j in range(n_par):
-            a = b = 0
-            for comp in comps:
-                a = f.add(a, comp.codec.parity_value(comp.own_slot(tau), j,
-                                                     expanded))
-                for (slot, sub), c in comp.terms(tau, j)[1].items():
-                    if slot >= 0:
-                        b = f.add(b, f.mul(c, expanded[slot][sub]))
-            pv.append(a)
-            pt.append(b)
+        for r in range(n):
+            for j in range(b0):
+                a = b = 0
+                for comp in codec.components:
+                    a = f.add(a, comp.codec.parity_value(
+                        n * i + r - comp.shift, j, expanded))
+                    for (slot, sub), c in comp.terms(i, r * b0 + j)[1].items():
+                        if slot >= 0:
+                            b = f.add(b, f.mul(c, source[slot][sub]))
+                pv.append(a)
+                pt.append(b)
         by_value.append(pv)
         by_terms.append(pt)
     return by_value, by_terms
@@ -77,13 +79,10 @@ def test_array_encoder_matches_scalar_reference(name, data):
     stream = codec.encode_stream(source)
     by_value, by_terms = reference_parities(codec, source)
     assert by_value == by_terms
-    n = codec.expansion
-    t0 = codec.subs_per_slot // n
+    subs = codec.subs_per_slot
     for i, sym in enumerate(stream):
-        for r in range(n):
-            chunk = sym[r * len(sym) // n:(r + 1) * len(sym) // n]
-            assert list(chunk[:t0]) == list(source[i][r * t0:(r + 1) * t0])
-            assert list(chunk[t0:]) == by_value[i * n + r], (i, r)
+        assert list(sym[:subs]) == list(source[i])
+        assert list(sym[subs:]) == by_value[i], i
 
 
 @pytest.mark.parametrize("name", CODECS)
@@ -111,6 +110,17 @@ def test_staged_decode_is_never_earlier_than_ml(name, data):
 
 @pytest.mark.parametrize("name", CODECS)
 @given(data=st.data())
+def test_trace_events_are_on_the_stream_clock(name, data):
+    codec = CODECS[name]
+    source, pattern = data.draw(channel_runs(codec))
+    _, log = decode(codec, apply(pattern, codec.encode_stream(source)))
+    for ev in log.trace:
+        assert log.sub_times[(ev.slot, ev.sub)] == ev.time, ev
+        assert -1 <= ev.row < codec.parities_per_slot, ev
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
 def test_cached_slot_times_match_definition(name, data):
     codec = CODECS[name]
     source, pattern = data.draw(channel_runs(codec))
@@ -134,7 +144,7 @@ def test_cached_slot_times_match_definition(name, data):
 def test_burst_decodes_alike_at_every_start_past_reach(name, data):
     codec = CODECS[name]
     first = codec.reach_slots
-    start = data.draw(st.integers(first, first + 40))
+    start = data.draw(st.integers(0, first + 40))
     length = data.draw(st.integers(1, 8))
     user = data.draw(st.integers(1, len(codec.deadlines)))
     ref = burst_decode_log(codec, first, length, user)
@@ -151,8 +161,7 @@ def test_burst_decodes_alike_at_every_start_past_reach(name, data):
 def test_encode_step_reads_reach_slots_of_history(name, data):
     codec = CODECS[name]
     keep = codec.reach_slots
-    assert keep == -(-max(c.reach for c in codec.components)
-                     // codec.expansion)
+    assert keep == max(c.reach for c in codec.components)
     source, _ = data.draw(channel_runs(codec))
     full = codec.encode_stream(source)
     t = data.draw(st.integers(0, len(source) - 1))
