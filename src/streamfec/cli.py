@@ -325,12 +325,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code else EXIT_OK
-        # config values arrive as strings; coerce the numeric ones
-        for name in ("b1", "t1", "alpha_num", "alpha_den", "window", "b2",
-                     "t2", "segment_len", "segments", "seed", "user"):
-            v = getattr(args, name, None)
-            if isinstance(v, str):
-                setattr(args, name, int(v))
         if not args.command:
             parser.print_usage(out)
             return EXIT_USAGE

@@ -22,11 +22,13 @@ at slot t only involves source sub-symbols of slots t - reach .. t, where
 ``reach`` is the widest template reach over the components
 (``Component`` rejects anything else).  Three shortcuts rest on it.  A
 sub-symbol received at slot t cannot appear in any parity seen before
-t, so it is stored directly instead of being propagated.  An erased
-sub-symbol older than t - reach appears in no later parity, so it is
-dropped from the set of unresolved terms that the "all terms known"
-parity test consults; once no erased sub-symbol is within reach, a slot's
-parities are skipped without looking at their terms.  And a single burst
+t, so it is known at its own slot: received sub-symbols are read in
+place from the received stream, never stored, and decoder state is kept
+only for erased sub-symbols.  An erased sub-symbol older than t - reach
+appears in no later parity, so it is dropped from the set of unresolved
+terms that the "all terms known" parity test consults; once no erased
+sub-symbol is within reach, a slot's parities are skipped without
+looking at their terms.  And a single burst
 in an otherwise received stream decodes alike wherever it starts: the
 templates are the same at every slot, and a term before slot 0 is a
 known zero just as a received slot's sub-symbol is known, so a burst at
@@ -73,26 +75,29 @@ class TraceEvent:
 
 @dataclass
 class StreamLog:
-    """Per-sub-symbol recovery times and deadline accounting for one decode."""
+    """Per-sub-symbol recovery times and deadline accounting for one decode.
 
-    horizon: int
-    n_subs: int
+    ``sub_times`` is a (horizon, n_subs) int array: ``sub_times[slot, sub]``
+    is the stream slot at which the sub-symbol became known (its own slot
+    when received) or -1 if it was never recovered.
+    """
+
     deadline: int
-    sub_times: Dict[Var, Optional[int]]
+    sub_times: np.ndarray
     trace: List[TraceEvent] = dc_field(default_factory=list)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.sub_times)
 
     @cached_property
     def slot_times(self) -> List[Optional[int]]:
         """Recovery time of every slot in the horizon: the latest time of
         its sub-symbols, None if any is missing.  Computed on first use;
         ``sub_times`` must not change afterwards."""
-        get = self.sub_times.get
-        subs = range(self.n_subs)
-        out: List[Optional[int]] = []
-        for slot in range(self.horizon):
-            times = [get((slot, k)) for k in subs]
-            out.append(None if None in times else max(times))
-        return out
+        times = self.sub_times
+        latest = np.where(times.min(axis=1) < 0, -1, times.max(axis=1))
+        return [None if t < 0 else t for t in latest.tolist()]
 
     def slot_time(self, slot: int) -> Optional[int]:
         """Slot recovery time (None if any sub-symbol is missing)."""
@@ -210,42 +215,45 @@ def encode_symbols(components: Sequence[Component], field: GF,
 
 
 class _PendingParity:
-    """Bookkeeping for one combined parity equation awaiting staged release."""
+    """One combined parity equation awaiting staged release.
 
-    __slots__ = ("t", "j", "value", "unknowns", "consts", "codewords", "released")
+    ``const`` is the received parity plus every known term.  Unknowns only
+    shrink, so at most one component is ever released.
+    """
+
+    __slots__ = ("t", "j", "const", "unknowns", "released")
 
     def __init__(self, t: int, j: int, value: int, n_components: int):
         self.t = t
         self.j = j
-        self.value = value
+        self.const = value
         self.unknowns: List[Dict[Var, int]] = [dict() for _ in range(n_components)]
-        self.consts: List[int] = [0] * n_components
-        self.codewords: List[int] = [0] * n_components
-        self.released: Set[int] = set()
+        self.released = False
 
 
 def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                   n_parities: int, received: Sequence[Optional[Sequence[int]]]):
     """Run the staged decoder over a stream with ``None`` marking erased slots.
 
-    Returns (values, times, trace): values maps (slot, sub) to the
-    recovered field element where determined; times maps every in-horizon
-    (slot, sub) to its recovery slot or None; trace lists the parity
-    attribution of each recovered erased sub-symbol.
+    Returns (values, times, trace): values maps each recovered erased
+    (slot, sub) to its field element (received sub-symbols stay in
+    ``received``); times is the (horizon, n_subs) int array of recovery
+    slots, a received row holding its own slot and -1 marking a
+    sub-symbol never recovered (see ``StreamLog``); trace lists the
+    parity attribution of each recovered erased sub-symbol.
     """
     horizon = len(received)
     ncomp = len(components)
     reach = max(comp.reach for comp in components)
-    known: Dict[Var, int] = {}
-    times: Dict[Var, Optional[int]] = {}
+    known: Dict[Var, int] = {}  # recovered erased sub-symbols only
+    times = np.arange(horizon)[:, None].repeat(n_subs, axis=1)
     trace: List[TraceEvent] = []
     systems: Dict[Tuple[int, int], IncrementalSystem] = {}
     sys_vars: Dict[Var, Set[Tuple[int, int]]] = {}
-    watchers: Dict[Var, List[Tuple[int, int]]] = {}  # var -> [(pending idx, comp)]
-    pending: List[_PendingParity] = []
+    watchers: Dict[Var, List[Tuple[_PendingParity, int]]] = {}  # var -> [(pp, comp)]
 
-    queue: deque = deque()  # (var, value, attribution | None)
-    ready: deque = deque()  # pending indices whose counts changed
+    queue: deque = deque()  # (var, value, attribution)
+    ready: deque = deque()  # pending parities whose unknowns changed
     # erased sub-symbols not yet recovered and still within template reach
     unresolved: Set[Var] = set()
     erased_slots: deque = deque()  # erased slots with entries in unresolved
@@ -260,45 +268,39 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         queue.append((var, value, prov))
 
     def absorb(var: Var, value: int, now: int, prov) -> None:
-        """Propagate one newly known sub-symbol through all bookkeeping."""
+        """Propagate one newly recovered sub-symbol through all bookkeeping."""
         unresolved.discard(var)
-        if var not in times or times[var] is None:
-            times[var] = now
-            if prov is not None:
-                ci, row, pslot = prov
-                trace.append(TraceEvent(var[0], var[1], now, ci, row, pslot))
-        for idx, ci in watchers.pop(var, []):
-            pp = pending[idx]
-            coeff = pp.unknowns[ci].pop(var, None)
-            if coeff is not None:
-                pp.consts[ci] = field.add(pp.consts[ci], field.mul(coeff, value))
-                if not pp.unknowns[ci]:
-                    ready.append(idx)
+        times[var] = now
+        ci, row, pslot = prov
+        trace.append(TraceEvent(var[0], var[1], now, ci, row, pslot))
+        for pp, ci in watchers.pop(var, []):
+            coeff = pp.unknowns[ci].pop(var)
+            pp.const = field.add(pp.const, field.mul(coeff, value))
+            if not pp.unknowns[ci]:
+                ready.append(pp)
         for skey in sys_vars.pop(var, set()):
             newly = systems[skey].substitute(var, value)
             for v2, val2 in newly.items():
                 enqueue_known(v2, val2, (skey[0], -1, -1))
 
-    def try_release(idx: int, now: int) -> None:
-        pp = pending[idx]
-        for ci in range(ncomp):
-            if ci in pp.released or not pp.unknowns[ci]:
-                continue
-            if any(pp.unknowns[cj] for cj in range(ncomp) if cj != ci):
-                continue
-            pp.released.add(ci)
-            rhs = pp.value
-            for cj in range(ncomp):
-                rhs = field.add(rhs, pp.consts[cj])
-            skey = (ci, pp.codewords[ci])
-            sysm = systems.setdefault(skey, IncrementalSystem(field))
-            eq = dict(pp.unknowns[ci])
-            for v in eq:
-                sys_vars.setdefault(v, set()).add(skey)
-            prov = (ci, pp.j, components[ci].own_slot(pp.t, pp.j))
-            newly = sysm.add_equation(eq, rhs)
-            for v2, val2 in newly.items():
-                enqueue_known(v2, val2, prov)
+    def try_release(pp: _PendingParity) -> None:
+        if pp.released:
+            return
+        live = [ci for ci in range(ncomp) if pp.unknowns[ci]]
+        if len(live) != 1:
+            return
+        ci = live[0]
+        pp.released = True
+        comp = components[ci]
+        skey = (ci, comp.expansion * pp.t + comp.templates[pp.j][0])
+        sysm = systems.setdefault(skey, IncrementalSystem(field))
+        eq = dict(pp.unknowns[ci])
+        for v in eq:
+            sys_vars.setdefault(v, set()).add(skey)
+        prov = (ci, pp.j, comp.own_slot(pp.t, pp.j))
+        newly = sysm.add_equation(eq, pp.const)
+        for v2, val2 in newly.items():
+            enqueue_known(v2, val2, prov)
 
     def drain(now: int) -> None:
         while queue or ready:
@@ -306,7 +308,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 var, value, prov = queue.popleft()
                 absorb(var, value, now, prov)
             while ready:
-                try_release(ready.popleft(), now)
+                try_release(ready.popleft())
 
     for t in range(horizon):
         while erased_slots and erased_slots[0] < t - reach:
@@ -315,19 +317,12 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 unresolved.discard((old, k))
         slot = received[t]
         if slot is None:
-            for k in range(n_subs):
-                times[(t, k)] = None
-                unresolved.add((t, k))
+            times[t] = -1
+            unresolved.update((t, k) for k in range(n_subs))
             erased_slots.append(t)
-            drain(t)
             continue
         if len(slot) != n_subs + n_parities:
             raise ValueError(f"slot {t}: expected {n_subs + n_parities} symbols")
-        # causal templates: no pending parity or system involves slot t yet
-        for k in range(n_subs):
-            var = (t, k)
-            known[var] = slot[k]
-            times[var] = t
         if not unresolved:
             continue
         for j in range(n_parities):
@@ -335,26 +330,22 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             if not any((t + ds, sub) in unresolved for ds, sub in probes[j]):
                 continue
             pp = _PendingParity(t, j, slot[n_subs + j], ncomp)
-            idx = len(pending)
             for ci, comp in enumerate(components):
-                diag_off, entries = comp.templates[j]
-                pp.codewords[ci] = comp.expansion * t + diag_off
                 unknowns = pp.unknowns[ci]
-                const = 0
-                for ds, sub, coeff in entries:
-                    if t + ds < 0:
+                for ds, sub, coeff in comp.templates[j][1]:
+                    s = t + ds
+                    if s < 0:
                         continue  # zero padding before the stream start
-                    var = (t + ds, sub)
-                    value = known.get(var)
+                    # causal templates: received slot s already passed its
+                    # width check, and is read in place
+                    sym = received[s]
+                    value = known.get((s, sub)) if sym is None else sym[sub]
                     if value is None:
-                        unknowns[var] = coeff
-                        watchers.setdefault(var, []).append((idx, ci))
+                        unknowns[(s, sub)] = coeff
+                        watchers.setdefault((s, sub), []).append((pp, ci))
                     else:
-                        const = field.add(const, field.mul(coeff, value))
-                pp.consts[ci] = const
-            pending.append(pp)
-            ready.append(idx)
+                        pp.const = field.add(pp.const, field.mul(coeff, value))
+            ready.append(pp)
         drain(t)
 
-    # only received or once-unknown sub-symbols are keys: all in the horizon
     return known, times, trace

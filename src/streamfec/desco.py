@@ -179,7 +179,7 @@ class CombinedCodec:
 
         Returns (stream, log): stream[i] lists the subs_per_slot recovered
         sub-symbols of slot i (None where unrecovered), and the log holds
-        each sub-symbol's recovery slot.
+        each sub-symbol's recovery slot (-1 where unrecovered).
         """
         deadline = self.deadline(user)
         n_subs = self.subs_per_slot
@@ -189,9 +189,7 @@ class CombinedCodec:
         stream = [list(sym[:n_subs]) if sym is not None
                   else [values.get((i, k)) for k in range(n_subs)]
                   for i, sym in enumerate(received)]
-        log = StreamLog(horizon=len(received), n_subs=n_subs,
-                        deadline=deadline, sub_times=times, trace=trace)
-        return stream, log
+        return stream, StreamLog(deadline, times, trace)
 
 
 class DeScoCodec(CombinedCodec):

@@ -141,6 +141,10 @@ class IncrementalSystem:
     Equations arrive one at a time; ``add_equation`` returns the variables
     newly determined by the accumulated system, with their values.
     ``substitute`` adds the one-variable equation ``var = value``.
+
+    Invariant: rows are fully reduced, so no row holds a solved variable,
+    another row's pivot or no term but its pivot.  A row left with no term
+    solves its pivot, which no other row holds.
     """
 
     def __init__(self, field: GF):
@@ -192,21 +196,13 @@ class IncrementalSystem:
                         orow.pop(v2, None)
                 self._rows[opv] = (orow, f.add(oc, f.mul(coef, c)))
         self._rows[pivot] = (row, c)
-        # harvest rows that became single-variable
+        # harvest rows left with only their pivot; no other row holds it
         newly: Dict[Hashable, int] = {}
-        changed = True
-        while changed:
-            changed = False
-            for pv, (prow, pc) in list(self._rows.items()):
-                if not prow:
-                    del self._rows[pv]
-                    self.solved[pv] = pc
-                    newly[pv] = pc
-                    changed = True
-                    for opv, (orow, oc) in list(self._rows.items()):
-                        coef = orow.pop(pv, 0)
-                        if coef:
-                            self._rows[opv] = (orow, f.add(oc, f.mul(coef, pc)))
+        for pv, (prow, pc) in list(self._rows.items()):
+            if not prow:
+                del self._rows[pv]
+                self.solved[pv] = pc
+                newly[pv] = pc
         return newly
 
     def substitute(self, var: Hashable, value: int) -> Dict[Hashable, int]:

@@ -15,36 +15,32 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .channel import ErasurePattern
 from .gf import IncrementalSystem
 from .sco import Var
 
 
-def ml_decode_times(codec, pattern: ErasurePattern,
-                    horizon: Optional[int] = None) -> Dict[Var, Optional[int]]:
+def ml_decode_times(codec, pattern: ErasurePattern) -> np.ndarray:
     """Earliest per-sub-symbol determination times for a codec under a pattern.
 
-    ``codec`` is a ``CombinedCodec`` (single- or two-user); the pattern,
-    the returned times and the sub-symbol indices are those of its decode
-    output.  Only the coefficient structure matters for determination
-    times, so the elimination runs against an all-zero right-hand side.
+    ``codec`` is a ``CombinedCodec`` (single- or two-user); the times are
+    laid out as its decode log's ``sub_times``, -1 marking never determined.
+    Only the coefficient structure matters for determination times, so the
+    elimination runs against an all-zero right-hand side.
     """
-    if horizon is None:
-        horizon = pattern.horizon
     field = codec.field
     n_subs = codec.subs_per_slot
     erased = set(pattern.slots)
-    times: Dict[Var, Optional[int]] = {}
+    times = np.arange(pattern.horizon)[:, None].repeat(n_subs, axis=1)
     unknown = set()
     system = IncrementalSystem(field)
-    for t in range(horizon):
+    for t in range(pattern.horizon):
         if t in erased:
-            for k in range(n_subs):
-                unknown.add((t, k))
-                times[(t, k)] = None
+            times[t] = -1
+            unknown.update((t, k) for k in range(n_subs))
             continue
-        for k in range(n_subs):
-            times[(t, k)] = t
         for j in range(codec.parities_per_slot):
             terms: Dict[Var, int] = {}
             for comp in codec.components:
@@ -59,9 +55,9 @@ def ml_decode_times(codec, pattern: ErasurePattern,
                             terms.pop(var, None)
             if not terms:
                 continue
+            # each variable is solved, and returned, once
             for var in system.add_equation(terms, 0):
-                if times.get(var) is None:
-                    times[var] = t
+                times[var] = t
     return times
 
 
@@ -93,17 +89,15 @@ class DebtState:
                     self.debt = Fraction(0)
 
 
-def rlc_decode_times(rate: Fraction, pattern: ErasurePattern,
-                     horizon: Optional[int] = None) -> Dict[int, Optional[int]]:
+def rlc_decode_times(rate: Fraction,
+                     pattern: ErasurePattern) -> Dict[int, Optional[int]]:
     """Per-slot decode times of a rate-``rate`` random linear code."""
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError("rate must be in (0, 1)")
-    if horizon is None:
-        horizon = pattern.horizon
     erased = set(pattern.slots)
     state = DebtState(rate)
-    for t in range(horizon):
+    for t in range(pattern.horizon):
         state.step(t, t in erased)
     return state.decode_time
 

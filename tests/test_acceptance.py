@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from streamfec import cli
 from streamfec.channel import (HIGH_DELAY, apply, periodic_pattern,
                                single_burst)
@@ -175,7 +177,7 @@ def test_tightness_grid():
             times = ml_decode_times(codec, single_burst(start, p.b2, horizon))
             for s in range(start, start + p.b2):
                 ts = [times[(s, k)] for k in range(codec.subs_per_slot)]
-                assert all(t is not None for t in ts)
+                assert all(t >= 0 for t in ts)
                 worst = max(worst, max(ts) - s)
         # even an unrestricted decoder needs the full delay somewhere
         assert worst == p.user2_deadline, (b1, t1, a, b)
@@ -236,15 +238,15 @@ def test_walkthrough_2512_replay():
     assert ev.parity_slot == base - 2  # embedded clock: combined slot - 7
 
     # row c of slots -4 and -3 known by time 7
-    assert log.sub_times[(S, 2)] <= base + 7
-    assert log.sub_times[(S + 1, 2)] <= base + 7
+    assert 0 <= log.sub_times[(S, 2)] <= base + 7
+    assert 0 <= log.sub_times[(S + 1, 2)] <= base + 7
 
     # urgent rows d, e: all by deadline; those pinned by the embedded
     # code use combined parity slots 8..11
     for s in range(S, S + 4):
         for sub in (3, 4):
             t = log.sub_times[(s, sub)]
-            assert t is not None and t <= s + 12
+            assert 0 <= t <= s + 12
             ev = events[(s, sub)]
             if ev.component == 1 and ev.row >= 0:
                 combined = ev.parity_slot + 7
@@ -294,7 +296,7 @@ def test_oracle_equivalence_random():
         rx = apply(pattern, zero_stream(codec, horizon))
         _, log = codec.decode(rx, user=len(codec.deadlines))
         oracle_times = ml_decode_times(codec, pattern)
-        for var, t in log.sub_times.items():
+        for var, t in np.ndenumerate(log.sub_times):
             assert oracle_times[var] == t, (kind, b1, t1, start, length, var)
         instances += 1
     print(f"PASS oracle equivalence: 200 random instances, staged times "

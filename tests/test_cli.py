@@ -196,6 +196,49 @@ def test_config_file_supplies_defaults(tmp_path):
     assert "t1=3" in text
 
 
+def config_run(tmp_path, command, text):
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(text)
+    return run(["--config", str(cfg), command])
+
+
+def test_config_values_equal_explicit_flags(tmp_path):
+    # argparse converts config defaults with each option's type
+    assert config_run(tmp_path, "simulate", "b1=1\nt1=2\nalpha-num=2\n"
+                      "bmax-list=0,2,4\nsegment-len=50\nsegments=40\n"
+                      "seed=9\n") == run(SIM)
+    bounds = ["bounds", "--b1", "2", "--t1", "5", "--b2", "4", "--t2", "12"]
+    assert config_run(tmp_path, "bounds", "b1=2\nt1=5\nb2=4\nt2=12\n") \
+        == run(bounds)
+
+    codec = desco_build(DeScoParams(2, 5, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    stream = codec.encode_stream([[v % codec.field.order, 1, 2, 3, 4]
+                                  for v in range(40)])
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(wire.pack_stream(stream, codec.field))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("6:3\n20:2\n")
+    explicit = run(["decode", "--descriptor", str(desc), "--in", str(enc),
+                    "--pattern", str(pattern), "--user", "1",
+                    "--out", str(tmp_path / "a.bin"),
+                    "--log", str(tmp_path / "a.csv")])
+    from_config = config_run(
+        tmp_path, "decode", f"descriptor={desc}\ninfile={enc}\n"
+        f"pattern={pattern}\nuser=1\nout={tmp_path / 'b.bin'}\n"
+        f"log={tmp_path / 'b.csv'}\n")
+    assert from_config == explicit and "decoded 40 slots" in explicit[1]
+    for a, b in (("a.bin", "b.bin"), ("a.csv", "b.csv")):
+        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+
+
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys):
+    code, text = config_run(tmp_path, "verify", "b1=abc\nt1=2\nalpha-num=2\n")
+    assert code == cli.EXIT_USAGE and text == ""
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_config_file_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("what\n")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from streamfec.channel import apply, single_burst
@@ -189,7 +190,7 @@ def test_12_alpha2_double_burst_recovery_times():
     assert times[(10, 0)] == 12
     assert times[(9, 0)] == 13
     assert times[(9, 1)] == 14  # worst case: exactly delay 5
-    assert times[(10, 1)] <= 15
+    assert 0 <= times[(10, 1)] <= 15
 
 
 def test_user2_miss_when_burst_exceeds_b2():
@@ -225,7 +226,7 @@ def test_zero_stream_burst_is_structural():
         _, log_rand = decode_burst(codec, src, 15, length, user=2)
         log_zero = burst_decode_log(codec, 15, length, user=2, horizon=40)
         assert log_rand.misses == log_zero.misses
-        assert log_rand.sub_times == log_zero.sub_times
+        assert np.array_equal(log_rand.sub_times, log_zero.sub_times)
 
 
 def test_burst_loss_count_profile_12_alpha2():

@@ -214,6 +214,33 @@ def test_substitute_matches_add_equation():
     assert min(cases.values()) >= 10, cases
 
 
+def test_rows_stay_fully_reduced():
+    """After any sequence of ``add_equation`` and ``substitute`` calls, no
+    row is empty or holds a solved variable or another row's pivot, which
+    is what lets ``add_equation`` harvest solved pivots in one pass."""
+    g = GF.binary(3)
+    rng = random.Random(11)
+    solved = 0
+    for _ in range(300):
+        sys = IncrementalSystem(g)
+        try:
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.3:
+                    var = rng.randrange(9)
+                    sys.substitute(var, sys.solved.get(var, rng.randrange(8)))
+                else:
+                    terms = {v: rng.randrange(1, 8)
+                             for v in rng.sample(range(9), rng.randint(1, 4))}
+                    sys.add_equation(terms, rng.randrange(8))
+                for pivot, (row, _) in sys._rows.items():
+                    assert row and pivot not in sys.solved
+                    assert not set(row) & (set(sys._rows) | set(sys.solved))
+        except InconsistentSystemError:
+            continue
+        solved += len(sys.solved)
+    assert solved > 300
+
+
 def test_substitute_contradiction():
     g = GF.binary(2)
     sys = IncrementalSystem(g)

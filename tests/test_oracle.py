@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from streamfec.channel import ErasurePattern, single_burst
@@ -30,7 +31,8 @@ def test_ml_matches_staged_on_single_user_bursts():
     codec = sco_build(ScoParams(2, 3))
     for start in (5, 9):
         pattern = single_burst(start, 2, 20)
-        assert ml_decode_times(codec, pattern) == staged_times(codec, pattern)
+        assert np.array_equal(ml_decode_times(codec, pattern),
+                              staged_times(codec, pattern))
 
 
 def test_ml_matches_staged_on_combined_random_patterns():
@@ -43,14 +45,14 @@ def test_ml_matches_staged_on_combined_random_patterns():
             slots = tuple(s for s in range(horizon - codec.user2_deadline - 2)
                           if rng.random() < 0.12)
             pattern = ErasurePattern(slots, horizon)
-            assert ml_decode_times(codec, pattern) == \
-                staged_times(codec, pattern)
+            assert np.array_equal(ml_decode_times(codec, pattern),
+                                  staged_times(codec, pattern))
 
 
 def test_ml_unrecoverable_stays_none():
     codec = sco_build(ScoParams(1, 2))
     times = ml_decode_times(codec, single_burst(4, 4, 20))
-    assert any(t is None for t in times.values())
+    assert (times == -1).any()
 
 
 def test_ml_clean_slots_are_instant():

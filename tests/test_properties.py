@@ -4,10 +4,12 @@ Codecs: single-user, DE-SCo with integer and with rational alpha
 (expansion 2), and the interference-avoidance baseline.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from streamfec.channel import ErasurePattern, apply
+from streamfec.decoder import staged_decode
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
                              ia_sco_build, sco_build)
 from streamfec.gf import GF
@@ -103,9 +105,30 @@ def test_staged_decode_is_never_earlier_than_ml(name, data):
     source, pattern = data.draw(channel_runs(codec))
     _, log = decode(codec, apply(pattern, codec.encode_stream(source)))
     ml = ml_decode_times(codec, pattern)
-    for var, t in log.sub_times.items():
-        if t is not None:
-            assert ml[var] is not None and ml[var] <= t, var
+    for var, t in np.ndenumerate(log.sub_times):
+        if t >= 0:
+            assert 0 <= ml[var] <= t, var
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_decoder_keeps_values_of_erased_sub_symbols_only(name, data):
+    """Received sub-symbols are read in place: the values hold recovered
+    erased ones only, and a received row of times is its own slot."""
+    codec = CODECS[name]
+    source, pattern = data.draw(channel_runs(codec))
+    rx = apply(pattern, codec.encode_stream(source))
+    values, times, _ = staged_decode(codec.components, codec.field,
+                                     codec.subs_per_slot,
+                                     codec.parities_per_slot, rx)
+    erased = set(pattern.slots)
+    assert times.shape == (pattern.horizon, codec.subs_per_slot)
+    for (slot, sub), t in np.ndenumerate(times):
+        if slot in erased:
+            assert (t >= 0) == ((slot, sub) in values), (slot, sub)
+        else:
+            assert t == slot and (slot, sub) not in values, (slot, sub)
+    assert all(values[var] == source[var[0]][var[1]] for var in values)
 
 
 @pytest.mark.parametrize("name", CODECS)
@@ -127,8 +150,9 @@ def test_cached_slot_times_match_definition(name, data):
     _, log = decode(codec, apply(pattern, codec.encode_stream(source)))
 
     def slot_time(slot):
-        times = [log.sub_times.get((slot, k)) for k in range(log.n_subs)]
-        return None if any(t is None for t in times) else max(times)
+        in_log = 0 <= slot < len(log.sub_times)
+        times = [int(t) for t in log.sub_times[slot]] if in_log else [-1]
+        return None if min(times) < 0 else max(times)
 
     for slot in range(-2, log.horizon + 2):
         assert log.slot_time(slot) == slot_time(slot), slot
