@@ -108,21 +108,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n, None) is None]
+def _flags(parser: argparse.ArgumentParser) -> Dict[str, str]:
+    """dest -> long flag of each option of the parser and its subcommands."""
+    return {action.dest: opt for p in (parser, *parser.subcommands.values())
+            for action in p._actions
+            for opt in action.option_strings if opt.startswith("--")}
+
+
+def _require(args, *dests):
+    missing = [d for d in dests if getattr(args, d, None) is None]
     if missing:
+        flags = _flags(_build_parser())
         raise UsageError("missing required option(s): "
-                         + ", ".join("--" + n.replace("_", "-") for n in missing))
-
-
-def _codec_from_args(args) -> DeScoCodec:
-    _require(args, "b1", "t1", "alpha_num")
-    return DeScoCodec(DeScoParams(args.b1, args.t1, args.alpha_num,
-                                  args.alpha_den))
+                         + ", ".join(flags[d] for d in missing))
 
 
 def cmd_verify(args, out) -> int:
-    codec = _codec_from_args(args)
+    _require(args, "b1", "t1", "alpha_num")
+    codec = DeScoCodec(DeScoParams(args.b1, args.t1, args.alpha_num,
+                                   args.alpha_den))
     p = codec.params
     window = 10 * (p.t1 + p.b1) if args.window is None else args.window
     if window < p.b2:
@@ -316,8 +320,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             at = argv.index("--config") + 1
             if at == len(argv):
                 raise UsageError("--config needs a path")
-            cfg_path = argv[at]
-            cfg = _read_config(cfg_path)
+            # keys name long flags; another key is taken as a dest (infile)
+            dest = {f[2:].replace("-", "_"): d
+                    for d, f in _flags(parser).items()}
+            cfg = {dest.get(k, k): v for k, v in _read_config(argv[at]).items()}
             parser.set_defaults(**cfg)
             for sp in parser.subcommands.values():
                 sp.set_defaults(**cfg)  # subparser defaults win otherwise
@@ -336,10 +342,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             "bounds": cmd_bounds,
         }[args.command]
         return handler(args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -24,11 +24,12 @@ at slot t only involves source sub-symbols of slots t - reach .. t, where
 sub-symbol received at slot t cannot appear in any parity seen before
 t, so it is known at its own slot: received sub-symbols are read in
 place from the received stream, never stored, and decoder state is kept
-only for erased sub-symbols.  An erased sub-symbol older than t - reach
-appears in no later parity, so it is dropped from the set of unresolved
-terms that the "all terms known" parity test consults; once no erased
-sub-symbol is within reach, a slot's parities are skipped without
-looking at their terms.  And a single burst
+only for erased sub-symbols of the current erasure cluster: an erased
+slot more than ``reach`` slots after the last one starts a new cluster
+and drops the old state.  No parity from that slot on reads an older
+term, and a diagonal's entries span less than its component's reach, so
+nothing held for the old cluster can change; a received slot that far
+past the last erasure is skipped.  And a single burst
 in an otherwise received stream decodes alike wherever it starts: the
 templates are the same at every slot, and a term before slot 0 is a
 known zero just as a received slot's sub-symbol is known, so a burst at
@@ -158,15 +159,8 @@ class Component:
         self.reach = max((-ds for _, entries in self.templates
                           for ds, _, _ in entries), default=0)
 
-    def terms(self, t: int, row: int) -> Tuple[int, Dict[Var, int]]:
-        diag_off, entries = self.templates[row]
-        return (self.expansion * t + diag_off,
-                {(t + ds, sub): c for ds, sub, c in entries})
-
-    def own_slot(self, t: int, row: int) -> int:
-        """Emission slot of stream parity row ``row`` at stream slot t on
-        the component's own (expanded) clock."""
-        return self.expansion * t + row // self.codec.b - self.shift
+    def terms(self, t: int, row: int) -> Dict[Var, int]:
+        return {(t + ds, sub): c for ds, sub, c in self.templates[row][1]}
 
 
 def source_array(rows: Sequence[Sequence[int]], width: int, field: GF) -> np.ndarray:
@@ -254,9 +248,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
 
     queue: deque = deque()  # (var, value, attribution)
     ready: deque = deque()  # pending parities whose unknowns changed
-    # erased sub-symbols not yet recovered and still within template reach
-    unresolved: Set[Var] = set()
-    erased_slots: deque = deque()  # erased slots with entries in unresolved
+    unresolved: Set[Var] = set()  # erased sub-symbols of this cluster
+    last_erased = -reach - 1  # most recent erased slot (none yet)
     probes = [[(ds, sub) for comp in components
                for ds, sub, _ in comp.templates[j][1]]
               for j in range(n_parities)]
@@ -274,6 +267,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         ci, row, pslot = prov
         trace.append(TraceEvent(var[0], var[1], now, ci, row, pslot))
         for pp, ci in watchers.pop(var, []):
+            if pp.released:
+                continue  # its equation is already in a system
             coeff = pp.unknowns[ci].pop(var)
             pp.const = field.add(pp.const, field.mul(coeff, value))
             if not pp.unknowns[ci]:
@@ -294,10 +289,11 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         comp = components[ci]
         skey = (ci, comp.expansion * pp.t + comp.templates[pp.j][0])
         sysm = systems.setdefault(skey, IncrementalSystem(field))
-        eq = dict(pp.unknowns[ci])
+        eq = pp.unknowns[ci]  # absorb leaves a released parity alone
         for v in eq:
             sys_vars.setdefault(v, set()).add(skey)
-        prov = (ci, pp.j, comp.own_slot(pp.t, pp.j))
+        prov = (ci, pp.j,  # emission slot on the own clock, see TraceEvent
+                comp.expansion * pp.t + pp.j // comp.codec.b - comp.shift)
         newly = sysm.add_equation(eq, pp.const)
         for v2, val2 in newly.items():
             enqueue_known(v2, val2, prov)
@@ -311,19 +307,21 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 try_release(ready.popleft())
 
     for t in range(horizon):
-        while erased_slots and erased_slots[0] < t - reach:
-            old = erased_slots.popleft()
-            for k in range(n_subs):
-                unresolved.discard((old, k))
         slot = received[t]
         if slot is None:
+            if t - last_erased > reach:
+                # a new cluster: nothing held for the old one can change
+                unresolved.clear()
+                watchers.clear()
+                systems.clear()
+                sys_vars.clear()
+            last_erased = t
             times[t] = -1
             unresolved.update((t, k) for k in range(n_subs))
-            erased_slots.append(t)
             continue
         if len(slot) != n_subs + n_parities:
             raise ValueError(f"slot {t}: expected {n_subs + n_parities} symbols")
-        if not unresolved:
+        if not unresolved or t - last_erased > reach:
             continue
         for j in range(n_parities):
             # fast path: a parity whose terms are all known adds nothing

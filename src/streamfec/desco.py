@@ -273,7 +273,7 @@ def burst_loss_count(codec: CombinedCodec, length: int, user: int) -> int:
 
 
 def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
-                    window: Optional[int] = None) -> Tuple[int, int]:
+                    window: int) -> Tuple[int, int]:
     """(max recovery delay, miss count) over every burst start in a window.
 
     Exact with one decode.  A burst decodes alike at every start >= 0
@@ -281,9 +281,8 @@ def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
     moves with the start, so the burst at start 0 has the delays of
     every start, and its misses count once per start in
     0 .. window - burst_len.  ValueError if the window holds no start.
+    The window has no default; ``verify``'s is 10*(t1+b1).
     """
-    if window is None:
-        window = 10 * sum(codec.deadlines)
     if window < burst_len:
         raise ValueError(f"window {window} is shorter than the burst "
                          f"length {burst_len}")

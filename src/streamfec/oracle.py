@@ -44,8 +44,7 @@ def ml_decode_times(codec, pattern: ErasurePattern) -> np.ndarray:
         for j in range(codec.parities_per_slot):
             terms: Dict[Var, int] = {}
             for comp in codec.components:
-                _, part = comp.terms(t, j)
-                for var, coeff in part.items():
+                for var, coeff in comp.terms(t, j).items():
                     if var in unknown:
                         prev = terms.get(var, 0)
                         cur = field.add(prev, coeff)

@@ -233,6 +233,36 @@ def test_config_values_equal_explicit_flags(tmp_path):
         assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
+def test_config_keys_are_named_like_the_long_flags(tmp_path):
+    codec = desco_build(DeScoParams(1, 2, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(wire.pack_stream(
+        codec.encode_stream([[v % codec.field.order, 1] for v in range(30)]),
+        codec.field))
+    explicit = run(["decode", "--descriptor", str(desc), "--in", str(enc),
+                    "--out", str(tmp_path / "a.bin")])
+    from_config = config_run(tmp_path, "decode", f"descriptor={desc}\n"
+                             f"in={enc}\nout={tmp_path / 'b.bin'}\n")
+    assert from_config == explicit and "decoded 30 slots" in explicit[1]
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_missing_in_names_the_in_flag(tmp_path, capsys, command):
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(desco_build(DeScoParams(1, 2, 2))))
+    argv = [command, "--descriptor", str(desc), "--out", str(tmp_path / "o")]
+    assert run(argv)[0] == cli.EXIT_USAGE
+    assert capsys.readouterr().err \
+        == "error: missing required option(s): --in\n"
+    assert config_run(tmp_path, command, f"descriptor={desc}\n")[0] \
+        == cli.EXIT_USAGE
+    assert capsys.readouterr().err \
+        == "error: missing required option(s): --in, --out\n"
+
+
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys):
     code, text = config_run(tmp_path, "verify", "b1=abc\nt1=2\nalpha-num=2\n")
     assert code == cli.EXIT_USAGE and text == ""

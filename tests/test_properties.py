@@ -4,6 +4,8 @@ Codecs: single-user, DE-SCo with integer and with rational alpha
 (expansion 2), and the interference-avoidance baseline.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ from hypothesis import given, strategies as st
 from streamfec.channel import ErasurePattern, apply
 from streamfec.decoder import staged_decode
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
-                             ia_sco_build, sco_build)
+                             ia_sco_build, sco_build, zero_stream)
 from streamfec.gf import GF
 from streamfec.oracle import ml_decode_times
 from streamfec.sco import ScoParams
@@ -63,7 +65,7 @@ def reference_parities(codec, source):
                 for comp in codec.components:
                     a = f.add(a, comp.codec.parity_value(
                         n * i + r - comp.shift, j, expanded))
-                    for (slot, sub), c in comp.terms(i, r * b0 + j)[1].items():
+                    for (slot, sub), c in comp.terms(i, r * b0 + j).items():
                         if slot >= 0:
                             b = f.add(b, f.mul(c, source[slot][sub]))
                 pv.append(a)
@@ -178,6 +180,91 @@ def test_burst_decodes_alike_at_every_start_past_reach(name, data):
     assert [log.slot_delay(start + k) for k in range(span)] \
         == [ref.slot_delay(first + k) for k in range(span)]
     assert [m - start for m in log.misses] == [m - first for m in ref.misses]
+
+
+def decode_bursts(codec, bursts, horizon, user):
+    """Log of an all-zero stream with the given (start, length) bursts."""
+    rx = list(zero_stream(codec, horizon))
+    for start, length in bursts:
+        rx[start:start + length] = [None] * length
+    return codec.decode(rx, user)[1]
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
+def test_bursts_reach_apart_decode_alone(name, data):
+    """Two bursts with at least reach_slots clean slots between them decode
+    like each burst alone, shifted: same sub-symbol times and misses."""
+    codec = CODECS[name]
+    reach = codec.reach_slots
+    bursts = [(data.draw(st.integers(0, reach)), data.draw(st.integers(1, 8)))]
+    second = sum(bursts[0]) + data.draw(st.integers(reach, reach + 6))
+    bursts.append((second, data.draw(st.integers(1, 8))))
+    user = data.draw(st.integers(1, len(codec.deadlines)))
+    horizon = sum(bursts[1]) + max(codec.deadlines) + 2
+    joint = decode_bursts(codec, bursts, horizon, user)
+    misses = []
+    for start, length in bursts:
+        alone = burst_decode_log(codec, 0, length, user, horizon - start)
+        rows = joint.sub_times[start:start + length]
+        assert np.array_equal(np.where(rows < 0, -1, rows - start),
+                              alone.sub_times[:length]), (start, length)
+        misses += [m + start for m in alone.misses]
+    assert joint.misses == misses
+
+
+# IA (1,2,2), reach_slots 6: user-2 sub-symbol times of a 3-slot burst at
+# slot 0 and a 1-slot burst after 5 (reach_slots - 1) or 4 clean slots.
+CLOSE_BURST_TIMES = {
+    5: [[7, -1], [7, 5], [-1, 7], [3, 3], [4, 4], [5, 5], [6, 6], [7, 7],
+        [10, 9], [9, 9], [10, 10], [11, 11], [12, 12], [13, 13], [14, 14],
+        [15, 15], [16, 16]],
+    4: [[-1, 11], [-1, 5], [11, -1], [3, 3], [4, 4], [5, 5], [6, 6], [9, 11],
+        [8, 8], [9, 9], [10, 10], [11, 11], [12, 12], [13, 13], [14, 14],
+        [15, 15]],
+}
+
+
+@pytest.mark.parametrize("gap", CLOSE_BURST_TIMES)
+def test_bursts_closer_than_reach_decode_jointly(gap):
+    """The second burst erases parities the first one needs, so the joint
+    decode differs from the first burst decoded alone.  A cluster reset at
+    the second burst is still exact at gap reach_slots - 1: no parity after
+    it reads the first burst.  At gap reach_slots - 2 the parity right after
+    it does, so a reset there loses the recovery of sub-symbol (0, 1)."""
+    codec = ia_sco_build(1, 2, 2)
+    assert codec.reach_slots == 6
+    second = 3 + gap
+    horizon = second + 1 + max(codec.deadlines) + 2
+    log = decode_bursts(codec, [(0, 3), (second, 1)], horizon, 2)
+    assert log.sub_times.tolist() == CLOSE_BURST_TIMES[gap]
+    alone = burst_decode_log(codec, 0, 3, 2, horizon)
+    assert log.misses != alone.misses
+
+
+def test_decoder_working_memory_does_not_grow_with_length():
+    """tracemalloc peak minus the retained outputs of ``staged_decode`` on
+    a DE-SCo (2,5,2) stream with a 4-slot burst every 50 slots stays flat
+    from 2k to 20k slots: decoder state lives for one erasure cluster."""
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
+
+    def working_bytes(slots):
+        rx = list(zero_stream(codec, slots))
+        for start in range(0, slots, 50):
+            rx[start:start + 4] = [None] * 4
+        tracemalloc.start()
+        try:
+            result = staged_decode(codec.components, codec.field,
+                                   codec.subs_per_slot,
+                                   codec.parities_per_slot, rx)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[0]) == slots // 50 * 4 * codec.subs_per_slot
+        return peak - current
+
+    small, large = working_bytes(2_000), working_bytes(20_000)
+    assert large < small + 64 * 1024, (small, large)
 
 
 @pytest.mark.parametrize("name", CODECS)
