@@ -150,7 +150,8 @@ def simulate_records(args) -> List[Dict[str, object]]:
 
     Losses per segment are ``burst_loss_count`` of one isolated burst of
     the drawn length; ``channel.burst_length_counts`` gives the lengths
-    for every b_max from one generator per segment.  Rows follow
+    for every b_max, evaluated in batch and equal to one
+    ``channel.draw_segment_burst`` per segment and b_max.  Rows follow
     ``--bmax-list`` in its order, a repeated value repeating its rows.
     ``channel.draw_segment_burst`` can end a burst on a segment's last
     slot and start the next on the following segment's first slot, so
@@ -178,6 +179,8 @@ def simulate_records(args) -> List[Dict[str, object]]:
         raise UsageError("bmax values must be smaller than segment-len")
     if args.segments < 1:
         raise UsageError("segments must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0: {args.seed}")
 
     codecs: Dict[str, CombinedCodec] = {}
     if "desco" in schemes:

@@ -240,7 +240,9 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     ncomp = len(components)
     reach = max(comp.reach for comp in components)
     known: Dict[Var, int] = {}  # recovered erased sub-symbols only
-    times = np.arange(horizon)[:, None].repeat(n_subs, axis=1)
+    # row t holds t, filled in place: no horizon-long temporary
+    times = np.arange(horizon * n_subs).reshape(horizon, n_subs)
+    times //= n_subs
     trace: List[TraceEvent] = []
     systems: Dict[Tuple[int, int], IncrementalSystem] = {}
     sys_vars: Dict[Var, Set[Tuple[int, int]]] = {}

@@ -1,5 +1,9 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from streamfec import channel
 from streamfec.channel import (HIGH_DELAY, LOW_DELAY, ErasurePattern, apply,
                                burst_length_counts, draw_segment_burst,
                                parse_pattern, periodic_pattern,
@@ -111,6 +115,8 @@ def test_segmented_bursts_matches_draws():
 def test_segmented_bursts_validation():
     with pytest.raises(ValueError):
         segmented_bursts(segment_len=5, b_max=5, segments=1, seed=0)
+    with pytest.raises(ValueError):
+        segmented_bursts(segment_len=5, b_max=-1, segments=1, seed=0)
 
 
 def test_apply_masks_erased_slots():
@@ -138,3 +144,94 @@ def test_burst_length_counts_repeats_and_validation():
     assert burst_length_counts(3, 50, []) == {}
     with pytest.raises(ValueError):
         burst_length_counts(3, 50, [2, -1])
+
+
+KERNEL_SEEDS = [0, 7, 1009, 2**32 + 5, 2**100 + 7]
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_kernel_outputs_equal_numpy(seed):
+    # segment 0 has the entropy word 0; 2**32 - 2.. takes one word, 2**32..
+    # two; a chunk boundary falls inside the first range
+    for first, stop in [(0, 300), (channel._CHUNK - 5, channel._CHUNK + 5),
+                        (2**32 - 2, 2**32), (2**32, 2**32 + 2)]:
+        out = channel._first_outputs(seed, first, stop)
+        assert out.tolist() == [
+            int(channel._segment_bits(seed, seg).random_raw())
+            for seg in range(first, stop)], (first, stop)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_kernel_bursts_equal_draws_across_a_chunk(seed):
+    segments = channel._CHUNK + 50
+    for segment_len, b_max in [(100, 8), (15, 3), (7, 6)]:
+        p = segmented_bursts(segment_len, b_max, segments, seed)
+        expect = []
+        for seg in range(segments):
+            start, length = draw_segment_burst(seed, seg, segment_len, b_max)
+            base = seg * segment_len + start
+            expect.extend(range(base, base + length))
+        assert list(p.slots) == expect, (segment_len, b_max)
+
+
+def test_kernel_bounded_draw_and_forced_rejection():
+    """integers(0, 3 * 2**30) rejects the first word when it is 0 mod 4:
+    about a quarter of the draws fall back to draw_segment_burst."""
+    high = 3 << 30
+    out = channel._first_outputs(7, 0, 400)
+    values, ok = channel._bounded(out & channel._LOW32, np.uint64(high))
+    assert 0.15 < 1 - ok.mean() < 0.35
+    for seg in np.flatnonzero(ok):
+        rng = np.random.Generator(channel._segment_bits(7, int(seg)))
+        assert int(rng.integers(0, high)) == values[seg]
+    # b_max 1: every burst of length 1 draws its start from [0, 3 * 2**30)
+    p = segmented_bursts(high, 1, 400, 7)
+    expect = [seg * high + start
+              for seg in range(400)
+              for start, length in [draw_segment_burst(7, seg, high, 1)]
+              if length]
+    assert list(p.slots) == expect
+
+
+def test_kernel_rejected_lengths_are_drawn_by_the_definition(monkeypatch):
+    bounded = channel._bounded
+
+    def reject_every_third(word, high):
+        values, ok = bounded(word, high)
+        ok[::3] = False
+        values[::3] = 0
+        return values, ok
+
+    expect = burst_length_counts(7, 300, range(9))
+    monkeypatch.setattr(channel, "_bounded", reject_every_third)
+    assert burst_length_counts(7, 300, range(9)) == expect
+    draws = [draw_segment_burst(7, seg, 20, 8) for seg in range(300)]
+    assert list(segmented_bursts(20, 8, 300, 7).slots) == [
+        seg * 20 + start + k
+        for seg, (start, n) in enumerate(draws) for k in range(n)]
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        burst_length_counts(-1, 10, [2])
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        segmented_bursts(20, 2, 10, -1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        draw_segment_burst(-1, 0, 20, 2)
+
+
+def test_burst_length_counts_memory_is_bounded():
+    def peak(segments):
+        tracemalloc.start()
+        try:
+            counts = burst_length_counts(7, segments, [8])
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts[8]) == segments
+        return top
+
+    # the kernel works chunk by chunk; only the last chunk's results are
+    # still alive while the next is computed
+    small, large = peak(10_000), peak(1_000_000)
+    assert large < small + 32 * channel._CHUNK, (small, large)

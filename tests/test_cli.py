@@ -171,7 +171,7 @@ def test_simulate_loss_curve_matches_bench_golden():
     assert text == golden.read_text()
 
 
-def test_simulate_builds_one_seed_sequence_per_segment(monkeypatch):
+def test_simulate_builds_no_seed_sequence(monkeypatch):
     built = []
     seed_sequence = np.random.SeedSequence
 
@@ -182,8 +182,15 @@ def test_simulate_builds_one_seed_sequence_per_segment(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     code, _ = run(sim_bmax("0,1,2,3,4,5,6,7,8"))
     assert code == cli.EXIT_OK
-    # one per segment, not one per segment and b_max
-    assert len(built) == int(SIM[SIM.index("--segments") + 1])
+    # the batched draws build no generator: none of this run's draws rejects
+    assert built == []
+
+
+def test_simulate_rejects_negative_seed(capsys):
+    at = SIM.index("--seed") + 1
+    code, _ = run(SIM[:at] + ["-1"] + SIM[at + 1:])
+    assert code == cli.EXIT_USAGE
+    assert "--seed must be >= 0: -1" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path):

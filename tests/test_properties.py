@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from streamfec import channel
 from streamfec.channel import ErasurePattern, apply
 from streamfec.decoder import staged_decode
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
@@ -243,12 +244,13 @@ def test_bursts_closer_than_reach_decode_jointly(gap):
 
 
 def test_decoder_working_memory_does_not_grow_with_length():
-    """tracemalloc peak minus the retained outputs of ``staged_decode`` on
-    a DE-SCo (2,5,2) stream with a 4-slot burst every 50 slots stays flat
-    from 2k to 20k slots: decoder state lives for one erasure cluster."""
-    codec = DeScoCodec(DeScoParams(2, 5, 2))
-
-    def working_bytes(slots):
+    """tracemalloc peak minus the retained outputs of ``staged_decode``
+    with a 4-slot burst every 50 slots stays flat with stream length:
+    decoder state lives for one erasure cluster, and the times array is
+    filled without a horizon-long temporary.  On DE-SCo (2,5,2) every
+    burst is recovered; on (1,2,2) most are not, so few retained outputs
+    hide the working memory."""
+    def working_bytes(codec, slots):
         rx = list(zero_stream(codec, slots))
         for start in range(0, slots, 50):
             rx[start:start + 4] = [None] * 4
@@ -260,11 +262,47 @@ def test_decoder_working_memory_does_not_grow_with_length():
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result[0]) == slots // 50 * 4 * codec.subs_per_slot
-        return peak - current
+        return peak - current, len(result[0])
 
-    small, large = working_bytes(2_000), working_bytes(20_000)
-    assert large < small + 64 * 1024, (small, large)
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
+    (small, _), (large, recovered) = (working_bytes(codec, 2_000),
+                                      working_bytes(codec, 20_000))
+    assert recovered == 20_000 // 50 * 4 * codec.subs_per_slot
+    assert large < small + 16 * 1024, (small, large)
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    (small, _), (large, _) = (working_bytes(codec, 10_000),
+                              working_bytes(codec, 40_000))
+    assert large < small + 16 * 1024, (small, large)
+
+
+@given(seed=st.integers(0, 2**128 - 1),
+       first=st.sampled_from([0, 8_000, 2**32 - 40, 2**32, 2**45]),
+       count=st.integers(1, 40))
+def test_batched_segment_outputs_equal_numpy(seed, first, count):
+    """The kernel's first output of each segment's generator equals
+    numpy's, for seeds of one to four 32-bit words and ranges of one
+    and two words (a range may not cross 2**32)."""
+    stop = first + count if first >= 2**32 else min(first + count, 2**32)
+    out = channel._first_outputs(seed, first, stop)
+    assert out.tolist() == [int(channel._segment_bits(seed, seg).random_raw())
+                            for seg in range(first, stop)]
+
+
+@given(seed=st.integers(0, 2**128 - 1), segments=st.integers(1, 60),
+       segment_len=st.integers(1, 40), data=st.data())
+def test_batched_bursts_equal_draw_segment_burst(seed, segments, segment_len,
+                                                 data):
+    b_max = data.draw(st.integers(0, segment_len - 1))
+    draws = [channel.draw_segment_burst(seed, seg, segment_len, b_max)
+             for seg in range(segments)]
+    expect = [seg * segment_len + start + k
+              for seg, (start, length) in enumerate(draws)
+              for k in range(length)]
+    pattern = channel.segmented_bursts(segment_len, b_max, segments, seed)
+    assert list(pattern.slots) == expect
+    counts = channel.burst_length_counts(seed, segments, [b_max])[b_max]
+    assert counts == [sum(length == n for _, length in draws)
+                      for n in range(b_max + 1)]
 
 
 @pytest.mark.parametrize("name", CODECS)
