@@ -7,6 +7,8 @@ codes (interference avoidance vs. embedded) side by side.
 
 import random
 
+import numpy as np
+
 from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
 from streamfec.gf import GF
 from streamfec.sco import ScoParams, vertical_interleave
@@ -37,8 +39,8 @@ def show_combined(title, codec, src):
 
 def main():
     rng = random.Random(1)
-    src3 = [[rng.randrange(2) for _ in range(3)] for _ in range(SLOTS)]
-    src2 = [[rng.randrange(2) for _ in range(2)] for _ in range(SLOTS)]
+    src3 = np.array([[rng.randrange(2) for _ in range(3)] for _ in range(SLOTS)])
+    src2 = np.array([[rng.randrange(2) for _ in range(2)] for _ in range(SLOTS)])
 
     show_single("(2,3) code, burst 2 / delay 3", ScoParams(2, 3, field=GF2), src3)
     show_single("(1,2) code", ScoParams(1, 2, field=GF2), src2)

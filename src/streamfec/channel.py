@@ -3,6 +3,8 @@
 Patterns are immutable sets of erased slots over a finite horizon:
 single bursts, the periodic patterns used by the rate-converse argument,
 and the segmented random-burst model used for loss-probability runs.
+``apply`` gives a pattern's erasures as the bool mask over a stream
+array's slots that the decoder takes.
 
 In the segmented model each segment's burst comes from its own generator,
 ``PCG64(SeedSequence([seed, segment]))``; ``draw_segment_burst`` is the one
@@ -19,11 +21,9 @@ numpy would reject and redraw, and any range above 2**32, is made by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-
-S = TypeVar("S")
 
 HIGH_DELAY = "high-delay"
 LOW_DELAY = "low-delay"
@@ -39,7 +39,6 @@ class ErasurePattern:
         object.__setattr__(self, "slots", slots)
         if slots and not (0 <= slots[0] and slots[-1] < self.horizon):
             raise ValueError("erased slots outside horizon")
-        object.__setattr__(self, "_slot_set", frozenset(slots))
 
     def serialize(self) -> str:
         """Text form: one "start:length" line per erased run."""
@@ -298,9 +297,8 @@ def segmented_bursts(segment_len: int, b_max: int, segments: int,
     return ErasurePattern(tuple(slots), segments * segment_len)
 
 
-def apply(pattern: ErasurePattern, stream: Sequence[S]) -> List[Optional[S]]:
-    """Mask erased slots of a channel stream with None."""
-    if len(stream) < pattern.horizon:
+def apply(pattern: ErasurePattern, symbols: np.ndarray) -> np.ndarray:
+    """The (n_slots,) bool mask of the stream's slots the pattern erases."""
+    if len(symbols) < pattern.horizon:
         raise ValueError("stream shorter than pattern horizon")
-    erased = pattern._slot_set
-    return [None if t in erased else stream[t] for t in range(len(stream))]
+    return np.isin(np.arange(len(symbols)), pattern.slots)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import math
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from . import channel, oracle, wire
 from .desco import (CombinedCodec, DeScoCodec, DeScoParams, burst_loss_count,
@@ -268,28 +268,25 @@ def cmd_decode(args, out) -> int:
     codec = _load_codec(args)
     _require(args, "infile", "out")
     with open(args.infile, "rb") as fh:
-        stream = wire.unpack_stream(fh.read(), codec.field, codec.symbol_width)
+        symbols = wire.unpack_stream(fh.read(), codec.field, codec.symbol_width)
+    erased = np.zeros(len(symbols), dtype=bool)
     if args.pattern:
         with open(args.pattern) as fh:
-            pattern = channel.parse_pattern(fh.read(), len(stream))
-        rx = channel.apply(pattern, stream)
-    else:
-        rx = list(stream)
-    recovered, log = codec.decode(rx, args.user)
-    packed = [[0 if v is None else v for v in slot] for slot in recovered]
+            pattern = channel.parse_pattern(fh.read(), len(symbols))
+        erased = channel.apply(pattern, symbols)
+    recovered, log = codec.decode(symbols, erased, args.user)
     with open(args.out, "wb") as fh:
-        fh.write(wire.pack_stream(packed, codec.field))
+        fh.write(wire.pack_stream(recovered, codec.field))
     misses = log.misses
     if args.log:
-        missed = set(misses)
+        latest = log.slot_times
+        slots = np.arange(len(latest))
+        table = np.stack([slots, latest, latest - slots,
+                          np.isin(slots, misses)], axis=1).astype(object)
+        table[latest < 0, 1:3] = ""  # no recovery slot or delay
+        rows = ("%s,%s,%s,%s\n" * len(table)) % tuple(table.ravel().tolist())
         with open(args.log, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["slot", "recovery_slot", "delay", "miss"])
-            w.writerows([slot,
-                         "" if t is None else t,
-                         "" if t is None else t - slot,
-                         int(slot in missed)]
-                        for slot, t in enumerate(log.slot_times))
+            fh.write("slot,recovery_slot,delay,miss\n" + rows)
     print(f"decoded {log.horizon} slots, {len(misses)} misses", file=out)
     return EXIT_OK
 

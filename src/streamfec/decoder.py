@@ -23,19 +23,19 @@ at slot t only involves source sub-symbols of slots t - reach .. t, where
 (``Component`` rejects anything else).  Three shortcuts rest on it.  A
 sub-symbol received at slot t cannot appear in any parity seen before
 t, so it is known at its own slot: received sub-symbols are read in
-place from the received stream, never stored, and decoder state is kept
-only for erased sub-symbols of the current erasure cluster: an erased
-slot more than ``reach`` slots after the last one starts a new cluster
-and drops the old state.  No parity from that slot on reads an older
-term, and a diagonal's entries span less than its component's reach, so
-nothing held for the old cluster can change; a received slot that far
-past the last erasure is skipped.  And a single burst
-in an otherwise received stream decodes alike wherever it starts: the
-templates are the same at every slot, and a term before slot 0 is a
-known zero just as a received slot's sub-symbol is known, so a burst at
-any start s >= 0 has the recovery times of the same burst at start 0,
-shifted by s.  ``desco``'s ``sweep_max_delay`` and ``burst_loss_count``
-decode the burst at start 0 in place of every start.
+place from the received array, never stored.  Decoder state is kept only
+for erased sub-symbols of one erasure cluster, a run of erased slots
+with gaps of at most ``reach`` received slots: no parity after a longer
+gap reads a term before it, and a diagonal's entries span less than its
+component's reach, so nothing held for one cluster can change later.
+The decoder visits each cluster up to ``reach`` slots past its last
+erasure and skips every other slot.  And a single burst in an otherwise
+received stream decodes alike wherever it starts: the templates are the
+same at every slot, and a term before slot 0 is a known zero just as a
+received slot's sub-symbol is known, so a burst at any start s >= 0 has
+the recovery times of the same burst at start 0, shifted by s.
+``desco``'s ``sweep_max_delay`` and ``burst_loss_count`` decode the
+burst at start 0 in place of every start.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.
@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -92,17 +92,17 @@ class StreamLog:
         return len(self.sub_times)
 
     @cached_property
-    def slot_times(self) -> List[Optional[int]]:
+    def slot_times(self) -> np.ndarray:
         """Recovery time of every slot in the horizon: the latest time of
-        its sub-symbols, None if any is missing.  Computed on first use;
+        its sub-symbols, -1 if any is missing.  Computed on first use;
         ``sub_times`` must not change afterwards."""
         times = self.sub_times
-        latest = np.where(times.min(axis=1) < 0, -1, times.max(axis=1))
-        return [None if t < 0 else t for t in latest.tolist()]
+        return np.where(times.min(axis=1) < 0, -1, times.max(axis=1))
 
     def slot_time(self, slot: int) -> Optional[int]:
         """Slot recovery time (None if any sub-symbol is missing)."""
-        return self.slot_times[slot] if 0 <= slot < self.horizon else None
+        t = int(self.slot_times[slot]) if 0 <= slot < self.horizon else -1
+        return None if t < 0 else t
 
     def slot_delay(self, slot: int) -> Optional[int]:
         t = self.slot_time(slot)
@@ -110,13 +110,13 @@ class StreamLog:
 
     @property
     def misses(self) -> List[int]:
-        deadline = self.deadline
-        return [slot for slot, t in enumerate(self.slot_times)
-                if t is None or t > slot + deadline]
+        latest = self.slot_times
+        late = latest > np.arange(len(latest)) + self.deadline
+        return (late | (latest < 0)).nonzero()[0].tolist()
 
     @property
     def fully_recovered(self) -> bool:
-        return None not in self.slot_times
+        return bool((self.slot_times >= 0).all())
 
 
 class Component:
@@ -163,24 +163,6 @@ class Component:
         return {(t + ds, sub): c for ds, sub, c in self.templates[row][1]}
 
 
-def source_array(rows: Sequence[Sequence[int]], width: int, field: GF) -> np.ndarray:
-    """Source rows as an (n, width) int64 array of elements of ``field``.
-
-    Raises ValueError on a row of another width or on an element outside
-    [0, field.order), before any element is used as a table index.
-    """
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"expected {width} sub-symbols per slot")
-    try:
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    except OverflowError as exc:
-        raise ValueError(f"element out of range for {field}") from exc
-    bad = (arr < 0) | (arr >= field.order)
-    if bad.any():
-        raise ValueError(f"element {int(arr[bad][0])} out of range for {field}")
-    return arr
-
-
 def encode_symbols(components: Sequence[Component], field: GF,
                    source: np.ndarray) -> np.ndarray:
     """Channel symbols for a checked (n_slots, n_subs) source array.
@@ -225,18 +207,42 @@ class _PendingParity:
         self.released = False
 
 
-def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
-                  n_parities: int, received: Sequence[Optional[Sequence[int]]]):
-    """Run the staged decoder over a stream with ``None`` marking erased slots.
+_SCAN = 1024  # mask slots per nonzero() call: scan memory is flat in length
 
-    Returns (values, times, trace): values maps each recovered erased
-    (slot, sub) to its field element (received sub-symbols stay in
-    ``received``); times is the (horizon, n_subs) int array of recovery
-    slots, a received row holding its own slot and -1 marking a
-    sub-symbol never recovered (see ``StreamLog``); trace lists the
-    parity attribution of each recovered erased sub-symbol.
+
+def _clusters(erased: np.ndarray, reach: int) -> Iterator[Tuple[int, int]]:
+    """(first, last) erased slot of each erasure cluster, in stream order."""
+    first = last = -reach - 1  # no erasure yet
+    for lo in range(0, len(erased), _SCAN):
+        for t in erased[lo:lo + _SCAN].nonzero()[0].tolist():
+            if lo + t - last > reach:
+                if last >= 0:
+                    yield first, last
+                first = lo + t
+            last = lo + t
+    if last >= 0:
+        yield first, last
+
+
+def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
+                  n_parities: int, symbols: np.ndarray, erased: np.ndarray):
+    """Run the staged decoder over a received stream.
+
+    ``symbols`` is the (horizon, n_subs + n_parities) integer array of
+    channel symbols and ``erased`` the (horizon,) bool mask of the slots
+    lost on the channel, whose rows are never read.  Returns (values,
+    times, trace): values maps each recovered erased (slot, sub) to its
+    field element (received sub-symbols stay in ``symbols``); times is
+    the (horizon, n_subs) int array of recovery slots, a received row
+    holding its own slot and -1 marking a sub-symbol never recovered (see
+    ``StreamLog``); trace lists the parity attribution of each recovered
+    erased sub-symbol.
     """
-    horizon = len(received)
+    horizon, width = len(symbols), n_subs + n_parities
+    if (symbols.shape[1:], erased.shape) != ((width,), (horizon,)):
+        raise ValueError(f"expected {width} symbols per slot and "
+                         f"one mask entry per slot, got shapes {symbols.shape} "
+                         f"and {erased.shape}")
     ncomp = len(components)
     reach = max(comp.reach for comp in components)
     known: Dict[Var, int] = {}  # recovered erased sub-symbols only
@@ -251,7 +257,6 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     queue: deque = deque()  # (var, value, attribution)
     ready: deque = deque()  # pending parities whose unknowns changed
     unresolved: Set[Var] = set()  # erased sub-symbols of this cluster
-    last_erased = -reach - 1  # most recent erased slot (none yet)
     probes = [[(ds, sub) for comp in components
                for ds, sub, _ in comp.templates[j][1]]
               for j in range(n_parities)]
@@ -308,44 +313,41 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             while ready:
                 try_release(ready.popleft())
 
-    for t in range(horizon):
-        slot = received[t]
-        if slot is None:
-            if t - last_erased > reach:
-                # a new cluster: nothing held for the old one can change
-                unresolved.clear()
-                watchers.clear()
-                systems.clear()
-                sys_vars.clear()
-            last_erased = t
-            times[t] = -1
-            unresolved.update((t, k) for k in range(n_subs))
-            continue
-        if len(slot) != n_subs + n_parities:
-            raise ValueError(f"slot {t}: expected {n_subs + n_parities} symbols")
-        if not unresolved or t - last_erased > reach:
-            continue
-        for j in range(n_parities):
-            # fast path: a parity whose terms are all known adds nothing
-            if not any((t + ds, sub) in unresolved for ds, sub in probes[j]):
+    for first, last in _clusters(erased, reach):
+        # the rows the cluster's parities read, as Python ints: row r is
+        # slot base + r, and a slot before 0 is zero padding as in
+        # encode_symbols
+        base, end = first - reach, min(horizon, last + reach + 1)
+        pad = max(0, -base)
+        rows = [[0] * width] * pad + symbols[base + pad:end].tolist()
+        gone = [False] * pad + erased[base + pad:end].tolist()
+        for state in (unresolved, watchers, systems, sys_vars):
+            state.clear()  # nothing held for an earlier cluster can change
+        for t in range(first, end):
+            i = t - base
+            if gone[i]:
+                times[t] = -1
+                unresolved.update((t, k) for k in range(n_subs))
                 continue
-            pp = _PendingParity(t, j, slot[n_subs + j], ncomp)
-            for ci, comp in enumerate(components):
-                unknowns = pp.unknowns[ci]
-                for ds, sub, coeff in comp.templates[j][1]:
-                    s = t + ds
-                    if s < 0:
-                        continue  # zero padding before the stream start
-                    # causal templates: received slot s already passed its
-                    # width check, and is read in place
-                    sym = received[s]
-                    value = known.get((s, sub)) if sym is None else sym[sub]
-                    if value is None:
-                        unknowns[(s, sub)] = coeff
-                        watchers.setdefault((s, sub), []).append((pp, ci))
-                    else:
-                        pp.const = field.add(pp.const, field.mul(coeff, value))
-            ready.append(pp)
-        drain(t)
+            if not unresolved:
+                continue
+            for j in range(n_parities):
+                # fast path: a parity whose terms are all known adds nothing
+                if not any((t + ds, sub) in unresolved for ds, sub in probes[j]):
+                    continue
+                pp = _PendingParity(t, j, rows[i][n_subs + j], ncomp)
+                for ci, comp in enumerate(components):
+                    unknowns = pp.unknowns[ci]
+                    for ds, sub, coeff in comp.templates[j][1]:
+                        r = i + ds  # causal templates: row r is in the window
+                        value = (known.get((t + ds, sub)) if gone[r]
+                                 else rows[r][sub])
+                        if value is None:
+                            unknowns[(t + ds, sub)] = coeff
+                            watchers.setdefault((t + ds, sub), []).append((pp, ci))
+                        elif value:  # a zero term adds nothing
+                            pp.const = field.add(pp.const, field.mul(coeff, value))
+                ready.append(pp)
+            drain(t)
 
     return known, times, trace

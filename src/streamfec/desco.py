@@ -26,13 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .bebc import BurstParityMatrix
-from .decoder import (Component, StreamLog, encode_symbols, source_array,
-                      staged_decode)
+from .decoder import Component, StreamLog, encode_symbols, staged_decode
 from .gf import GF, default_field
 from .sco import MAIN, OFF, ScoCodec, ScoParams, memory_bound
+from .wire import check_stream
 
 
 def optimal_delay(b: int, t: int, alpha: Fraction) -> int:
@@ -158,38 +160,35 @@ class CombinedCodec:
 
     # -- encoding -------------------------------------------------------
 
-    def encode_stream(self, source: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-        """Encode stream-slot source symbols (subs_per_slot values each)."""
-        arr = source_array(source, self.subs_per_slot, self.field)
-        sym = encode_symbols(self.components, self.field, arr)
-        return list(map(tuple, sym.tolist()))
-
-    def encode_step(self, history: Sequence[Sequence[int]],
-                    s_now: Sequence[int]) -> Tuple[int, ...]:
-        """encode_stream(history + [s_now])[-1], reading only the history
-        slots that the current slot's parities reach (``reach_slots``)."""
-        keep = self.reach_slots
-        window = list(history[max(0, len(history) - keep):]) + [s_now]
-        return self.encode_stream(window)[-1]
+    def encode_stream(self, source: np.ndarray) -> np.ndarray:
+        """Channel symbols of an (n_slots, subs_per_slot) integer source
+        array: row t is source row t followed by slot t's combined
+        parities.  ValueError on another width or an element outside the
+        field."""
+        check_stream(source, self.field, self.subs_per_slot)
+        return encode_symbols(self.components, self.field, source)
 
     # -- decoding -------------------------------------------------------
 
-    def decode(self, received: Sequence[Optional[Sequence[int]]], user: int):
+    def decode(self, symbols: np.ndarray, erased: np.ndarray, user: int):
         """Decode for one user; users differ only in the miss deadline.
 
-        Returns (stream, log): stream[i] lists the subs_per_slot recovered
-        sub-symbols of slot i (None where unrecovered), and the log holds
-        each sub-symbol's recovery slot (-1 where unrecovered).
+        ``symbols`` is the (n_slots, symbol_width) received array and
+        ``erased`` the (n_slots,) bool mask of its lost rows, whose
+        contents are ignored.  Returns (recovered, log): recovered is the
+        (n_slots, subs_per_slot) source array, 0 wherever
+        ``log.sub_times`` is -1 (never recovered); the log holds each
+        sub-symbol's recovery slot.
         """
         deadline = self.deadline(user)
         n_subs = self.subs_per_slot
         values, times, trace = staged_decode(
             self.components, self.field, n_subs, self.parities_per_slot,
-            received)
-        stream = [list(sym[:n_subs]) if sym is not None
-                  else [values.get((i, k)) for k in range(n_subs)]
-                  for i, sym in enumerate(received)]
-        return stream, StreamLog(deadline, times, trace)
+            symbols, erased)
+        recovered = np.where(erased[:, None], 0, symbols[:, :n_subs])
+        at = [slot * n_subs + sub for slot, sub in values]
+        recovered.reshape(-1)[at] = list(values.values())  # through a view
+        return recovered, StreamLog(deadline, times, trace)
 
 
 class DeScoCodec(CombinedCodec):
@@ -242,11 +241,6 @@ def ia_sco_build(b1: int, t1: int, alpha: int,
 # -- burst sweeps ---------------------------------------------------------
 
 
-def zero_stream(codec: CombinedCodec, horizon: int) -> List[Tuple[int, ...]]:
-    """All-zero channel stream (valid by linearity); handy for loss counting."""
-    return [tuple([0] * codec.symbol_width)] * horizon
-
-
 def burst_decode_log(codec: CombinedCodec, start: int, length: int,
                      user: int, horizon: Optional[int] = None) -> StreamLog:
     """Decode an all-zero stream with one burst; recovery is structural,
@@ -254,11 +248,10 @@ def burst_decode_log(codec: CombinedCodec, start: int, length: int,
     if horizon is None:
         # slots after the last deadline cannot change any miss verdict
         horizon = start + length + max(codec.deadlines) + 2
-    rx: List[Optional[Tuple[int, ...]]] = list(zero_stream(codec, horizon))
-    for s in range(start, start + length):
-        rx[s] = None
-    _, log = codec.decode(rx, user)
-    return log
+    erased = np.zeros(horizon, dtype=bool)
+    erased[start:start + length] = True
+    zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
+    return codec.decode(zeros, erased, user)[1]
 
 
 def burst_loss_count(codec: CombinedCodec, length: int, user: int) -> int:

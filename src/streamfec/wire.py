@@ -1,15 +1,14 @@
 """Flat binary serialization of symbol streams.
 
-Each field element occupies one byte (GF(2^m), m <= 8) or two bytes
-(m <= 16), most-significant byte first; a stream is the plain
-concatenation of its slots' elements with no framing.  Packing and
-unpacking run through a numpy big-endian ``>u1``/``>u2`` array.
+A stream is an (n_slots, width) numpy integer array.  Each field element
+occupies one byte (GF(2^m), m <= 8) or two bytes (m <= 16), big-endian;
+the wire form is the plain concatenation of the rows with no framing,
+read and written as one ``>u1``/``>u2`` array.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -21,19 +20,28 @@ def element_width(field: GF) -> int:
     return max(1, ((field.order - 1).bit_length() + 7) // 8)
 
 
-def pack_stream(slots: Sequence[Sequence[int]], field: GF) -> bytes:
-    try:
-        flat = np.fromiter(chain.from_iterable(slots), dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"element out of range for {field}: {exc}") from exc
-    bad = (flat < 0) | (flat >= field.order)
+def check_stream(symbols: np.ndarray, field: GF,
+                 width: Optional[int] = None) -> None:
+    """ValueError unless ``symbols`` is a 2-D integer array of elements of
+    ``field``, with ``width`` columns if given.  Runs before any cast,
+    which would wrap."""
+    if (symbols.ndim != 2 or width not in (None, symbols.shape[1])
+            or symbols.dtype.kind not in "iu"):
+        raise ValueError(f"expected an integer (n, {width or 'width'}) array, "
+                         f"got {symbols.dtype} of shape {symbols.shape}")
+    bad = (symbols < 0) | (symbols >= field.order)
     if bad.any():
-        raise ValueError(f"element {int(flat[bad][0])} out of range for {field}")
-    return flat.astype(f">u{element_width(field)}").tobytes()
+        raise ValueError(f"element {symbols[bad][0]} out of range for {field}")
 
 
-def unpack_stream(data: bytes, field: GF, symbol_width: int) -> List[Tuple[int, ...]]:
-    """Split a packed stream into slots of ``symbol_width`` elements.
+def pack_stream(symbols: np.ndarray, field: GF) -> bytes:
+    """Wire bytes of an (n, width) stream; ValueError as ``check_stream``."""
+    check_stream(symbols, field)
+    return symbols.astype(f">u{element_width(field)}").tobytes()
+
+
+def unpack_stream(data: bytes, field: GF, symbol_width: int) -> np.ndarray:
+    """The (n, symbol_width) stream array packed in ``data``.
 
     Raises ValueError naming the byte offset of the first bad record on
     truncated input or out-of-range elements.
@@ -50,4 +58,4 @@ def unpack_stream(data: bytes, field: GF, symbol_width: int) -> List[Tuple[int, 
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"bad element at byte {i * w}: {int(flat[i])}")
-    return list(map(tuple, flat.reshape(-1, symbol_width).tolist()))
+    return flat.reshape(-1, symbol_width)

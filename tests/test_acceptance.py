@@ -18,7 +18,7 @@ from streamfec.channel import (HIGH_DELAY, apply, periodic_pattern,
                                single_burst)
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
                              desco_build, ia_sco_build, rate_upper_bound,
-                             sco_build, sweep_max_delay, zero_stream)
+                             sco_build, sweep_max_delay)
 from streamfec.gf import GF
 from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
                               rlc_partial_threshold, rlc_perfect_threshold)
@@ -35,7 +35,12 @@ GRID = [(b1, t1, a, b)
 
 
 def rand_bits(t, slots):
-    return [[rng.randrange(2) for _ in range(t)] for _ in range(slots)]
+    return np.array([[rng.randrange(2) for _ in range(t)] for _ in range(slots)])
+
+
+def zero_symbols(codec, horizon):
+    """All-zero channel stream (valid by linearity)."""
+    return np.zeros((horizon, codec.symbol_width), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------
@@ -53,8 +58,9 @@ def test_golden_parity_tables():
             return src[t][j] if t >= 0 else 0
 
         for t, sym in enumerate(codec.encode_stream(src)):
-            assert sym[:params.t] == tuple(src[t])
-            assert sym[params.t:] == tuple(f(s, t) for f in formulas), t
+            assert np.array_equal(sym[:params.t], src[t])
+            assert np.array_equal(sym[params.t:],
+                                  [f(s, t) for f in formulas]), t
 
     # (2,3) code: two parities combining s0/s1 at lag 3 with s2
     check_sco(ScoParams(2, 3, field=GF2),
@@ -73,9 +79,9 @@ def test_golden_parity_tables():
             return src[t][j] if t >= 0 else 0
 
         for t, sym in enumerate(codec.encode_stream(src)):
-            assert sym[:codec.subs_per_slot] == tuple(src[t])
+            assert np.array_equal(sym[:codec.subs_per_slot], src[t])
             got = sym[codec.subs_per_slot:]
-            assert got == tuple(f(s, t) for f in formulas), t
+            assert np.array_equal(got, [f(s, t) for f in formulas]), t
 
     # interference-avoidance {(1,2),(2,6)}: q = p1 + p2 shifted by 2
     check_combined(ia_sco_build(1, 2, 2, field=GF2),
@@ -196,9 +202,9 @@ def test_tightness_grid():
 def test_recovery_ordering_25():
     codec = sco_build(ScoParams(2, 5, field=GF2))
     i = 12  # burst occupies slots i-2, i-1
-    rx = list(zero_stream(codec, 30))
-    rx[i - 2] = rx[i - 1] = None
-    _, log = codec.decode(rx, 1)
+    erased = np.zeros(30, dtype=bool)
+    erased[i - 2] = erased[i - 1] = True
+    _, log = codec.decode(zero_symbols(codec, 30), erased, 1)
     assert log.misses == []
     by_var = {(ev.slot, ev.sub): ev for ev in log.trace}
     for slot in (i - 2, i - 1):
@@ -222,10 +228,10 @@ def test_walkthrough_2512_replay():
     codec = DeScoCodec(DeScoParams(2, 5, 2), field=GF2)
     S = 20  # stream slot standing for relative time -4; burst is -4..-1
     horizon = 40
-    rx = list(zero_stream(codec, horizon))
+    erased = np.zeros(horizon, dtype=bool)
     for s in range(S, S + 4):
-        rx[s] = None
-    _, log = codec.decode(rx, user=2)
+        erased[s] = True
+    _, log = codec.decode(zero_symbols(codec, horizon), erased, user=2)
     assert log.misses == []
     base = S + 4  # relative time 0
     events = {(ev.slot, ev.sub): ev for ev in log.trace}
@@ -293,8 +299,9 @@ def test_oracle_equivalence_random():
         length = rng.randint(1, tolerance)
         horizon = start + length + 3 * deadline + 4
         pattern = single_burst(start, length, horizon)
-        rx = apply(pattern, zero_stream(codec, horizon))
-        _, log = codec.decode(rx, user=len(codec.deadlines))
+        rx = zero_symbols(codec, horizon)
+        _, log = codec.decode(rx, apply(pattern, rx),
+                              user=len(codec.deadlines))
         oracle_times = ml_decode_times(codec, pattern)
         for var, t in np.ndenumerate(log.sub_times):
             assert oracle_times[var] == t, (kind, b1, t1, start, length, var)
@@ -401,8 +408,8 @@ def test_periodic_pattern_decodable():
                                    periods=3)
         period = pattern.horizon // 3
         horizon = pattern.horizon + p.user2_deadline + 2
-        rx = apply(pattern, zero_stream(codec, horizon))
-        _, log = codec.decode(rx, user=2)
+        rx = zero_symbols(codec, horizon)
+        _, log = codec.decode(rx, apply(pattern, rx), user=2)
         assert log.misses == [], (b1, t1, a, b)
         for per in range(3):
             for k in range(p.b2):

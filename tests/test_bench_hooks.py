@@ -12,6 +12,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from streamfec import cli
 from streamfec.channel import apply, single_burst
 from streamfec.desco import DeScoCodec, DeScoParams
@@ -44,10 +46,10 @@ def test_trace_patches_reach_every_layer(monkeypatch):
         for (owner, attr, _), original in zip(patches, originals):
             assert vars(owner)[attr] is not original, (owner, attr)
         codec = DeScoCodec(DeScoParams(1, 2, 2))
-        source = [[k % 4, (k * 3) % 4] for k in range(30)]
+        source = np.array([[k % 4, (k * 3) % 4] for k in range(30)])
         stream = codec.encode_stream(source)
         recovered, log = codec.decode(
-            apply(single_burst(10, 2, len(stream)), stream), 2)
+            stream, apply(single_burst(10, 2, len(stream)), stream), 2)
         tracer.run_id = 1
         out = io.StringIO()
         assert cli.main(["verify", "--b1", "1", "--t1", "2",
@@ -55,7 +57,7 @@ def test_trace_patches_reach_every_layer(monkeypatch):
     for (owner, attr, _), original in zip(patches, originals):
         assert vars(owner)[attr] is original, (owner, attr)
 
-    assert [list(map(int, slot)) for slot in recovered] == source
+    assert np.array_equal(recovered, source)
     assert log.misses == []
     recorded = {tracer.names[nid] for nid in tracer.span_name}
     assert {"cli", "desco.build", "desco.encode_stream", "desco.decode",

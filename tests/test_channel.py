@@ -121,9 +121,12 @@ def test_segmented_bursts_validation():
 
 def test_apply_masks_erased_slots():
     p = ErasurePattern((1, 3), horizon=4)
-    assert apply(p, ["a", "b", "c", "d"]) == ["a", None, "c", None]
+    symbols = np.zeros((4, 3), dtype=np.int64)
+    erased = apply(p, symbols)
+    assert erased.dtype == bool
+    assert erased.tolist() == [False, True, False, True]
     with pytest.raises(ValueError):
-        apply(p, ["a", "b"])
+        apply(p, symbols[:2])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1009])

@@ -221,8 +221,8 @@ def test_config_values_equal_explicit_flags(tmp_path):
     codec = desco_build(DeScoParams(2, 5, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
-    stream = codec.encode_stream([[v % codec.field.order, 1, 2, 3, 4]
-                                  for v in range(40)])
+    stream = codec.encode_stream(np.array([[v % codec.field.order, 1, 2, 3, 4]
+                                           for v in range(40)]))
     enc = tmp_path / "s.bin"
     enc.write_bytes(wire.pack_stream(stream, codec.field))
     pattern = tmp_path / "pattern.txt"
@@ -246,7 +246,8 @@ def test_config_keys_are_named_like_the_long_flags(tmp_path):
     desc.write_text(descriptor(codec))
     enc = tmp_path / "s.bin"
     enc.write_bytes(wire.pack_stream(
-        codec.encode_stream([[v % codec.field.order, 1] for v in range(30)]),
+        codec.encode_stream(np.array([[v % codec.field.order, 1]
+                                      for v in range(30)])),
         codec.field))
     explicit = run(["decode", "--descriptor", str(desc), "--in", str(enc),
                     "--out", str(tmp_path / "a.bin")])
@@ -305,9 +306,9 @@ def test_encode_decode_roundtrip(tmp_path):
     codec = desco_build(DeScoParams(1, 2, 2))
     rng = random.Random(77)
     slots = 30
-    source = [tuple(rng.randrange(codec.field.order)
-                    for _ in range(codec.subs_per_slot))
-              for _ in range(slots)]
+    source = np.array([tuple(rng.randrange(codec.field.order)
+                             for _ in range(codec.subs_per_slot))
+                       for _ in range(slots)])
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
     src_bin = tmp_path / "source.bin"
@@ -318,7 +319,7 @@ def test_encode_decode_roundtrip(tmp_path):
     assert code == cli.EXIT_OK and "encoded 30 slots" in text
     stream = wire.unpack_stream(enc_bin.read_bytes(), codec.field,
                                 codec.symbol_width)
-    assert stream == codec.encode_stream(source)
+    assert np.array_equal(stream, codec.encode_stream(source))
 
     pattern = tmp_path / "pattern.txt"
     pattern.write_text("10:2\n")
@@ -331,7 +332,7 @@ def test_encode_decode_roundtrip(tmp_path):
     assert code == cli.EXIT_OK and "0 misses" in text
     decoded = wire.unpack_stream(dec_bin.read_bytes(), codec.field,
                                  codec.subs_per_slot)
-    assert decoded == source
+    assert np.array_equal(decoded, source)
 
     rows = list(csv.DictReader(log_csv.open()))
     assert len(rows) == slots
@@ -344,7 +345,7 @@ def test_decode_without_pattern_is_clean(tmp_path):
     codec = desco_build(DeScoParams(1, 2, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
-    stream = codec.encode_stream([[1, 0]] * 5)
+    stream = codec.encode_stream(np.array([[1, 0]] * 5))
     enc = tmp_path / "s.bin"
     enc.write_bytes(wire.pack_stream(stream, codec.field))
     out = tmp_path / "d.bin"
@@ -359,8 +360,8 @@ def test_decode_inconsistent_stream_exits_4(tmp_path, capsys):
     codec = desco_build(DeScoParams(2, 5, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
-    stream = [[0] * codec.symbol_width for _ in range(24)]
-    stream[1][1] = 1
+    stream = np.zeros((24, codec.symbol_width), dtype=np.int64)
+    stream[1, 1] = 1
     enc = tmp_path / "s.bin"
     enc.write_bytes(wire.pack_stream(stream, codec.field))
     pattern = tmp_path / "pattern.txt"

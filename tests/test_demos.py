@@ -27,3 +27,10 @@ def test_loss_curves_demo(monkeypatch, capsys):
     assert lines[at + 3] == ("     ia |  0.000000  0.000000  0.000000  "
                              "0.002550  0.010500  0.016850  0.022850  "
                              "0.029450  0.034550")
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (DEMOS.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["5", "3"]  # slot delays 6, 7

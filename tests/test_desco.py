@@ -10,7 +10,7 @@ from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
                              burst_decode_log, burst_loss_count, desco_build,
                              descriptor, ia_sco_build, optimal_delay,
                              parse_descriptor, rate_upper_bound, sco_build,
-                             sweep_max_delay, zero_stream)
+                             sweep_max_delay)
 from streamfec.gf import GF
 from streamfec.sco import ScoParams, capacity
 
@@ -19,8 +19,8 @@ rng = random.Random(20240818)
 
 def random_source(codec, slots):
     q = codec.field.order
-    return [[rng.randrange(q) for _ in range(codec.subs_per_slot)]
-            for _ in range(slots)]
+    return np.array([[rng.randrange(q) for _ in range(codec.subs_per_slot)]
+                     for _ in range(slots)])
 
 
 # ---------------------------------------------------------
@@ -104,7 +104,7 @@ def test_12_alpha2_combined_parity_formula():
 
     stream = codec.encode_stream(src)
     for t in range(20):
-        assert stream[t][:2] == tuple(src[t])
+        assert np.array_equal(stream[t][:2], src[t])
         want = s(0, t - 2) ^ s(1, t - 1) ^ s(0, t - 4) ^ s(1, t - 5)
         assert stream[t][2] == want, t
 
@@ -118,12 +118,17 @@ def test_symbol_width_rational_alpha():
     assert all(len(sym) == 14 for sym in stream)
 
 
+def encode_step(codec, src, t):
+    """Slot t's channel symbol from the slots its parities reach."""
+    return codec.encode_stream(src[max(0, t - codec.reach_slots):t + 1])[-1]
+
+
 def test_encode_step_matches_stream():
     codec = desco_build(DeScoParams(1, 2, 2))
     src = random_source(codec, 8)
     full = codec.encode_stream(src)
     for t in range(8):
-        assert codec.encode_step(src[:t], src[t]) == full[t]
+        assert np.array_equal(encode_step(codec, src, t), full[t])
 
 
 @pytest.mark.parametrize("codec", [desco_build(DeScoParams(1, 2, 2)),
@@ -133,19 +138,19 @@ def test_encode_step_reads_only_the_reach(codec):
     keep = max(comp.reach for comp in codec.components)  # in stream slots
     src = random_source(codec, 3 * keep + 4)
     full = codec.encode_stream(src)
+    assert codec.reach_slots == keep
     for t in range(len(src)):
-        old = max(0, t - keep)
-        history = [None] * old + src[old:t]
-        assert codec.encode_step(history, src[t]) == full[t], t
+        # slots before the window are not passed, so they go unread
+        assert np.array_equal(encode_step(codec, src, t), full[t]), t
 
 
 def test_encode_rejects_elements_outside_the_field():
     codec = desco_build(DeScoParams(1, 2, 2))  # GF(4), 2 subs per slot
     for bad in ([[0, -1]], [[4, 0]], [[0, 1], [2, 1 << 70]]):
         with pytest.raises(ValueError):
-            codec.encode_stream(bad)
+            codec.encode_stream(np.array(bad))
     with pytest.raises(ValueError):
-        codec.encode_stream([[0, 1, 2]])
+        codec.encode_stream(np.array([[0, 1, 2]]))
 
 
 def test_combined_codec_rejects_mismatched_components():
@@ -167,15 +172,15 @@ def test_combined_codec_rejects_mismatched_components():
 
 def decode_burst(codec, src, start, length, user):
     stream = codec.encode_stream(src)
-    rx = apply(single_burst(start, length, len(stream)), stream)
-    return codec.decode(rx, user)
+    erased = apply(single_burst(start, length, len(stream)), stream)
+    return codec.decode(stream, erased, user)
 
 
 def test_user1_unaffected_by_embedding():
     codec = desco_build(DeScoParams(2, 3, 2))
     src = random_source(codec, 30)
     out, log = decode_burst(codec, src, 10, 2, user=1)
-    assert [list(map(int, s)) for s in out] == src
+    assert np.array_equal(out, src)
     assert log.misses == []
     assert max(log.slot_delay(10), log.slot_delay(11)) == 3
 
@@ -184,7 +189,7 @@ def test_12_alpha2_double_burst_recovery_times():
     codec = desco_build(DeScoParams(1, 2, 2))
     src = random_source(codec, 25)
     out, log = decode_burst(codec, src, 9, 2, user=2)
-    assert [list(map(int, s)) for s in out] == src
+    assert np.array_equal(out, src)
     assert log.misses == []
     times = {(s, k): log.sub_times[(s, k)] for s in (9, 10) for k in (0, 1)}
     assert times[(10, 0)] == 12
@@ -237,12 +242,6 @@ def test_burst_loss_count_profile_12_alpha2():
     assert u1 == [0, 0, 2, 3]
 
 
-def test_zero_stream_shape():
-    codec = desco_build(DeScoParams(1, 2, 2))
-    zs = zero_stream(codec, 4)
-    assert len(zs) == 4 and all(sym == (0, 0, 0) for sym in zs)
-
-
 # ---------------------------------------------------------
 # Interference-avoidance baseline
 # ---------------------------------------------------------
@@ -284,7 +283,8 @@ def test_descriptor_roundtrip_bit_exact():
         assert clone.params == params
         assert clone.field == codec.field
         src = random_source(codec, 12)
-        assert clone.encode_stream(src) == codec.encode_stream(src)
+        assert np.array_equal(clone.encode_stream(src),
+                              codec.encode_stream(src))
 
 
 def test_descriptor_with_explicit_field():
@@ -307,10 +307,12 @@ def test_parse_descriptor_errors():
 def test_decode_rejects_bad_user_and_width():
     codec = desco_build(DeScoParams(1, 2, 2))
     stream = codec.encode_stream(random_source(codec, 5))
+    erased = np.zeros(5, dtype=bool)
     with pytest.raises(ValueError):
-        codec.decode(stream, user=3)
+        codec.decode(stream, erased, user=3)
     single = sco_build(ScoParams(1, 2))
     with pytest.raises(ValueError, match=r"1\.\.1"):
-        single.decode(single.encode_stream([[0, 1]] * 4), user=2)
-    with pytest.raises(ValueError):
-        codec.decode([stream[0][:2]] + list(stream[1:]), user=1)
+        single.decode(single.encode_stream(np.array([[0, 1]] * 4)),
+                      erased[:4], user=2)
+    with pytest.raises(ValueError):  # two of the three symbols per slot
+        codec.decode(stream[:, :2], erased, user=1)

@@ -6,7 +6,7 @@ import pytest
 
 from streamfec.channel import ErasurePattern, single_burst
 from streamfec.desco import (DeScoParams, desco_build, ia_sco_build,
-                             sco_build, zero_stream)
+                             sco_build)
 from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
                               rlc_decode_times, rlc_partial_threshold,
                               rlc_perfect_threshold)
@@ -20,10 +20,10 @@ rng = random.Random(20240819)
 # ---------------------------------------------------------
 
 def staged_times(codec, pattern):
-    stream = zero_stream(codec, pattern.horizon)
-    rx = [None if t in set(pattern.slots) else stream[t]
-          for t in range(pattern.horizon)]
-    _, log = codec.decode(rx, user=len(codec.deadlines))
+    stream = np.zeros((pattern.horizon, codec.symbol_width), dtype=np.int64)
+    erased = np.zeros(pattern.horizon, dtype=bool)
+    erased[list(pattern.slots)] = True
+    _, log = codec.decode(stream, erased, user=len(codec.deadlines))
     return log.sub_times
 
 

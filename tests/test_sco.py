@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from streamfec.channel import apply, single_burst
@@ -15,14 +16,14 @@ rng = random.Random(20240817)
 
 def random_source(codec, slots):
     q = codec.field.order
-    return [[rng.randrange(q) for _ in range(codec.subs_per_slot)]
-            for _ in range(slots)]
+    return np.array([[rng.randrange(q) for _ in range(codec.subs_per_slot)]
+                     for _ in range(slots)])
 
 
 def decode_with_burst(codec, source, start, length):
     stream = codec.encode_stream(source)
-    rx = apply(single_burst(start, length, len(stream)), stream)
-    return codec.decode(rx, 1)
+    erased = apply(single_burst(start, length, len(stream)), stream)
+    return codec.decode(stream, erased, 1)
 
 
 # ---------------------------------------------------------
@@ -47,15 +48,17 @@ def test_rate_is_b_over_t_plus_b():
 
 def check_parities(params, formulas, slots=20):
     codec = sco_build(params)
-    src = [[rng.randrange(2) for _ in range(params.t)] for _ in range(slots)]
+    src = np.array([[rng.randrange(2) for _ in range(params.t)]
+                    for _ in range(slots)])
 
     def s(j, t):
         return src[t][j] if t >= 0 else 0
 
     stream = codec.encode_stream(src)
     for t in range(slots):
-        assert stream[t][:params.t] == tuple(src[t])
-        assert stream[t][params.t:] == tuple(f(s, t) for f in formulas), t
+        assert np.array_equal(stream[t][:params.t], src[t])
+        assert np.array_equal(stream[t][params.t:],
+                              [f(s, t) for f in formulas]), t
 
 
 def test_23_main_parities():
@@ -71,16 +74,18 @@ def test_12_main_parity():
 
 def test_zero_source_gives_zero_parities():
     codec = sco_build(ScoParams(2, 5, field=GF2))
-    for sym in codec.encode_stream([[0] * 5] * 12):
-        assert sym[5:] == (0, 0)
+    for sym in codec.encode_stream(np.array([[0] * 5] * 12)):
+        assert np.array_equal(sym[5:], (0, 0))
 
 
 def test_encode_step_matches_streaming_encoder():
     codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 10)
+    r = codec.reach_slots
     for t in range(10):
-        assert codec.encode_step(src[:t], src[t]) == \
-            codec.encode_stream(src[:t + 1])[t]
+        # a streaming encoder's step: the current slot and reach_slots before
+        assert np.array_equal(codec.encode_stream(src[max(0, t - r):t + 1])[-1],
+                              codec.encode_stream(src[:t + 1])[t])
 
 
 def test_encode_step_reads_only_memory():
@@ -90,20 +95,22 @@ def test_encode_step_reads_only_memory():
     src = random_source(codec, 3 * m)
     full = codec.encode_stream(src)
     for t in range(len(src)):
-        old = max(0, t - m)
-        history = [None] * old + src[old:t]
-        assert codec.encode_step(history, src[t]) == full[t], t
+        # slots before the window are not passed, so they go unread
+        assert np.array_equal(codec.encode_stream(src[max(0, t - m):t + 1])[-1],
+                              full[t]), t
 
 
 def test_encoders_reject_elements_outside_the_field():
     codec = sco_build(ScoParams(2, 3))  # GF(8)
+    r = codec.reach_slots
     for bad in ([0, 0, -1], [8, 0, 0]):
         with pytest.raises(ValueError):
-            codec.encode_stream([bad])
-        with pytest.raises(ValueError):
-            codec.encode_step([], bad)
-    assert codec.encode_step([], [1, 2, 3]) == \
-        codec.encode_stream([[1, 2, 3]])[0]
+            codec.encode_stream(np.array([bad]))
+        with pytest.raises(ValueError):  # the step at slot 0: no history
+            codec.encode_stream(np.array([bad])[max(0, -r):1])
+    one = np.array([[1, 2, 3]])
+    assert np.array_equal(codec.encode_stream(one[max(0, -r):1])[-1],
+                          codec.encode_stream(one)[0])
 
 
 def test_component_rejects_non_causal_templates():
@@ -132,7 +139,7 @@ def test_interleave_equals_decimated_substreams():
     for phase in range(2):
         sub = base.encode_stream(src[phase::2])
         for k, sym in enumerate(sub):
-            assert got[2 * k + phase][2:] == sym[2:]
+            assert np.array_equal(got[2 * k + phase][2:], sym[2:])
 
 
 def test_interleave_alpha3_corrects_length3_bursts():
@@ -141,7 +148,7 @@ def test_interleave_alpha3_corrects_length3_bursts():
     src = random_source(codec, 40)
     for start in range(40 - 3 - memory_bound(params)):  # tail slack
         out, log = decode_with_burst(codec, src, start, 3)
-        assert [list(map(int, s)) for s in out] == src
+        assert np.array_equal(out, src)
         assert log.misses == []  # every symbol within delay 6
 
 
@@ -153,7 +160,7 @@ def test_23_burst_recovered_within_3():
     codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 25)
     out, log = decode_with_burst(codec, src, 9, 2)
-    assert [list(map(int, s)) for s in out] == src
+    assert np.array_equal(out, src)
     assert log.misses == []
     assert max(log.slot_delay(9), log.slot_delay(10)) == 3
 
@@ -161,8 +168,9 @@ def test_23_burst_recovered_within_3():
 def test_no_erasures_passthrough():
     codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 10)
-    out, log = codec.decode(codec.encode_stream(src), 1)
-    assert [list(map(int, s)) for s in out] == src
+    out, log = codec.decode(codec.encode_stream(src), np.zeros(10, dtype=bool),
+                            1)
+    assert np.array_equal(out, src)
     assert log.misses == []
     for slot in range(10):
         assert log.slot_time(slot) == slot
@@ -185,8 +193,7 @@ def test_exhaustive_small_grid():
                 src = random_source(codec, window + t * step + b * step + 2)
                 for start in range(window - b * step + 1):
                     out, log = decode_with_burst(codec, src, start, b * step)
-                    assert [list(map(int, s)) for s in out] == src, \
-                        (b, t, step, start)
+                    assert np.array_equal(out, src), (b, t, step, start)
                     assert log.misses == [], (b, t, step, start)
 
 
@@ -194,11 +201,11 @@ def test_multiple_separated_bursts():
     codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 40)
     stream = codec.encode_stream(src)
-    rx = list(stream)
+    erased = np.zeros(len(stream), dtype=bool)
     for s in (5, 6, 20, 21):  # separation >> (t+b)*step
-        rx[s] = None
-    out, log = codec.decode(rx, 1)
-    assert [list(map(int, s)) for s in out] == src
+        erased[s] = True
+    out, log = codec.decode(stream, erased, 1)
+    assert np.array_equal(out, src)
     assert log.misses == []
 
 
@@ -228,13 +235,13 @@ def test_memory_twin_stream():
     params = ScoParams(2, 5, field=GF2)
     codec = sco_build(params)
     src_a = random_source(codec, 20)
-    src_b = [list(s) for s in src_a]
-    src_b[5] = [v ^ 1 for v in src_b[5]]  # perturb at lag 6 from slot 11
+    src_b = src_a.copy()
+    src_b[5] ^= 1  # perturb at lag 6 from slot 11
     a = codec.encode_stream(src_a)
     b = codec.encode_stream(src_b)
     lag = memory_bound(params)
     for t in range(5 + lag + 1, 20):
-        assert a[t][5:] == b[t][5:]
+        assert np.array_equal(a[t][5:], b[t][5:])
 
 
 def test_split_urgent_main():
