@@ -108,7 +108,7 @@ def make_burst_parity(t: int, b: int, field: Optional[GF] = None) -> BurstParity
         raise ValueError(f"field order {field.order} < t + b = {t + b}")
     # Cauchy matrix: entry [k][j] = 1 / (x_k - y_j) with disjoint x, y sets.
     rows = tuple(
-        tuple(field.inv(field.add(k, t - b + j)) for j in range(b))
+        tuple(field.inv(k ^ (t - b + j)) for j in range(b))
         for k in range(t - b)
     )
     h = BurstParityMatrix(rows, t, b, field)
@@ -137,7 +137,7 @@ class LdBebcCode:
         for j in range(self.b):
             acc = u[j]
             for k in range(self.t - self.b):
-                acc = f.add(acc, f.mul(self.h.rows[k][j], nu[k]))
+                acc ^= f.mul(self.h.rows[k][j], nu[k])
             parity.append(acc)
         return u + nu + parity
 

@@ -68,13 +68,16 @@ def parse_pattern(text: str, horizon: int) -> ErasurePattern:
             start, length = int(start_s), int(length_s)
         except ValueError as exc:
             raise ValueError(f"bad pattern line {lineno}: {line!r}") from exc
+        if length < 0:
+            raise ValueError(f"bad pattern line {lineno}: negative {line!r}")
         slots.extend(range(start, start + length))
     return ErasurePattern(tuple(slots), horizon)
 
 
 def single_burst(start: int, length: int, horizon: int) -> ErasurePattern:
-    if start < 0 or start + length > horizon:
-        raise ValueError("burst outside horizon")
+    if min(start, length) < 0 or start + length > horizon:
+        raise ValueError(f"burst {start}:{length} is not a run inside "
+                         f"horizon {horizon}")
     return ErasurePattern(tuple(range(start, start + length)), horizon)
 
 

@@ -29,6 +29,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INCONSISTENT = 4
+LOG_CHUNK = 4096  # decode log rows per write: the log's memory is flat
 
 
 class UsageError(Exception):
@@ -149,15 +150,15 @@ def simulate_records(args) -> List[Dict[str, object]]:
     """Loss records per (b_max, scheme, user) over seeded segment bursts.
 
     Losses per segment are ``burst_loss_count`` of one isolated burst of
-    the drawn length; ``channel.burst_length_counts`` gives the lengths
-    for every b_max, evaluated in batch and equal to one
-    ``channel.draw_segment_burst`` per segment and b_max.  Rows follow
-    ``--bmax-list`` in its order, a repeated value repeating its rows.
-    ``channel.draw_segment_burst`` can end a burst on a segment's last
-    slot and start the next on the following segment's first slot, so
-    two bursts can arrive back to back and interact at any
-    ``segment_len``: the counts approximate a full decode of the
-    pattern.
+    the drawn length, every user's from one decode per (scheme, length);
+    ``channel.burst_length_counts`` gives the lengths for every b_max,
+    evaluated in batch and equal to one ``channel.draw_segment_burst``
+    per segment and b_max.  Rows follow ``--bmax-list`` in its order, a
+    repeated value repeating its rows.  ``channel.draw_segment_burst``
+    can end a burst on a segment's last slot and start the next on the
+    following segment's first slot, so two bursts can arrive back to
+    back and interact at any ``segment_len``: the counts approximate a
+    full decode of the pattern.
     """
     _require(args, "b1", "t1", "alpha_num", "bmax_list")
     params = DeScoParams(args.b1, args.t1, args.alpha_num, args.alpha_den)
@@ -167,6 +168,10 @@ def simulate_records(args) -> List[Dict[str, object]]:
         raise UsageError(f"bad --bmax-list: {args.bmax_list}") from exc
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     users = [int(u) for u in str(args.users).split(",") if str(u).strip()]
+    for flag, values in (("--bmax-list", bmax_list), ("--schemes", schemes),
+                         ("--users", users)):
+        if not values:
+            raise UsageError(f"{flag} is empty")
     for s in schemes:
         if s not in ("desco", "ia", "rlc"):
             raise UsageError(f"unknown scheme {s!r}")
@@ -189,19 +194,17 @@ def simulate_records(args) -> List[Dict[str, object]]:
         if params.b != 1:
             raise UsageError("ia scheme requires an integer alpha")
         codecs["ia"] = ia_sco_build(params.b1, params.t1, params.a)
-    rate = params.rate
-    rlc_deadlines = {1: params.t1, 2: params.user2_deadline}
+    loss_cache: Dict[tuple, Sequence[int]] = {}  # user u's at entry u - 1
 
-    loss_cache: Dict[tuple, int] = {}
-
-    def losses_for(scheme: str, user: int, length: int) -> int:
-        key = (scheme, user, length)
+    def losses_for(scheme: str, length: int) -> Sequence[int]:
+        key = (scheme, length)
         if key not in loss_cache:
             if scheme == "rlc":
-                loss_cache[key] = oracle.rlc_burst_losses(
-                    rate, length, rlc_deadlines[user])
+                loss_cache[key] = [
+                    oracle.rlc_burst_losses(params.rate, length, d)
+                    for d in (params.t1, params.user2_deadline)]
             else:
-                loss_cache[key] = burst_loss_count(codecs[scheme], length, user)
+                loss_cache[key] = burst_loss_count(codecs[scheme], length)
         return loss_cache[key]
 
     # burst lengths per segment are scheme-independent for fairness
@@ -213,8 +216,9 @@ def simulate_records(args) -> List[Dict[str, object]]:
         total = args.segments * args.segment_len
         for scheme in schemes:
             for user in users:
-                lost = sum(counts[length] * losses_for(scheme, user, length)
-                           for length in range(b_max + 1))
+                # a zero-length burst loses nothing
+                lost = sum(counts[length] * losses_for(scheme, length)[user - 1]
+                           for length in range(1, b_max + 1))
                 records.append({
                     "b_max": b_max, "scheme": scheme, "user": user,
                     "loss_probability": lost / total,
@@ -274,19 +278,25 @@ def cmd_decode(args, out) -> int:
         with open(args.pattern) as fh:
             pattern = channel.parse_pattern(fh.read(), len(symbols))
         erased = channel.apply(pattern, symbols)
-    recovered, log = codec.decode(symbols, erased, args.user)
+    deadline = codec.deadline(args.user)
+    recovered, log = codec.decode(symbols, erased)
     with open(args.out, "wb") as fh:
         fh.write(wire.pack_stream(recovered, codec.field))
-    misses = log.misses
+    misses = log.misses(deadline)
     if args.log:
         latest = log.slot_times
-        slots = np.arange(len(latest))
-        table = np.stack([slots, latest, latest - slots,
-                          np.isin(slots, misses)], axis=1).astype(object)
-        table[latest < 0, 1:3] = ""  # no recovery slot or delay
-        rows = ("%s,%s,%s,%s\n" * len(table)) % tuple(table.ravel().tolist())
+        miss = np.zeros(len(latest), dtype=bool)
+        miss[misses] = True
         with open(args.log, "w", newline="") as fh:
-            fh.write("slot,recovery_slot,delay,miss\n" + rows)
+            fh.write("slot,recovery_slot,delay,miss\n")
+            for lo in range(0, len(latest), LOG_CHUNK):
+                times = latest[lo:lo + LOG_CHUNK]
+                slots = np.arange(lo, lo + len(times))
+                table = np.stack([slots, times, times - slots,
+                                  miss[lo:lo + LOG_CHUNK]], axis=1).astype(object)
+                table[times < 0, 1:3] = ""  # no recovery slot or delay
+                fh.write(("%s,%s,%s,%s\n" * len(table))
+                         % tuple(table.ravel().tolist()))
     print(f"decoded {log.horizon} slots, {len(misses)} misses", file=out)
     return EXIT_OK
 

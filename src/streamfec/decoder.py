@@ -11,7 +11,8 @@ per-diagonal elimination.
 
 Progress is propagated to a fixpoint inside each time step, so recovery
 times reflect the earliest slot at which the staged procedure can pin a
-sub-symbol.
+sub-symbol.  Nothing here depends on the receiver: one decode serves
+every user, each counting misses against its own deadline.
 
 Everything runs on the stream clock: a rational-ratio codec's expanded
 clock is folded into its ``Component`` templates, so a received slot is
@@ -35,7 +36,7 @@ same at every slot, and a term before slot 0 is a known zero just as a
 received slot's sub-symbol is known, so a burst at any start s >= 0 has
 the recovery times of the same burst at start 0, shifted by s.
 ``desco``'s ``sweep_max_delay`` and ``burst_loss_count`` decode the
-burst at start 0 in place of every start.
+burst at start 0 in place of every start, once for every user.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.
@@ -46,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -76,14 +77,13 @@ class TraceEvent:
 
 @dataclass
 class StreamLog:
-    """Per-sub-symbol recovery times and deadline accounting for one decode.
+    """Per-sub-symbol recovery times of one decode.
 
     ``sub_times`` is a (horizon, n_subs) int array: ``sub_times[slot, sub]``
     is the stream slot at which the sub-symbol became known (its own slot
-    when received) or -1 if it was never recovered.
+    when received) or -1 if it was never recovered; every user reads them.
     """
 
-    deadline: int
     sub_times: np.ndarray
     trace: List[TraceEvent] = dc_field(default_factory=list)
 
@@ -99,24 +99,11 @@ class StreamLog:
         times = self.sub_times
         return np.where(times.min(axis=1) < 0, -1, times.max(axis=1))
 
-    def slot_time(self, slot: int) -> Optional[int]:
-        """Slot recovery time (None if any sub-symbol is missing)."""
-        t = int(self.slot_times[slot]) if 0 <= slot < self.horizon else -1
-        return None if t < 0 else t
-
-    def slot_delay(self, slot: int) -> Optional[int]:
-        t = self.slot_time(slot)
-        return None if t is None else t - slot
-
-    @property
-    def misses(self) -> List[int]:
+    def misses(self, deadline: int) -> List[int]:
+        """Slots not recovered within ``deadline`` slots of their own."""
         latest = self.slot_times
-        late = latest > np.arange(len(latest)) + self.deadline
+        late = latest > np.arange(len(latest)) + deadline
         return (late | (latest < 0)).nonzero()[0].tolist()
-
-    @property
-    def fully_recovered(self) -> bool:
-        return bool((self.slot_times >= 0).all())
 
 
 class Component:
@@ -277,7 +264,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             if pp.released:
                 continue  # its equation is already in a system
             coeff = pp.unknowns[ci].pop(var)
-            pp.const = field.add(pp.const, field.mul(coeff, value))
+            pp.const ^= field.mul(coeff, value)
             if not pp.unknowns[ci]:
                 ready.append(pp)
         for skey in sys_vars.pop(var, set()):
@@ -346,7 +333,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                             unknowns[(t + ds, sub)] = coeff
                             watchers.setdefault((t + ds, sub), []).append((pp, ci))
                         elif value:  # a zero term adds nothing
-                            pp.const = field.add(pp.const, field.mul(coeff, value))
+                            pp.const ^= field.mul(coeff, value)
                 ready.append(pp)
             drain(t)
 

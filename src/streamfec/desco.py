@@ -10,7 +10,8 @@ its parity stream is delayed by t1 + b1 slots and added onto C1's, so
 the combined stream has exactly the width of a single-user stream.  The
 strong receiver decodes as if C2 were absent, while a weak receiver
 tolerating bursts up to b2 = alpha*b1 decodes with the minimum possible
-delay ceil(alpha*t1) + b1.
+delay ceil(alpha*t1) + b1.  Both run one and the same decode here; a
+user's deadline (``CombinedCodec.deadline``) only decides its misses.
 
 Rational ratios alpha = a/b are handled by building the construction on
 a pseudo-expanded clock with n expanded slots per stream slot, n chosen
@@ -170,17 +171,16 @@ class CombinedCodec:
 
     # -- decoding -------------------------------------------------------
 
-    def decode(self, symbols: np.ndarray, erased: np.ndarray, user: int):
-        """Decode for one user; users differ only in the miss deadline.
+    def decode(self, symbols: np.ndarray, erased: np.ndarray):
+        """Decode a received stream once, for every user.
 
         ``symbols`` is the (n_slots, symbol_width) received array and
         ``erased`` the (n_slots,) bool mask of its lost rows, whose
         contents are ignored.  Returns (recovered, log): recovered is the
         (n_slots, subs_per_slot) source array, 0 wherever
-        ``log.sub_times`` is -1 (never recovered); the log holds each
-        sub-symbol's recovery slot.
+        ``log.sub_times`` is -1 (never recovered), and
+        ``log.misses(self.deadline(u))`` lists user u's misses.
         """
-        deadline = self.deadline(user)
         n_subs = self.subs_per_slot
         values, times, trace = staged_decode(
             self.components, self.field, n_subs, self.parities_per_slot,
@@ -188,7 +188,7 @@ class CombinedCodec:
         recovered = np.where(erased[:, None], 0, symbols[:, :n_subs])
         at = [slot * n_subs + sub for slot, sub in values]
         recovered.reshape(-1)[at] = list(values.values())  # through a view
-        return recovered, StreamLog(deadline, times, trace)
+        return recovered, StreamLog(times, trace)
 
 
 class DeScoCodec(CombinedCodec):
@@ -242,7 +242,7 @@ def ia_sco_build(b1: int, t1: int, alpha: int,
 
 
 def burst_decode_log(codec: CombinedCodec, start: int, length: int,
-                     user: int, horizon: Optional[int] = None) -> StreamLog:
+                     horizon: Optional[int] = None) -> StreamLog:
     """Decode an all-zero stream with one burst; recovery is structural,
     so the log applies to any source content."""
     if horizon is None:
@@ -251,18 +251,18 @@ def burst_decode_log(codec: CombinedCodec, start: int, length: int,
     erased = np.zeros(horizon, dtype=bool)
     erased[start:start + length] = True
     zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
-    return codec.decode(zeros, erased, user)[1]
+    return codec.decode(zeros, erased)[1]
 
 
-def burst_loss_count(codec: CombinedCodec, length: int, user: int) -> int:
-    """Deadline misses caused by one isolated burst of the given length.
+def burst_loss_count(codec: CombinedCodec, length: int) -> Tuple[int, ...]:
+    """Deadline misses of one isolated burst of the given length, user u's
+    at entry u - 1, all from one decode.
 
     The burst starts at slot 0; a burst decodes alike at every start (see
     the ``decoder`` module), so it stands for any other start.
     """
-    if length == 0:
-        return 0
-    return len(burst_decode_log(codec, 0, length, user).misses)
+    log = burst_decode_log(codec, 0, length)
+    return tuple(len(log.misses(d)) for d in codec.deadlines)
 
 
 def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
@@ -273,16 +273,18 @@ def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
     (see the ``decoder`` module), and ``burst_decode_log``'s horizon
     moves with the start, so the burst at start 0 has the delays of
     every start, and its misses count once per start in
-    0 .. window - burst_len.  ValueError if the window holds no start.
-    The window has no default; ``verify``'s is 10*(t1+b1).
+    0 .. window - burst_len.  ValueError if the window holds no start or
+    the user is not the codec's.  The window has no default; ``verify``'s
+    is 10*(t1+b1).
     """
+    deadline = codec.deadline(user)
     if window < burst_len:
         raise ValueError(f"window {window} is shorter than the burst "
                          f"length {burst_len}")
-    log = burst_decode_log(codec, 0, burst_len, user)
-    delays = [log.slot_delay(slot) for slot in range(burst_len)]
-    worst = max((d for d in delays if d is not None), default=0)
-    return worst, (window - burst_len + 1) * len(log.misses)
+    log = burst_decode_log(codec, 0, burst_len)
+    times = log.slot_times[:burst_len]  # -1 for a slot with no delay
+    worst = int((times - np.arange(burst_len))[times >= 0].max(initial=0))
+    return worst, (window - burst_len + 1) * len(log.misses(deadline))
 
 
 # -- codec descriptor ---------------------------------------------------

@@ -80,9 +80,6 @@ class GF:
 
     # -- element arithmetic (ints) ------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -160,7 +157,7 @@ class IncrementalSystem:
         # substitute already-solved variables
         for v in list(row):
             if v in self.solved:
-                c = f.add(c, f.mul(row.pop(v), self.solved[v]))
+                c ^= f.mul(row.pop(v), self.solved[v])
             elif row[v] == 0:
                 del row[v]
         # reduce against existing pivot rows
@@ -169,12 +166,12 @@ class IncrementalSystem:
                 coef = row.pop(pv)
                 prow, pc = self._rows[pv]
                 for v2, c2 in prow.items():
-                    nv = f.add(row.get(v2, 0), f.mul(coef, c2))
+                    nv = row.get(v2, 0) ^ f.mul(coef, c2)
                     if nv:
                         row[v2] = nv
                     else:
                         row.pop(v2, None)
-                c = f.add(c, f.mul(coef, pc))
+                c ^= f.mul(coef, pc)
         if not row:
             if c != 0:
                 raise InconsistentSystemError("contradictory equation")
@@ -189,12 +186,12 @@ class IncrementalSystem:
             if coef:
                 del orow[pivot]
                 for v2, c2 in row.items():
-                    nv = f.add(orow.get(v2, 0), f.mul(coef, c2))
+                    nv = orow.get(v2, 0) ^ f.mul(coef, c2)
                     if nv:
                         orow[v2] = nv
                     else:
                         orow.pop(v2, None)
-                self._rows[opv] = (orow, f.add(oc, f.mul(coef, c)))
+                self._rows[opv] = (orow, oc ^ f.mul(coef, c))
         self._rows[pivot] = (row, c)
         # harvest rows left with only their pivot; no other row holds it
         newly: Dict[Hashable, int] = {}
@@ -228,7 +225,7 @@ class IncrementalSystem:
             coef = prow.pop(var, 0)
             if not coef:
                 continue
-            pc = f.add(pc, f.mul(coef, value))
+            pc ^= f.mul(coef, value)
             if prow:
                 self._rows[pv] = (prow, pc)
             else:

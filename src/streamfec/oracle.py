@@ -30,12 +30,11 @@ def ml_decode_times(codec, pattern: ErasurePattern) -> np.ndarray:
     Only the coefficient structure matters for determination times, so the
     elimination runs against an all-zero right-hand side.
     """
-    field = codec.field
     n_subs = codec.subs_per_slot
     erased = set(pattern.slots)
     times = np.arange(pattern.horizon)[:, None].repeat(n_subs, axis=1)
     unknown = set()
-    system = IncrementalSystem(field)
+    system = IncrementalSystem(codec.field)
     for t in range(pattern.horizon):
         if t in erased:
             times[t] = -1
@@ -47,7 +46,7 @@ def ml_decode_times(codec, pattern: ErasurePattern) -> np.ndarray:
                 for var, coeff in comp.terms(t, j).items():
                     if var in unknown:
                         prev = terms.get(var, 0)
-                        cur = field.add(prev, coeff)
+                        cur = prev ^ coeff
                         if cur:
                             terms[var] = cur
                         else:

@@ -169,5 +169,5 @@ class ScoCodec:
         for (s_slot, sub), coeff in self.parity_terms(slot, j).items():
             if s_slot < 0:
                 continue
-            acc = f.add(acc, f.mul(coeff, source[s_slot][sub]))
+            acc ^= f.mul(coeff, source[s_slot][sub])
         return acc

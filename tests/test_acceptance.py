@@ -127,14 +127,15 @@ def test_achievability_grid():
 
 def full_sweep(codec, burst_len, user, window):
     """Reference for ``sweep_max_delay``: one decode at every start."""
+    deadline = codec.deadline(user)
     worst = misses = 0
     for start in range(window - burst_len + 1):
-        log = burst_decode_log(codec, start, burst_len, user)
-        misses += len(log.misses)
+        log = burst_decode_log(codec, start, burst_len)
+        misses += len(log.misses(deadline))
         for slot in range(start, start + burst_len):
-            d = log.slot_delay(slot)
-            if d is not None:
-                worst = max(worst, d)
+            t = int(log.slot_times[slot])
+            if t >= 0:  # a slot never recovered has no delay
+                worst = max(worst, t - slot)
     return worst, misses
 
 
@@ -204,8 +205,8 @@ def test_recovery_ordering_25():
     i = 12  # burst occupies slots i-2, i-1
     erased = np.zeros(30, dtype=bool)
     erased[i - 2] = erased[i - 1] = True
-    _, log = codec.decode(zero_symbols(codec, 30), erased, 1)
-    assert log.misses == []
+    _, log = codec.decode(zero_symbols(codec, 30), erased)
+    assert log.misses(codec.deadline(1)) == []
     by_var = {(ev.slot, ev.sub): ev for ev in log.trace}
     for slot in (i - 2, i - 1):
         for sub in (0, 1):  # urgent: pinned at exactly slot + 5
@@ -231,8 +232,8 @@ def test_walkthrough_2512_replay():
     erased = np.zeros(horizon, dtype=bool)
     for s in range(S, S + 4):
         erased[s] = True
-    _, log = codec.decode(zero_symbols(codec, horizon), erased, user=2)
-    assert log.misses == []
+    _, log = codec.decode(zero_symbols(codec, horizon), erased)
+    assert log.misses(codec.deadline(2)) == []
     base = S + 4  # relative time 0
     events = {(ev.slot, ev.sub): ev for ev in log.trace}
 
@@ -300,8 +301,7 @@ def test_oracle_equivalence_random():
         horizon = start + length + 3 * deadline + 4
         pattern = single_burst(start, length, horizon)
         rx = zero_symbols(codec, horizon)
-        _, log = codec.decode(rx, apply(pattern, rx),
-                              user=len(codec.deadlines))
+        _, log = codec.decode(rx, apply(pattern, rx))
         oracle_times = ml_decode_times(codec, pattern)
         for var, t in np.ndenumerate(log.sub_times):
             assert oracle_times[var] == t, (kind, b1, t1, start, length, var)
@@ -409,13 +409,13 @@ def test_periodic_pattern_decodable():
         period = pattern.horizon // 3
         horizon = pattern.horizon + p.user2_deadline + 2
         rx = zero_symbols(codec, horizon)
-        _, log = codec.decode(rx, apply(pattern, rx), user=2)
-        assert log.misses == [], (b1, t1, a, b)
+        _, log = codec.decode(rx, apply(pattern, rx))
+        assert log.misses(codec.deadline(2)) == [], (b1, t1, a, b)
         for per in range(3):
             for k in range(p.b2):
                 slot = per * period + k
-                t = log.slot_time(slot)
-                assert t is not None
+                t = log.slot_times[slot]
+                assert t >= 0
                 assert t <= slot + p.user2_deadline
     print(f"PASS periodic patterns: all {len(GRID)} sets decode the "
           f"erasure-fraction-matched periodic channel with no misses "

@@ -48,6 +48,16 @@ def test_single_burst():
         single_burst(9, 2, 10)
 
 
+def test_negative_run_length_is_refused():
+    # a negative length used to erase nothing, reading as a clean stream
+    with pytest.raises(ValueError, match="line 2: negative '5:-3'"):
+        parse_pattern("0:1\n5:-3\n", 10)
+    with pytest.raises(ValueError, match="burst 5:-3 is not a run inside"):
+        single_burst(5, -3, 10)
+    assert parse_pattern("5:0\n", 10).slots == ()
+    assert single_burst(5, 0, 10).slots == ()
+
+
 def test_periodic_high_delay_shape():
     # b1=1, b2=2, t2=5: period 6, bursts of 2 at each period head
     p = periodic_pattern(1, 2, 5, HIGH_DELAY, periods=3)

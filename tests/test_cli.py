@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamfec import cli, wire
+from streamfec import cli, desco, wire
 from streamfec.desco import DeScoParams, desco_build, descriptor
 
 
@@ -159,16 +159,46 @@ def test_simulate_rejects_negative_bmax(capsys):
     assert "--bmax-list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--bmax-list", ""),
+                                         ("--schemes", ""), ("--users", ",")])
+def test_simulate_empty_list_is_usage_error(flag, value, capsys):
+    # an empty list used to write a CSV with only a header and exit 0
+    argv = sim_bmax(value) if flag == "--bmax-list" else SIM + [flag, value]
+    code, text = run(argv)
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == f"error: {flag} is empty\n"
+
+
+# the benchmark's loss-curve run
+LOSS_CURVE = ["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+              "--bmax-list", "0,1,2,3,4,5,6,7,8", "--segment-len", "100",
+              "--segments", "10000", "--seed", "7",
+              "--schemes", "desco,ia,rlc"]
+
+
 def test_simulate_loss_curve_matches_bench_golden():
     """The benchmark's loss-curve run reproduces its golden CSV."""
     golden = Path(__file__).resolve().parents[1] / "bench" / "golden" \
         / "loss_curve_seed7.csv"
-    code, text = run(["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
-                      "--bmax-list", "0,1,2,3,4,5,6,7,8",
-                      "--segment-len", "100", "--segments", "10000",
-                      "--seed", "7", "--schemes", "desco,ia,rlc"])
+    code, text = run(LOSS_CURVE)
     assert code == cli.EXIT_OK
     assert text == golden.read_text()
+
+
+def test_simulate_decodes_each_burst_length_once(monkeypatch):
+    """One decode per (scheme, length) serves both users: desco and ia at
+    lengths 1..8 are 16 decodes (one per user made it 32)."""
+    calls = []
+    staged_decode = desco.staged_decode
+
+    def counting(*args):
+        calls.append(args)
+        return staged_decode(*args)
+
+    monkeypatch.setattr(desco, "staged_decode", counting)
+    code, _ = run(LOSS_CURVE)
+    assert code == cli.EXIT_OK
+    assert len(calls) == 16
 
 
 def test_simulate_builds_no_seed_sequence(monkeypatch):
@@ -341,6 +371,51 @@ def test_encode_decode_roundtrip(tmp_path):
     assert by_slot[5]["recovery_slot"] == "5"
 
 
+def test_decode_log_across_chunks_matches_row_by_row(tmp_path):
+    """The log is written LOG_CHUNK rows at a time; over more than two
+    chunks, with bursts on the chunk edges and unrecovered slots, it
+    equals the log written one row at a time by csv.writer."""
+    codec = desco_build(DeScoParams(1, 2, 2))
+    chunk = cli.LOG_CHUNK
+    slots = 2 * chunk + chunk // 2
+    rng = np.random.default_rng(5)
+    source = rng.integers(0, codec.field.order, (slots, codec.subs_per_slot))
+    stream = codec.encode_stream(source)
+    bursts = [(chunk - 1, 2), (2 * chunk - 1, 3), (slots - 2, 2)]
+    files = {k: tmp_path / k for k in ("codec", "stream", "pattern", "rec",
+                                       "log")}
+    files["codec"].write_text(descriptor(codec))
+    files["stream"].write_bytes(wire.pack_stream(stream, codec.field))
+    files["pattern"].write_text("".join(f"{s}:{n}\n" for s, n in bursts))
+    code, _ = run(["decode", "--descriptor", str(files["codec"]),
+                   "--in", str(files["stream"]),
+                   "--pattern", str(files["pattern"]), "--user", "1",
+                   "--out", str(files["rec"]), "--log", str(files["log"])])
+    assert code == cli.EXIT_OK
+
+    erased = np.zeros(slots, dtype=bool)
+    for start, n in bursts:
+        erased[start:start + n] = True
+    _, log = codec.decode(stream, erased)
+    deadline = codec.deadline(1)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["slot", "recovery_slot", "delay", "miss"])
+    for slot, t in enumerate(log.slot_times.tolist()):
+        if t < 0:
+            writer.writerow([slot, "", "", 1])
+        else:
+            writer.writerow([slot, t, t - slot, int(t - slot > deadline)])
+    text = files["log"].read_text()
+    # the first differing row, not a diff of the whole text, which is slow
+    rows, want_rows = text.split("\n"), want.getvalue().split("\n")
+    assert len(rows) == len(want_rows) == slots + 2
+    assert next((pair for pair in zip(rows, want_rows)
+                 if pair[0] != pair[1]), None) is None
+    # the log holds unrecovered slots and slots recovered after the deadline
+    assert ",,1\n" in text and ",1\n" in text.replace(",,1\n", "")
+
+
 def test_decode_without_pattern_is_clean(tmp_path):
     codec = desco_build(DeScoParams(1, 2, 2))
     desc = tmp_path / "codec.txt"
@@ -372,6 +447,35 @@ def test_decode_inconsistent_stream_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: inconsistent channel stream: ")
     assert err.count("\n") == 1
+
+
+def test_decode_negative_pattern_run_is_usage_error(tmp_path, capsys):
+    codec = desco_build(DeScoParams(1, 2, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(wire.pack_stream(
+        codec.encode_stream(np.array([[1, 0]] * 10)), codec.field))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("5:-3\n")
+    code, text = run(["decode", "--descriptor", str(desc), "--in", str(enc),
+                      "--pattern", str(pattern), "--out", str(tmp_path / "d")])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert "bad pattern line 1" in capsys.readouterr().err
+
+
+def test_decode_bad_user_is_usage_error(tmp_path, capsys):
+    codec = desco_build(DeScoParams(1, 2, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(wire.pack_stream(
+        codec.encode_stream(np.array([[1, 0]] * 10)), codec.field))
+    code, text = run(["decode", "--descriptor", str(desc), "--in", str(enc),
+                      "--user", "3", "--out", str(tmp_path / "d")])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == "error: user must be in 1..2\n"
+    assert not (tmp_path / "d").exists()  # refused before decoding
 
 
 def test_encode_missing_input_is_io_error(tmp_path):

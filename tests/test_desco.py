@@ -170,27 +170,29 @@ def test_combined_codec_rejects_mismatched_components():
 # Decoding
 # ---------------------------------------------------------
 
-def decode_burst(codec, src, start, length, user):
+def decode_burst(codec, src, start, length):
     stream = codec.encode_stream(src)
     erased = apply(single_burst(start, length, len(stream)), stream)
-    return codec.decode(stream, erased, user)
+    return codec.decode(stream, erased)
 
 
 def test_user1_unaffected_by_embedding():
     codec = desco_build(DeScoParams(2, 3, 2))
     src = random_source(codec, 30)
-    out, log = decode_burst(codec, src, 10, 2, user=1)
+    out, log = decode_burst(codec, src, 10, 2)
     assert np.array_equal(out, src)
-    assert log.misses == []
-    assert max(log.slot_delay(10), log.slot_delay(11)) == 3
+    assert log.misses(codec.deadline(1)) == []
+    times = log.slot_times[10:12]
+    assert (times >= 0).all()
+    assert max(times - [10, 11]) == 3
 
 
 def test_12_alpha2_double_burst_recovery_times():
     codec = desco_build(DeScoParams(1, 2, 2))
     src = random_source(codec, 25)
-    out, log = decode_burst(codec, src, 9, 2, user=2)
+    out, log = decode_burst(codec, src, 9, 2)
     assert np.array_equal(out, src)
-    assert log.misses == []
+    assert log.misses(codec.deadline(2)) == []
     times = {(s, k): log.sub_times[(s, k)] for s in (9, 10) for k in (0, 1)}
     assert times[(10, 0)] == 12
     assert times[(9, 0)] == 13
@@ -200,8 +202,8 @@ def test_12_alpha2_double_burst_recovery_times():
 
 def test_user2_miss_when_burst_exceeds_b2():
     codec = desco_build(DeScoParams(1, 2, 2))
-    log = burst_decode_log(codec, 20, 3, user=2)
-    assert log.misses != []
+    log = burst_decode_log(codec, 20, 3)
+    assert log.misses(codec.deadline(2)) != []
 
 
 def test_delay_grid():
@@ -228,18 +230,18 @@ def test_zero_stream_burst_is_structural():
     codec = desco_build(DeScoParams(2, 3, 2))
     src = random_source(codec, 40)
     for length in (2, 4, 5):
-        _, log_rand = decode_burst(codec, src, 15, length, user=2)
-        log_zero = burst_decode_log(codec, 15, length, user=2, horizon=40)
-        assert log_rand.misses == log_zero.misses
+        _, log_rand = decode_burst(codec, src, 15, length)
+        log_zero = burst_decode_log(codec, 15, length, horizon=40)
+        deadline = codec.deadline(2)
+        assert log_rand.misses(deadline) == log_zero.misses(deadline)
         assert np.array_equal(log_rand.sub_times, log_zero.sub_times)
 
 
 def test_burst_loss_count_profile_12_alpha2():
     codec = desco_build(DeScoParams(1, 2, 2))
-    got = [burst_loss_count(codec, length, user=2) for length in range(6)]
-    assert got == [0, 0, 0, 3, 4, 5]
-    u1 = [burst_loss_count(codec, length, user=1) for length in range(4)]
-    assert u1 == [0, 0, 2, 3]
+    got = [burst_loss_count(codec, length) for length in range(6)]
+    assert [u2 for _, u2 in got] == [0, 0, 0, 3, 4, 5]
+    assert [u1 for u1, _ in got[:4]] == [0, 0, 2, 3]
 
 
 # ---------------------------------------------------------
@@ -309,10 +311,11 @@ def test_decode_rejects_bad_user_and_width():
     stream = codec.encode_stream(random_source(codec, 5))
     erased = np.zeros(5, dtype=bool)
     with pytest.raises(ValueError):
-        codec.decode(stream, erased, user=3)
+        codec.deadline(3)
+    with pytest.raises(ValueError, match=r"1\.\.2"):
+        sweep_max_delay(codec, 2, 3, 10)
     single = sco_build(ScoParams(1, 2))
     with pytest.raises(ValueError, match=r"1\.\.1"):
-        single.decode(single.encode_stream(np.array([[0, 1]] * 4)),
-                      erased[:4], user=2)
+        single.deadline(2)
     with pytest.raises(ValueError):  # two of the three symbols per slot
-        codec.decode(stream[:, :2], erased, user=1)
+        codec.decode(stream[:, :2], erased)

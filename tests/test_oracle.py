@@ -23,7 +23,7 @@ def staged_times(codec, pattern):
     stream = np.zeros((pattern.horizon, codec.symbol_width), dtype=np.int64)
     erased = np.zeros(pattern.horizon, dtype=bool)
     erased[list(pattern.slots)] = True
-    _, log = codec.decode(stream, erased, user=len(codec.deadlines))
+    _, log = codec.decode(stream, erased)
     return log.sub_times
 
 

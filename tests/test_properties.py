@@ -29,8 +29,8 @@ CODECS = {
 
 
 def decode(codec, stream, pattern):
-    """Decode for the codec's last (slowest) user."""
-    return codec.decode(stream, apply(pattern, stream), len(codec.deadlines))
+    """Decode a stream with the pattern's slots erased."""
+    return codec.decode(stream, apply(pattern, stream))
 
 
 @st.composite
@@ -65,11 +65,11 @@ def reference_parities(codec, source):
             for j in range(b0):
                 a = b = 0
                 for comp in codec.components:
-                    a = f.add(a, comp.codec.parity_value(
-                        n * i + r - comp.shift, j, expanded))
+                    a ^= comp.codec.parity_value(
+                        n * i + r - comp.shift, j, expanded)
                     for (slot, sub), c in comp.terms(i, r * b0 + j).items():
                         if slot >= 0:
-                            b = f.add(b, f.mul(c, source[slot][sub]))
+                            b ^= f.mul(c, source[slot][sub])
                 pv.append(a)
                 pt.append(b)
         by_value.append(pv)
@@ -155,17 +155,16 @@ def test_cached_slot_times_match_definition(name, data):
     _, log = decode(codec, codec.encode_stream(source), pattern)
 
     def slot_time(slot):
-        in_log = 0 <= slot < len(log.sub_times)
-        times = [int(t) for t in log.sub_times[slot]] if in_log else [-1]
-        return None if min(times) < 0 else max(times)
+        times = [int(t) for t in log.sub_times[slot]]
+        return -1 if min(times) < 0 else max(times)
 
-    for slot in range(-2, log.horizon + 2):
-        assert log.slot_time(slot) == slot_time(slot), slot
-    assert log.misses == [s for s in range(log.horizon)
-                          if slot_time(s) is None
-                          or slot_time(s) > s + log.deadline]
-    assert log.fully_recovered == all(slot_time(s) is not None
-                                      for s in range(log.horizon))
+    assert log.slot_times.tolist() == [slot_time(s)
+                                       for s in range(log.horizon)]
+    # one decode serves every user: each deadline reads the same times
+    for deadline in codec.deadlines:
+        assert log.misses(deadline) == [
+            s for s in range(log.horizon)
+            if slot_time(s) < 0 or slot_time(s) > s + deadline], deadline
 
 
 @pytest.mark.parametrize("name", CODECS)
@@ -175,23 +174,29 @@ def test_burst_decodes_alike_at_every_start_past_reach(name, data):
     first = codec.reach_slots
     start = data.draw(st.integers(0, first + 40))
     length = data.draw(st.integers(1, 8))
-    user = data.draw(st.integers(1, len(codec.deadlines)))
-    ref = burst_decode_log(codec, first, length, user)
-    log = burst_decode_log(codec, start, length, user)
+    ref = burst_decode_log(codec, first, length)
+    log = burst_decode_log(codec, start, length)
     span = ref.horizon - first
+
+    def delays(log, at):
+        """Delay of each slot from ``at`` on, -1 where not recovered."""
+        times = log.slot_times[at:at + span]
+        return np.where(times < 0, -1, times - np.arange(at, at + span))
+
     assert log.horizon - start == span
-    assert [log.slot_delay(start + k) for k in range(span)] \
-        == [ref.slot_delay(first + k) for k in range(span)]
-    assert [m - start for m in log.misses] == [m - first for m in ref.misses]
+    assert np.array_equal(delays(log, start), delays(ref, first))
+    for deadline in codec.deadlines:
+        assert [m - start for m in log.misses(deadline)] \
+            == [m - first for m in ref.misses(deadline)]
 
 
-def decode_bursts(codec, bursts, horizon, user):
+def decode_bursts(codec, bursts, horizon):
     """Log of an all-zero stream with the given (start, length) bursts."""
     erased = np.zeros(horizon, dtype=bool)
     for start, length in bursts:
         erased[start:start + length] = True
     zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
-    return codec.decode(zeros, erased, user)[1]
+    return codec.decode(zeros, erased)[1]
 
 
 @pytest.mark.parametrize("name", CODECS)
@@ -204,17 +209,18 @@ def test_bursts_reach_apart_decode_alone(name, data):
     bursts = [(data.draw(st.integers(0, reach)), data.draw(st.integers(1, 8)))]
     second = sum(bursts[0]) + data.draw(st.integers(reach, reach + 6))
     bursts.append((second, data.draw(st.integers(1, 8))))
-    user = data.draw(st.integers(1, len(codec.deadlines)))
     horizon = sum(bursts[1]) + max(codec.deadlines) + 2
-    joint = decode_bursts(codec, bursts, horizon, user)
-    misses = []
+    joint = decode_bursts(codec, bursts, horizon)
+    misses = {deadline: [] for deadline in codec.deadlines}
     for start, length in bursts:
-        alone = burst_decode_log(codec, 0, length, user, horizon - start)
+        alone = burst_decode_log(codec, 0, length, horizon - start)
         rows = joint.sub_times[start:start + length]
         assert np.array_equal(np.where(rows < 0, -1, rows - start),
                               alone.sub_times[:length]), (start, length)
-        misses += [m + start for m in alone.misses]
-    assert joint.misses == misses
+        for deadline in codec.deadlines:
+            misses[deadline] += [m + start for m in alone.misses(deadline)]
+    for deadline in codec.deadlines:
+        assert joint.misses(deadline) == misses[deadline], deadline
 
 
 # IA (1,2,2), reach_slots 6: user-2 sub-symbol times of a 3-slot burst at
@@ -240,10 +246,10 @@ def test_bursts_closer_than_reach_decode_jointly(gap):
     assert codec.reach_slots == 6
     second = 3 + gap
     horizon = second + 1 + max(codec.deadlines) + 2
-    log = decode_bursts(codec, [(0, 3), (second, 1)], horizon, 2)
+    log = decode_bursts(codec, [(0, 3), (second, 1)], horizon)
     assert log.sub_times.tolist() == CLOSE_BURST_TIMES[gap]
-    alone = burst_decode_log(codec, 0, 3, 2, horizon)
-    assert log.misses != alone.misses
+    alone = burst_decode_log(codec, 0, 3, horizon)
+    assert log.misses(codec.deadline(2)) != alone.misses(codec.deadline(2))
 
 
 def test_decoder_working_memory_does_not_grow_with_length():

@@ -23,7 +23,7 @@ def random_source(codec, slots):
 def decode_with_burst(codec, source, start, length):
     stream = codec.encode_stream(source)
     erased = apply(single_burst(start, length, len(stream)), stream)
-    return codec.decode(stream, erased, 1)
+    return codec.decode(stream, erased)
 
 
 # ---------------------------------------------------------
@@ -149,7 +149,7 @@ def test_interleave_alpha3_corrects_length3_bursts():
     for start in range(40 - 3 - memory_bound(params)):  # tail slack
         out, log = decode_with_burst(codec, src, start, 3)
         assert np.array_equal(out, src)
-        assert log.misses == []  # every symbol within delay 6
+        assert log.misses(codec.deadline(1)) == []  # every symbol within delay 6
 
 
 # ---------------------------------------------------------
@@ -161,27 +161,27 @@ def test_23_burst_recovered_within_3():
     src = random_source(codec, 25)
     out, log = decode_with_burst(codec, src, 9, 2)
     assert np.array_equal(out, src)
-    assert log.misses == []
-    assert max(log.slot_delay(9), log.slot_delay(10)) == 3
+    assert log.misses(codec.deadline(1)) == []
+    times = log.slot_times[9:11]
+    assert (times >= 0).all()
+    assert max(times - [9, 10]) == 3
 
 
 def test_no_erasures_passthrough():
     codec = sco_build(ScoParams(2, 3, field=GF2))
     src = random_source(codec, 10)
-    out, log = codec.decode(codec.encode_stream(src), np.zeros(10, dtype=bool),
-                            1)
+    out, log = codec.decode(codec.encode_stream(src), np.zeros(10, dtype=bool))
     assert np.array_equal(out, src)
-    assert log.misses == []
-    for slot in range(10):
-        assert log.slot_time(slot) == slot
+    assert log.misses(codec.deadline(1)) == []
+    assert log.slot_times.tolist() == list(range(10))
 
 
 def test_oversized_burst_marks_losses_not_raises():
     codec = sco_build(ScoParams(1, 2, field=GF2))
     src = random_source(codec, 20)
     out, log = decode_with_burst(codec, src, 8, 4)
-    assert log.misses  # some slots lost
-    assert not log.fully_recovered
+    assert log.misses(codec.deadline(1))  # some slots lost
+    assert (log.slot_times < 0).any()  # not every slot recovered
 
 
 def test_exhaustive_small_grid():
@@ -194,7 +194,8 @@ def test_exhaustive_small_grid():
                 for start in range(window - b * step + 1):
                     out, log = decode_with_burst(codec, src, start, b * step)
                     assert np.array_equal(out, src), (b, t, step, start)
-                    assert log.misses == [], (b, t, step, start)
+                    assert log.misses(codec.deadline(1)) == [], \
+                        (b, t, step, start)
 
 
 def test_multiple_separated_bursts():
@@ -204,9 +205,9 @@ def test_multiple_separated_bursts():
     erased = np.zeros(len(stream), dtype=bool)
     for s in (5, 6, 20, 21):  # separation >> (t+b)*step
         erased[s] = True
-    out, log = codec.decode(stream, erased, 1)
+    out, log = codec.decode(stream, erased)
     assert np.array_equal(out, src)
-    assert log.misses == []
+    assert log.misses(codec.deadline(1)) == []
 
 
 def test_diagonal_erasure_count_structural():
