@@ -13,7 +13,7 @@ from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
 from streamfec.gf import GF
 from streamfec.sco import ScoParams, vertical_interleave
 
-GF2 = GF.binary(1)
+GF2 = GF(1)
 SLOTS = 14
 
 

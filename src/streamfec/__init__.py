@@ -10,16 +10,15 @@ Gaussian-elimination oracle provide baselines for comparison.
 from .bebc import (BurstParityMatrix, LdBebcCode, UnrecoverableBurstError,
                    make_burst_parity, verify_burst_correcting,
                    verify_delay_profile)
-from .channel import (ErasurePattern, apply, parse_pattern, periodic_pattern,
+from .channel import (apply, parse_pattern, periodic_pattern,
                       segmented_bursts, single_burst)
 from .decoder import Component, StreamLog, TraceEvent, staged_decode
-from .desco import (CombinedCodec, DeScoCodec, DeScoParams, desco_build,
-                    descriptor, ia_sco_build, optimal_delay, parse_descriptor,
+from .desco import (CombinedCodec, DeScoCodec, DeScoParams, descriptor,
+                    ia_sco_build, optimal_delay, parse_descriptor,
                     rate_upper_bound, sco_build, sweep_max_delay)
 from .gf import GF, IncrementalSystem, InconsistentSystemError, default_field
-from .oracle import (DebtState, ml_decode_times, rlc_burst_losses,
-                     rlc_decode_times, rlc_partial_threshold,
-                     rlc_perfect_threshold)
+from .oracle import (ml_decode_times, rlc_burst_losses, rlc_decode_times,
+                     rlc_partial_threshold, rlc_perfect_threshold)
 from .sco import (ScoCodec, ScoParams, capacity, memory_bound, split_urgent,
                   vertical_interleave)
 

@@ -1,10 +1,11 @@
-"""Erasure-pattern generators and pattern algebra.
+"""Erasure patterns: single bursts, the periodic patterns of the
+rate-converse argument, and the segmented random-burst model of the
+loss-probability runs.
 
-Patterns are immutable sets of erased slots over a finite horizon:
-single bursts, the periodic patterns used by the rate-converse argument,
-and the segmented random-burst model used for loss-probability runs.
-``apply`` gives a pattern's erasures as the bool mask over a stream
-array's slots that the decoder takes.
+A pattern is the (horizon,) bool mask of its erased slots, the mask the
+decoder takes; ``apply`` pads it with False to a longer stream.  Only
+``segmented_bursts`` returns its bursts as (starts, lengths) arrays, one
+entry per segment, since its horizon can be too long for a mask.
 
 In the segmented model each segment's burst comes from its own generator,
 ``PCG64(SeedSequence([seed, segment]))``; ``draw_segment_burst`` is the one
@@ -12,7 +13,7 @@ definition of a segment's burst.  ``burst_length_counts`` and
 ``segmented_bursts`` evaluate that definition in batch: a numpy kernel
 computes the first 64-bit output of many segments' generators at once
 (seeding, one PCG64 step, numpy's bounded draw), so the counts, the
-patterns and the loss curve built from them equal one
+bursts and the loss curve built from them equal one
 ``draw_segment_burst`` call per segment and b_max.  The rare draw that
 numpy would reject and redraw, and any range above 2**32, is made by
 ``draw_segment_burst`` itself.  Seeds must be >= 0.
@@ -20,7 +21,6 @@ numpy would reject and redraw, and any range above 2**32, is made by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -29,36 +29,11 @@ HIGH_DELAY = "high-delay"
 LOW_DELAY = "low-delay"
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
-    slots: Tuple[int, ...]
-    horizon: int
-
-    def __post_init__(self):
-        slots = tuple(sorted(set(self.slots)))
-        object.__setattr__(self, "slots", slots)
-        if slots and not (0 <= slots[0] and slots[-1] < self.horizon):
-            raise ValueError("erased slots outside horizon")
-
-    def serialize(self) -> str:
-        """Text form: one "start:length" line per erased run."""
-        lines = []
-        for start, length in self.runs():
-            lines.append(f"{start}:{length}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def runs(self) -> List[Tuple[int, int]]:
-        runs: List[Tuple[int, int]] = []
-        for s in self.slots:
-            if runs and s == runs[-1][0] + runs[-1][1]:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-            else:
-                runs.append((s, 1))
-        return runs
-
-
-def parse_pattern(text: str, horizon: int) -> ErasurePattern:
-    slots: List[int] = []
+def parse_pattern(text: str, horizon: int) -> np.ndarray:
+    """The (horizon,) bool mask of a pattern text: one "start:length" run
+    of erased slots per line, "#" starting a comment.  Runs may overlap;
+    a non-empty run must lie inside the horizon."""
+    erased = np.zeros(horizon, dtype=bool)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#")[0].strip()
         if not line:
@@ -70,19 +45,24 @@ def parse_pattern(text: str, horizon: int) -> ErasurePattern:
             raise ValueError(f"bad pattern line {lineno}: {line!r}") from exc
         if length < 0:
             raise ValueError(f"bad pattern line {lineno}: negative {line!r}")
-        slots.extend(range(start, start + length))
-    return ErasurePattern(tuple(slots), horizon)
+        if length and not 0 <= start <= horizon - length:
+            raise ValueError(f"bad pattern line {lineno}: {line!r} outside "
+                             f"horizon {horizon}")
+        erased[start:start + length] = True
+    return erased
 
 
-def single_burst(start: int, length: int, horizon: int) -> ErasurePattern:
+def single_burst(start: int, length: int, horizon: int) -> np.ndarray:
     if min(start, length) < 0 or start + length > horizon:
         raise ValueError(f"burst {start}:{length} is not a run inside "
                          f"horizon {horizon}")
-    return ErasurePattern(tuple(range(start, start + length)), horizon)
+    erased = np.zeros(horizon, dtype=bool)
+    erased[start:start + length] = True
+    return erased
 
 
 def periodic_pattern(b1: int, b2: int, t2: int, regime: str, periods: int,
-                     t1: Optional[int] = None) -> ErasurePattern:
+                     t1: Optional[int] = None) -> np.ndarray:
     """Periodic channel: b2 erasures at the head of every period.
 
     High-delay regime: period (alpha-1)*b1 + t2 = b2 - b1 + t2.
@@ -100,8 +80,9 @@ def periodic_pattern(b1: int, b2: int, t2: int, regime: str, periods: int,
         raise ValueError(f"unknown regime {regime!r}")
     if period <= b2:
         raise ValueError("period not longer than its erasure run")
-    slots = [p * period + k for p in range(periods) for k in range(b2)]
-    return ErasurePattern(tuple(slots), periods * period)
+    erased = np.zeros((periods, period), dtype=bool)
+    erased[:, :b2] = True
+    return erased.reshape(-1)
 
 
 def _check_seed(seed: int) -> None:
@@ -272,36 +253,40 @@ def burst_length_counts(seed: int, segments: int,
 
 
 def segmented_bursts(segment_len: int, b_max: int, segments: int,
-                     seed: int) -> ErasurePattern:
-    """One uniform-length burst per segment of the stream.
+                     seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One uniform-length burst per segment of the stream, as (starts,
+    lengths) int arrays with one entry per segment.
 
     Segment ``seg``'s burst is ``draw_segment_burst(seed, seg, segment_len,
-    b_max)``, evaluated in batch like ``burst_length_counts``: the start
-    is the second ``next_uint32``, the high half of the first output.
+    b_max)`` with its start moved onto the stream clock (plus
+    ``seg * segment_len``), evaluated in batch like
+    ``burst_length_counts``: the start is the second ``next_uint32``, the
+    high half of the first output.  No mask is built: the horizon
+    ``segments * segment_len`` can be far larger than the segment count.
     """
     if not 0 <= b_max < segment_len:
         raise ValueError("b_max must be >= 0 and smaller than segment_len")
-    parts = []
+    starts = np.zeros(segments, dtype=np.int64)
+    lengths = np.zeros(segments, dtype=np.int64)
     for lo, out in _segment_outputs(seed, segments):
-        lengths, ok = _bounded(out & _LOW32, _U(min(b_max, _CLAMP) + 1))
-        starts, ok_start = _bounded(out >> _U(32),
-                                    _U(min(segment_len, _CLAMP) + 1) - lengths)
+        length, ok = _bounded(out & _LOW32, _U(min(b_max, _CLAMP) + 1))
+        offset, ok_start = _bounded(out >> _U(32),
+                                    _U(min(segment_len, _CLAMP) + 1) - length)
         ok &= ok_start  # a zero length uses no start: a rejection is harmless
         for i in np.flatnonzero(~ok):
-            starts[i], lengths[i] = draw_segment_burst(seed, lo + i,
-                                                       segment_len, b_max)
-        lengths = lengths.astype(np.int64)
-        first = (np.arange(lo, lo + len(out)) * segment_len
-                 + starts.astype(np.int64))
-        run_at = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        parts.append(np.repeat(first, lengths)
-                     + np.arange(len(run_at)) - run_at)
-    slots = np.concatenate(parts).tolist() if parts else []
-    return ErasurePattern(tuple(slots), segments * segment_len)
+            offset[i], length[i] = draw_segment_burst(seed, lo + i,
+                                                      segment_len, b_max)
+        offset[length == 0] = 0  # the definition's start of an empty burst
+        at = slice(lo, lo + len(out))
+        starts[at] = (np.arange(lo, at.stop) * segment_len
+                      + offset.astype(np.int64))
+        lengths[at] = length
+    return starts, lengths
 
 
-def apply(pattern: ErasurePattern, symbols: np.ndarray) -> np.ndarray:
-    """The (n_slots,) bool mask of the stream's slots the pattern erases."""
-    if len(symbols) < pattern.horizon:
+def apply(pattern: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The (n_slots,) bool mask of the stream's erased slots: the
+    pattern's mask padded with False to the stream's length."""
+    if len(symbols) < len(pattern):
         raise ValueError("stream shorter than pattern horizon")
-    return np.isin(np.arange(len(symbols)), pattern.slots)
+    return np.pad(pattern, (0, len(symbols) - len(pattern)))

@@ -124,6 +124,14 @@ def _require(args, *dests):
                          + ", ".join(flags[d] for d in missing))
 
 
+def _int_list(flag: str, text) -> List[int]:
+    """A comma-separated list flag's ints; a bad entry names the flag."""
+    try:
+        return [int(x) for x in str(text).split(",") if x.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad {flag}: {text}") from exc
+
+
 def cmd_verify(args, out) -> int:
     _require(args, "b1", "t1", "alpha_num")
     codec = DeScoCodec(DeScoParams(args.b1, args.t1, args.alpha_num,
@@ -162,12 +170,9 @@ def simulate_records(args) -> List[Dict[str, object]]:
     """
     _require(args, "b1", "t1", "alpha_num", "bmax_list")
     params = DeScoParams(args.b1, args.t1, args.alpha_num, args.alpha_den)
-    try:
-        bmax_list = [int(x) for x in str(args.bmax_list).split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --bmax-list: {args.bmax_list}") from exc
+    bmax_list = _int_list("--bmax-list", args.bmax_list)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    users = [int(u) for u in str(args.users).split(",") if str(u).strip()]
+    users = _int_list("--users", args.users)
     for flag, values in (("--bmax-list", bmax_list), ("--schemes", schemes),
                          ("--users", users)):
         if not values:
@@ -304,6 +309,10 @@ def cmd_decode(args, out) -> int:
 def cmd_bounds(args, out) -> int:
     _require(args, "b1", "t1", "b2", "t2")
     b1, t1, b2, t2 = args.b1, args.t1, args.b2, args.t2
+    for flag, value, least in (("--b1", b1, 1), ("--t1", t1, 0),
+                               ("--t2", t2, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}: {value}")
     if b2 % b1 or b2 <= b1:
         raise UsageError("need b2 = alpha*b1 with alpha > 1")
     alpha = Fraction(b2, b1)

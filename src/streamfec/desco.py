@@ -32,6 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bebc import BurstParityMatrix
+from .channel import single_burst
 from .decoder import Component, StreamLog, encode_symbols, staged_decode
 from .gf import GF, default_field
 from .sco import MAIN, OFF, ScoCodec, ScoParams, memory_bound
@@ -209,10 +210,6 @@ class DeScoCodec(CombinedCodec):
                          (params.t1, params.user2_deadline))
 
 
-def desco_build(params: DeScoParams, field: Optional[GF] = None) -> DeScoCodec:
-    return DeScoCodec(params, field)
-
-
 def sco_build(params: ScoParams,
               h: Optional[BurstParityMatrix] = None) -> CombinedCodec:
     """Single-user streaming code: one component, deadline t * step."""
@@ -248,10 +245,8 @@ def burst_decode_log(codec: CombinedCodec, start: int, length: int,
     if horizon is None:
         # slots after the last deadline cannot change any miss verdict
         horizon = start + length + max(codec.deadlines) + 2
-    erased = np.zeros(horizon, dtype=bool)
-    erased[start:start + length] = True
     zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
-    return codec.decode(zeros, erased)[1]
+    return codec.decode(zeros, single_burst(start, length, horizon))[1]
 
 
 def burst_loss_count(codec: CombinedCodec, length: int) -> Tuple[int, ...]:
@@ -313,7 +308,7 @@ def parse_descriptor(text: str) -> DeScoCodec:
     try:
         params = DeScoParams(int(kv["b1"]), int(kv["t1"]), int(kv["a"]),
                              int(kv.get("b", "1")))
-        field = GF.binary(int(kv["field"]))
+        field = GF(int(kv["field"]))
     except KeyError as exc:
         raise ValueError(f"descriptor missing key {exc}") from exc
     h = None

@@ -73,11 +73,6 @@ class GF:
             self._alog[i] = _poly_mulmod(self._alog[i - 1], 2, self.poly)
             self._log[self._alog[i]] = i
 
-    @classmethod
-    def binary(cls, m: int) -> "GF":
-        """GF(2^m); raises ValueError unless 1 <= m <= 16."""
-        return cls(m)
-
     # -- element arithmetic (ints) ------------------------------------
 
     def mul(self, a: int, b: int) -> int:
@@ -126,7 +121,7 @@ def default_field(t: int, b: int) -> GF:
     m = 1
     while (1 << m) < t + b:
         m += 1
-    return GF.binary(m)
+    return GF(m)
 
 
 # -- linear algebra ----------------------------------------------------

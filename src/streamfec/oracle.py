@@ -1,5 +1,9 @@
 """Reference decoders used to cross-check the constructive codecs.
 
+Both decoders take an erasure pattern as the (horizon,) bool mask of
+its erased slots (see ``channel``) and return decode times as int
+arrays, -1 marking a time that never comes, in the decoder's layouts.
+
 ``ml_decode_times`` runs unrestricted incremental Gaussian elimination
 over everything the receiver has seen, giving the earliest slot at which
 each erased sub-symbol is pinned by *any* linear decoder.  The
@@ -11,19 +15,18 @@ outstanding source symbols decode together when the debt reaches zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
-from .channel import ErasurePattern
 from .gf import IncrementalSystem
 from .sco import Var
 
 
-def ml_decode_times(codec, pattern: ErasurePattern) -> np.ndarray:
-    """Earliest per-sub-symbol determination times for a codec under a pattern.
+def ml_decode_times(codec, erased: np.ndarray) -> np.ndarray:
+    """Earliest per-sub-symbol determination times for a codec under the
+    (horizon,) bool mask ``erased`` of its lost slots.
 
     ``codec`` is a ``CombinedCodec`` (single- or two-user); the times are
     laid out as its decode log's ``sub_times``, -1 marking never determined.
@@ -31,13 +34,12 @@ def ml_decode_times(codec, pattern: ErasurePattern) -> np.ndarray:
     elimination runs against an all-zero right-hand side.
     """
     n_subs = codec.subs_per_slot
-    erased = set(pattern.slots)
-    times = np.arange(pattern.horizon)[:, None].repeat(n_subs, axis=1)
+    times = np.arange(len(erased))[:, None].repeat(n_subs, axis=1)
+    times[erased] = -1
     unknown = set()
     system = IncrementalSystem(codec.field)
-    for t in range(pattern.horizon):
-        if t in erased:
-            times[t] = -1
+    for t, lost in enumerate(erased.tolist()):
+        if lost:
             unknown.update((t, k) for k in range(n_subs))
             continue
         for j in range(codec.parities_per_slot):
@@ -62,42 +64,26 @@ def ml_decode_times(codec, pattern: ErasurePattern) -> np.ndarray:
 # -- random-linear-code information-debt model ---------------------------
 
 
-@dataclass
-class DebtState:
-    """Running information debt, in channel-symbol units."""
-
-    rate: Fraction
-    debt: Fraction = Fraction(0)
-    pending: List[int] = dc_field(default_factory=list)
-    decode_time: Dict[int, Optional[int]] = dc_field(default_factory=dict)
-
-    def step(self, slot: int, erased: bool) -> None:
-        if erased:
-            self.debt += self.rate
-            self.pending.append(slot)
-            self.decode_time[slot] = None
-        else:
-            self.decode_time[slot] = slot
-            if self.pending:
-                self.debt -= (1 - self.rate)
-                if self.debt <= 0:
-                    for s in self.pending:
-                        self.decode_time[s] = slot
-                    self.pending.clear()
-                    self.debt = Fraction(0)
-
-
-def rlc_decode_times(rate: Fraction,
-                     pattern: ErasurePattern) -> Dict[int, Optional[int]]:
-    """Per-slot decode times of a rate-``rate`` random linear code."""
+def rlc_decode_times(rate: Fraction, erased: np.ndarray) -> np.ndarray:
+    """Per-slot decode times of a rate-``rate`` random linear code under
+    the (horizon,) bool mask ``erased``, laid out as ``StreamLog.slot_times``
+    (-1 for a slot never decoded).  Debt is in channel-symbol units."""
     rate = Fraction(rate)
     if not 0 < rate < 1:
         raise ValueError("rate must be in (0, 1)")
-    erased = set(pattern.slots)
-    state = DebtState(rate)
-    for t in range(pattern.horizon):
-        state.step(t, t in erased)
-    return state.decode_time
+    times = np.arange(len(erased))
+    times[erased] = -1
+    debt, pending = Fraction(0), []
+    for t, lost in enumerate(erased.tolist()):
+        if lost:
+            debt += rate
+            pending.append(t)
+        elif pending:
+            debt -= 1 - rate
+            if debt <= 0:
+                times[pending] = t
+                debt, pending = Fraction(0), []
+    return times
 
 
 def rlc_perfect_threshold(rate: Fraction, t: int) -> int:

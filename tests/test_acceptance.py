@@ -17,14 +17,14 @@ from streamfec import cli
 from streamfec.channel import (HIGH_DELAY, apply, periodic_pattern,
                                single_burst)
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
-                             desco_build, ia_sco_build, rate_upper_bound,
-                             sco_build, sweep_max_delay)
+                             ia_sco_build, rate_upper_bound, sco_build,
+                             sweep_max_delay)
 from streamfec.gf import GF
 from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
                               rlc_partial_threshold, rlc_perfect_threshold)
 from streamfec.sco import ScoParams, vertical_interleave
 
-GF2 = GF.binary(1)
+GF2 = GF(1)
 rng = random.Random(20240820)
 
 GRID = [(b1, t1, a, b)
@@ -113,7 +113,7 @@ def test_achievability_grid():
     started = time.monotonic()
     for (b1, t1, a, b) in GRID:
         p = DeScoParams(b1, t1, a, b)
-        codec = desco_build(p)
+        codec = DeScoCodec(p)
         window = 10 * (t1 + b1)
         w1, m1 = sweep_max_delay(codec, b1, user=1, window=window)
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
@@ -143,7 +143,7 @@ def test_cut_sweep_equals_full_sweep():
     started = time.monotonic()
     for (b1, t1, a, b) in GRID:
         p = DeScoParams(b1, t1, a, b)
-        codec = desco_build(p)
+        codec = DeScoCodec(p)
         window = 10 * (t1 + b1)
         for length, user in ((b1, 1), (p.b2, 2)):
             assert sweep_max_delay(codec, length, user, window) \
@@ -151,8 +151,8 @@ def test_cut_sweep_equals_full_sweep():
     # over-length bursts (misses > 0, so the interior decode's misses are
     # multiplied) and windows shorter than reach_slots
     missed = 0
-    for codec, b1, b2 in ((desco_build(DeScoParams(1, 2, 2)), 1, 2),
-                          (desco_build(DeScoParams(2, 3, 3, 2)), 2, 3),
+    for codec, b1, b2 in ((DeScoCodec(DeScoParams(1, 2, 2)), 1, 2),
+                          (DeScoCodec(DeScoParams(2, 3, 3, 2)), 2, 3),
                           (ia_sco_build(2, 3, 2), 2, 4)):
         for length in (b1, b2, b2 + 1):
             for window in (codec.reach_slots - 1, codec.reach_slots + length,
@@ -177,7 +177,7 @@ def test_tightness_grid():
     started = time.monotonic()
     for (b1, t1, a, b) in GRID:
         p = DeScoParams(b1, t1, a, b)
-        codec = desco_build(p)
+        codec = DeScoCodec(p)
         worst = 0
         for start in range(2 * (t1 + b1) + 2):
             horizon = start + p.b2 + p.user2_deadline + 2
@@ -288,7 +288,7 @@ def test_oracle_equivalence_random():
             if b1 % b:
                 continue
             params = DeScoParams(b1, t1, a, b)
-            codec = desco_build(params)
+            codec = DeScoCodec(params)
             deadline = codec.user2_deadline
             tolerance = params.b2
         else:
@@ -403,11 +403,11 @@ def test_periodic_pattern_decodable():
     started = time.monotonic()
     for (b1, t1, a, b) in GRID:
         p = DeScoParams(b1, t1, a, b)
-        codec = desco_build(p)
+        codec = DeScoCodec(p)
         pattern = periodic_pattern(b1, p.b2, p.user2_deadline, HIGH_DELAY,
                                    periods=3)
-        period = pattern.horizon // 3
-        horizon = pattern.horizon + p.user2_deadline + 2
+        period = len(pattern) // 3
+        horizon = len(pattern) + p.user2_deadline + 2
         rx = zero_symbols(codec, horizon)
         _, log = codec.decode(rx, apply(pattern, rx))
         assert log.misses(codec.deadline(2)) == [], (b1, t1, a, b)

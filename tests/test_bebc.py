@@ -7,7 +7,7 @@ from streamfec.bebc import (BurstParityMatrix, LdBebcCode,
                             verify_burst_correcting, verify_delay_profile)
 from streamfec.gf import GF, IncrementalSystem, default_field
 
-GF2 = GF.binary(1)
+GF2 = GF(1)
 
 
 def brute_force_burst_check(h):
@@ -57,7 +57,7 @@ def test_b_equals_t_is_repetition():
 
 
 def test_mds_route_over_larger_field():
-    h = make_burst_parity(4, 2, GF.binary(3))
+    h = make_burst_parity(4, 2, GF(3))
     assert verify_burst_correcting(h)
     assert len(h.rows) == 2 and len(h.rows[0]) == 2
 
@@ -70,7 +70,7 @@ def test_construction_deterministic():
 
 def test_field_too_small_errors():
     with pytest.raises(ValueError, match="field order"):
-        make_burst_parity(8, 3, GF.binary(3))  # 8 < 11
+        make_burst_parity(8, 3, GF(3))  # 8 < 11
 
 
 # ---------------------------------------------------------
@@ -105,7 +105,7 @@ def test_encode_printed_example():
 
 
 def test_encode_zero_and_linearity():
-    code = LdBebcCode(make_burst_parity(4, 2, GF.binary(3)))
+    code = LdBebcCode(make_burst_parity(4, 2, GF(3)))
     assert code.encode([0] * 4) == [0] * 6
     rng = random.Random(4)
     u = [rng.randrange(8) for _ in range(4)]
@@ -116,7 +116,7 @@ def test_encode_zero_and_linearity():
 
 
 def test_encode_parity_matches_matrix_multiply():
-    code = LdBebcCode(make_burst_parity(4, 2, GF.binary(3)))
+    code = LdBebcCode(make_burst_parity(4, 2, GF(3)))
     f, h = code.field, code.h
     rng = random.Random(12)
     info = [rng.randrange(8) for _ in range(4)]

@@ -4,32 +4,50 @@ import numpy as np
 import pytest
 
 from streamfec import channel
-from streamfec.channel import (HIGH_DELAY, LOW_DELAY, ErasurePattern, apply,
+from streamfec.channel import (HIGH_DELAY, LOW_DELAY, apply,
                                burst_length_counts, draw_segment_burst,
                                parse_pattern, periodic_pattern,
                                segmented_bursts, single_burst)
 
 
-def test_pattern_normalizes_and_checks_bounds():
-    p = ErasurePattern((4, 2, 2, 3), horizon=10)
-    assert p.slots == (2, 3, 4)
-    with pytest.raises(ValueError):
-        ErasurePattern((10,), horizon=10)
-    with pytest.raises(ValueError):
-        ErasurePattern((-1,), horizon=10)
+def erased_slots(pattern):
+    return np.flatnonzero(pattern).tolist()
 
 
-def test_runs_groups_contiguous_slots():
-    p = ErasurePattern((1, 2, 3, 7, 9, 10), horizon=12)
-    assert p.runs() == [(1, 3), (7, 1), (9, 2)]
+def drawn_runs(seed, segments, segment_len, b_max):
+    """The (starts, lengths) of segmented_bursts from one
+    draw_segment_burst per segment, starts on the stream clock."""
+    draws = [draw_segment_burst(seed, seg, segment_len, b_max)
+             for seg in range(segments)]
+    return ([seg * segment_len + start for seg, (start, _) in enumerate(draws)],
+            [length for _, length in draws])
 
 
-def test_serialize_parse_roundtrip():
-    p = ErasurePattern((1, 2, 3, 7), horizon=12)
-    text = p.serialize()
-    assert text == "1:3\n7:1\n"
-    assert parse_pattern(text, 12) == p
-    assert parse_pattern("", 5) == ErasurePattern((), 5)
+def runs_of(bursts):
+    starts, lengths = bursts
+    assert starts.dtype == lengths.dtype == np.int64
+    return starts.tolist(), lengths.tolist()
+
+
+def test_parse_overlapping_runs_are_union():
+    p = parse_pattern("1:3\n2:4\n9:1\n1:1\n", 12)
+    assert p.dtype == bool and p.shape == (12,)
+    assert erased_slots(p) == [1, 2, 3, 4, 5, 9]
+    assert parse_pattern("1:3\n7:1\n", 12).tolist() == \
+        [False] + [True] * 3 + [False] * 3 + [True] + [False] * 4
+    assert parse_pattern("", 5).tolist() == [False] * 5
+
+
+def test_parse_refuses_run_outside_horizon():
+    with pytest.raises(ValueError, match="line 2: '-1:2' outside horizon 10"):
+        parse_pattern("0:1\n-1:2\n", 10)
+    with pytest.raises(ValueError, match="line 3: '9:2' outside horizon 10"):
+        parse_pattern("0:1\n# ok\n9:2\n", 10)
+    assert erased_slots(parse_pattern("0:1\n8:2\n", 10)) == [0, 8, 9]
+
+
+def test_zero_length_run_is_accepted_anywhere():
+    assert not parse_pattern("5:0\n-3:0\n10:0\n99:0\n", 10).any()
 
 
 def test_parse_rejects_malformed_line():
@@ -39,11 +57,12 @@ def test_parse_rejects_malformed_line():
 
 def test_parse_allows_comments():
     p = parse_pattern("# header\n3:2  # trailing\n", 10)
-    assert p.slots == (3, 4)
+    assert erased_slots(p) == [3, 4]
 
 
 def test_single_burst():
-    assert single_burst(3, 2, 10).slots == (3, 4)
+    assert single_burst(3, 2, 10).tolist() == [False] * 3 + [True] * 2 \
+        + [False] * 5
     with pytest.raises(ValueError):
         single_burst(9, 2, 10)
 
@@ -54,21 +73,21 @@ def test_negative_run_length_is_refused():
         parse_pattern("0:1\n5:-3\n", 10)
     with pytest.raises(ValueError, match="burst 5:-3 is not a run inside"):
         single_burst(5, -3, 10)
-    assert parse_pattern("5:0\n", 10).slots == ()
-    assert single_burst(5, 0, 10).slots == ()
+    assert parse_pattern("5:0\n", 10).tolist() == [False] * 10
+    assert single_burst(5, 0, 10).tolist() == [False] * 10
 
 
 def test_periodic_high_delay_shape():
     # b1=1, b2=2, t2=5: period 6, bursts of 2 at each period head
     p = periodic_pattern(1, 2, 5, HIGH_DELAY, periods=3)
-    assert p.horizon == 18
-    assert p.runs() == [(0, 2), (6, 2), (12, 2)]
+    assert p.dtype == bool and p.shape == (18,)
+    assert erased_slots(p) == [0, 1, 6, 7, 12, 13]
 
 
 def test_periodic_low_delay_shape():
     p = periodic_pattern(1, 2, 5, LOW_DELAY, periods=2, t1=2)
-    assert p.horizon == 8
-    assert p.runs() == [(0, 2), (4, 2)]
+    assert p.shape == (8,)
+    assert erased_slots(p) == [0, 1, 4, 5]
 
 
 def test_periodic_validation():
@@ -84,7 +103,8 @@ def test_periodic_validation():
 
 def test_periodic_rational_ratio_allowed():
     p = periodic_pattern(2, 3, 9, HIGH_DELAY, periods=2)
-    assert p.runs() == [(0, 3), (10, 3)]
+    assert p.shape == (20,)
+    assert erased_slots(p) == [0, 1, 2, 10, 11, 12]
 
 
 def test_draw_segment_burst_reproducible_and_in_range():
@@ -105,21 +125,18 @@ def test_draw_segment_burst_differs_across_segments_and_seeds():
 
 
 def test_segmented_bursts_one_run_per_segment():
-    p = segmented_bursts(segment_len=20, b_max=4, segments=10, seed=3)
-    assert p.horizon == 200
-    for start, length in p.runs():
-        seg = start // 20
-        assert start + length <= (seg + 1) * 20
-        assert length <= 4
+    starts, lengths = runs_of(segmented_bursts(segment_len=20, b_max=4,
+                                               segments=10, seed=3))
+    assert len(starts) == len(lengths) == 10
+    for seg, (start, length) in enumerate(zip(starts, lengths)):
+        assert seg * 20 <= start and start + length <= (seg + 1) * 20
+        assert 0 <= length <= 4
 
 
 def test_segmented_bursts_matches_draws():
-    p = segmented_bursts(segment_len=15, b_max=3, segments=5, seed=11)
-    expect = []
-    for seg in range(5):
-        start, length = draw_segment_burst(11, seg, 15, 3)
-        expect.extend(range(seg * 15 + start, seg * 15 + start + length))
-    assert list(p.slots) == expect
+    bursts = segmented_bursts(segment_len=15, b_max=3, segments=5, seed=11)
+    assert runs_of(bursts) == drawn_runs(11, 5, 15, 3)
+    assert runs_of(segmented_bursts(15, 3, 0, 11)) == ([], [])
 
 
 def test_segmented_bursts_validation():
@@ -130,11 +147,12 @@ def test_segmented_bursts_validation():
 
 
 def test_apply_masks_erased_slots():
-    p = ErasurePattern((1, 3), horizon=4)
-    symbols = np.zeros((4, 3), dtype=np.int64)
-    erased = apply(p, symbols)
+    p = np.array([False, True, False, True])
+    symbols = np.zeros((6, 3), dtype=np.int64)
+    assert apply(p, symbols[:4]).tolist() == p.tolist()
+    erased = apply(p, symbols)  # padded: slots past the horizon arrive
     assert erased.dtype == bool
-    assert erased.tolist() == [False, True, False, True]
+    assert erased.tolist() == [False, True, False, True, False, False]
     with pytest.raises(ValueError):
         apply(p, symbols[:2])
 
@@ -178,13 +196,10 @@ def test_kernel_outputs_equal_numpy(seed):
 def test_kernel_bursts_equal_draws_across_a_chunk(seed):
     segments = channel._CHUNK + 50
     for segment_len, b_max in [(100, 8), (15, 3), (7, 6)]:
-        p = segmented_bursts(segment_len, b_max, segments, seed)
-        expect = []
-        for seg in range(segments):
-            start, length = draw_segment_burst(seed, seg, segment_len, b_max)
-            base = seg * segment_len + start
-            expect.extend(range(base, base + length))
-        assert list(p.slots) == expect, (segment_len, b_max)
+        runs = runs_of(segmented_bursts(segment_len, b_max, segments, seed))
+        assert runs == drawn_runs(seed, segments, segment_len, b_max), \
+            (segment_len, b_max)
+        assert 0 in runs[1]  # zero-length bursts are compared too
 
 
 def test_kernel_bounded_draw_and_forced_rejection():
@@ -197,13 +212,11 @@ def test_kernel_bounded_draw_and_forced_rejection():
     for seg in np.flatnonzero(ok):
         rng = np.random.Generator(channel._segment_bits(7, int(seg)))
         assert int(rng.integers(0, high)) == values[seg]
-    # b_max 1: every burst of length 1 draws its start from [0, 3 * 2**30)
-    p = segmented_bursts(high, 1, 400, 7)
-    expect = [seg * high + start
-              for seg in range(400)
-              for start, length in [draw_segment_burst(7, seg, high, 1)]
-              if length]
-    assert list(p.slots) == expect
+    # b_max 1: every burst of length 1 draws its start from [0, 3 * 2**30);
+    # a zero-length one has start 0, whatever the kernel's raw start
+    runs = runs_of(segmented_bursts(high, 1, 400, 7))
+    assert runs == drawn_runs(7, 400, high, 1)
+    assert 0 < runs[1].count(0) < 400
 
 
 def test_kernel_rejected_lengths_are_drawn_by_the_definition(monkeypatch):
@@ -218,10 +231,7 @@ def test_kernel_rejected_lengths_are_drawn_by_the_definition(monkeypatch):
     expect = burst_length_counts(7, 300, range(9))
     monkeypatch.setattr(channel, "_bounded", reject_every_third)
     assert burst_length_counts(7, 300, range(9)) == expect
-    draws = [draw_segment_burst(7, seg, 20, 8) for seg in range(300)]
-    assert list(segmented_bursts(20, 8, 300, 7).slots) == [
-        seg * 20 + start + k
-        for seg, (start, n) in enumerate(draws) for k in range(n)]
+    assert runs_of(segmented_bursts(20, 8, 300, 7)) == drawn_runs(7, 300, 20, 8)
 
 
 def test_negative_seed_is_refused():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from streamfec import cli, desco, wire
-from streamfec.desco import DeScoParams, desco_build, descriptor
+from streamfec.desco import DeScoCodec, DeScoParams, descriptor
 
 
 def run(argv):
@@ -169,6 +169,16 @@ def test_simulate_empty_list_is_usage_error(flag, value, capsys):
     assert capsys.readouterr().err == f"error: {flag} is empty\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--bmax-list", "1,x"),
+                                         ("--users", "x"), ("--users", "1.5")])
+def test_simulate_non_integer_list_is_usage_error(flag, value, capsys):
+    # --users x used to end in "invalid literal for int()", naming no flag
+    argv = sim_bmax(value) if flag == "--bmax-list" else SIM + [flag, value]
+    code, text = run(argv)
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == f"error: bad {flag}: {value}\n"
+
+
 # the benchmark's loss-curve run
 LOSS_CURVE = ["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
               "--bmax-list", "0,1,2,3,4,5,6,7,8", "--segment-len", "100",
@@ -248,7 +258,7 @@ def test_config_values_equal_explicit_flags(tmp_path):
     assert config_run(tmp_path, "bounds", "b1=2\nt1=5\nb2=4\nt2=12\n") \
         == run(bounds)
 
-    codec = desco_build(DeScoParams(2, 5, 2))
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
     stream = codec.encode_stream(np.array([[v % codec.field.order, 1, 2, 3, 4]
@@ -271,7 +281,7 @@ def test_config_values_equal_explicit_flags(tmp_path):
 
 
 def test_config_keys_are_named_like_the_long_flags(tmp_path):
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
     enc = tmp_path / "s.bin"
@@ -290,7 +300,7 @@ def test_config_keys_are_named_like_the_long_flags(tmp_path):
 @pytest.mark.parametrize("command", ["encode", "decode"])
 def test_missing_in_names_the_in_flag(tmp_path, capsys, command):
     desc = tmp_path / "codec.txt"
-    desc.write_text(descriptor(desco_build(DeScoParams(1, 2, 2))))
+    desc.write_text(descriptor(DeScoCodec(DeScoParams(1, 2, 2))))
     argv = [command, "--descriptor", str(desc), "--out", str(tmp_path / "o")]
     assert run(argv)[0] == cli.EXIT_USAGE
     assert capsys.readouterr().err \
@@ -333,7 +343,7 @@ def test_index_error_in_a_command_propagates(monkeypatch):
 # ---------------------------------------------------------
 
 def test_encode_decode_roundtrip(tmp_path):
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     rng = random.Random(77)
     slots = 30
     source = np.array([tuple(rng.randrange(codec.field.order)
@@ -375,7 +385,7 @@ def test_decode_log_across_chunks_matches_row_by_row(tmp_path):
     """The log is written LOG_CHUNK rows at a time; over more than two
     chunks, with bursts on the chunk edges and unrecovered slots, it
     equals the log written one row at a time by csv.writer."""
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     chunk = cli.LOG_CHUNK
     slots = 2 * chunk + chunk // 2
     rng = np.random.default_rng(5)
@@ -417,7 +427,7 @@ def test_decode_log_across_chunks_matches_row_by_row(tmp_path):
 
 
 def test_decode_without_pattern_is_clean(tmp_path):
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
     stream = codec.encode_stream(np.array([[1, 0]] * 5))
@@ -432,7 +442,7 @@ def test_decode_without_pattern_is_clean(tmp_path):
 def test_decode_inconsistent_stream_exits_4(tmp_path, capsys):
     # A zero stream with one non-zero source element at slot 1: after the
     # erasures at 0 and 4-5, two parities pin one sub-symbol differently.
-    codec = desco_build(DeScoParams(2, 5, 2))
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
     stream = np.zeros((24, codec.symbol_width), dtype=np.int64)
@@ -449,8 +459,24 @@ def test_decode_inconsistent_stream_exits_4(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_decode_pattern_run_past_the_stream_is_usage_error(tmp_path, capsys):
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(wire.pack_stream(
+        codec.encode_stream(np.array([[1, 0]] * 10)), codec.field))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("0:1\n9:2\n")
+    code, text = run(["decode", "--descriptor", str(desc), "--in", str(enc),
+                      "--pattern", str(pattern), "--out", str(tmp_path / "d")])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == \
+        "error: bad pattern line 2: '9:2' outside horizon 10\n"
+
+
 def test_decode_negative_pattern_run_is_usage_error(tmp_path, capsys):
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
     enc = tmp_path / "s.bin"
@@ -465,7 +491,7 @@ def test_decode_negative_pattern_run_is_usage_error(tmp_path, capsys):
 
 
 def test_decode_bad_user_is_usage_error(tmp_path, capsys):
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
     enc = tmp_path / "s.bin"
@@ -480,7 +506,7 @@ def test_decode_bad_user_is_usage_error(tmp_path, capsys):
 
 def test_encode_missing_input_is_io_error(tmp_path):
     desc = tmp_path / "codec.txt"
-    desc.write_text(descriptor(desco_build(DeScoParams(1, 2, 2))))
+    desc.write_text(descriptor(DeScoCodec(DeScoParams(1, 2, 2))))
     code, _ = run(["encode", "--descriptor", str(desc),
                    "--in", str(tmp_path / "nope.bin"),
                    "--out", str(tmp_path / "x.bin")])
@@ -489,7 +515,7 @@ def test_encode_missing_input_is_io_error(tmp_path):
 
 def test_encode_corrupt_input_is_usage_error(tmp_path):
     desc = tmp_path / "codec.txt"
-    desc.write_text(descriptor(desco_build(DeScoParams(1, 2, 2))))
+    desc.write_text(descriptor(DeScoCodec(DeScoParams(1, 2, 2))))
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\x01")  # not a whole record
     code, _ = run(["encode", "--descriptor", str(desc),
@@ -533,3 +559,17 @@ def test_bounds_infeasible_below_optimal_delay():
 def test_bounds_rejects_bad_ratio():
     code, _ = run(["bounds", "--b1", "2", "--t1", "3", "--b2", "3", "--t2", "8"])
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag, value, least", [("--b1", "0", 1),
+                                                ("--t1", "-1", 0),
+                                                ("--t2", "-5", 0)])
+def test_bounds_out_of_range_is_usage_error(flag, value, least, capsys):
+    # --b1 0 and --t1 -1 ended in a ZeroDivisionError (exit 1), and
+    # --t2 -5 printed three lines before its error
+    argv = ["bounds", "--b1", "1", "--t1", "2", "--b2", "2", "--t2", "5"]
+    argv[argv.index(flag) + 1] = value
+    code, text = run(argv)
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == \
+        f"error: {flag} must be >= {least}: {value}\n"

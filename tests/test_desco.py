@@ -7,10 +7,9 @@ import pytest
 from streamfec.channel import apply, single_burst
 from streamfec.decoder import Component
 from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
-                             burst_decode_log, burst_loss_count, desco_build,
-                             descriptor, ia_sco_build, optimal_delay,
-                             parse_descriptor, rate_upper_bound, sco_build,
-                             sweep_max_delay)
+                             burst_decode_log, burst_loss_count, descriptor,
+                             ia_sco_build, optimal_delay, parse_descriptor,
+                             rate_upper_bound, sco_build, sweep_max_delay)
 from streamfec.gf import GF
 from streamfec.sco import ScoParams, capacity
 
@@ -96,7 +95,7 @@ def test_source_expand():
 # ---------------------------------------------------------
 
 def test_12_alpha2_combined_parity_formula():
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     src = random_source(codec, 20)
 
     def s(j, t):
@@ -110,7 +109,7 @@ def test_12_alpha2_combined_parity_formula():
 
 
 def test_symbol_width_rational_alpha():
-    codec = desco_build(DeScoParams(2, 5, 3, 2))
+    codec = DeScoCodec(DeScoParams(2, 5, 3, 2))
     assert codec.subs_per_slot == 10  # n * t0 = 2 * 5
     assert codec.parities_per_slot == 4
     assert codec.symbol_width == 14
@@ -124,15 +123,15 @@ def encode_step(codec, src, t):
 
 
 def test_encode_step_matches_stream():
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     src = random_source(codec, 8)
     full = codec.encode_stream(src)
     for t in range(8):
         assert np.array_equal(encode_step(codec, src, t), full[t])
 
 
-@pytest.mark.parametrize("codec", [desco_build(DeScoParams(1, 2, 2)),
-                                   desco_build(DeScoParams(2, 3, 3, 2)),
+@pytest.mark.parametrize("codec", [DeScoCodec(DeScoParams(1, 2, 2)),
+                                   DeScoCodec(DeScoParams(2, 3, 3, 2)),
                                    ia_sco_build(1, 2, 2)])
 def test_encode_step_reads_only_the_reach(codec):
     keep = max(comp.reach for comp in codec.components)  # in stream slots
@@ -145,7 +144,7 @@ def test_encode_step_reads_only_the_reach(codec):
 
 
 def test_encode_rejects_elements_outside_the_field():
-    codec = desco_build(DeScoParams(1, 2, 2))  # GF(4), 2 subs per slot
+    codec = DeScoCodec(DeScoParams(1, 2, 2))  # GF(4), 2 subs per slot
     for bad in ([[0, -1]], [[4, 0]], [[0, 1], [2, 1 << 70]]):
         with pytest.raises(ValueError):
             codec.encode_stream(np.array(bad))
@@ -154,8 +153,8 @@ def test_encode_rejects_elements_outside_the_field():
 
 
 def test_combined_codec_rejects_mismatched_components():
-    c = desco_build(DeScoParams(1, 2, 2))
-    other = desco_build(DeScoParams(2, 3, 2))
+    c = DeScoCodec(DeScoParams(1, 2, 2))
+    other = DeScoCodec(DeScoParams(2, 3, 2))
     with pytest.raises(ValueError):
         CombinedCodec([c.components[0],
                        Component(other.components[1].codec, shift=3)],
@@ -177,7 +176,7 @@ def decode_burst(codec, src, start, length):
 
 
 def test_user1_unaffected_by_embedding():
-    codec = desco_build(DeScoParams(2, 3, 2))
+    codec = DeScoCodec(DeScoParams(2, 3, 2))
     src = random_source(codec, 30)
     out, log = decode_burst(codec, src, 10, 2)
     assert np.array_equal(out, src)
@@ -188,7 +187,7 @@ def test_user1_unaffected_by_embedding():
 
 
 def test_12_alpha2_double_burst_recovery_times():
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     src = random_source(codec, 25)
     out, log = decode_burst(codec, src, 9, 2)
     assert np.array_equal(out, src)
@@ -201,7 +200,7 @@ def test_12_alpha2_double_burst_recovery_times():
 
 
 def test_user2_miss_when_burst_exceeds_b2():
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     log = burst_decode_log(codec, 20, 3)
     assert log.misses(codec.deadline(2)) != []
 
@@ -211,7 +210,7 @@ def test_delay_grid():
              (2, 2, 2, 1), (2, 4, 5, 2)]
     for (b1, t1, a, b) in cases:
         p = DeScoParams(b1, t1, a, b)
-        codec = desco_build(p)
+        codec = DeScoCodec(p)
         window = 4 * (t1 + p.user2_deadline)
         w1, m1 = sweep_max_delay(codec, b1, user=1, window=window)
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
@@ -220,14 +219,14 @@ def test_delay_grid():
 
 
 def test_sweep_rejects_a_window_without_a_start():
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     with pytest.raises(ValueError, match="shorter than the burst"):
         sweep_max_delay(codec, 2, 2, 1)
     assert sweep_max_delay(codec, 2, 2, 2) == (5, 0)  # one start fits
 
 
 def test_zero_stream_burst_is_structural():
-    codec = desco_build(DeScoParams(2, 3, 2))
+    codec = DeScoCodec(DeScoParams(2, 3, 2))
     src = random_source(codec, 40)
     for length in (2, 4, 5):
         _, log_rand = decode_burst(codec, src, 15, length)
@@ -238,7 +237,7 @@ def test_zero_stream_burst_is_structural():
 
 
 def test_burst_loss_count_profile_12_alpha2():
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     got = [burst_loss_count(codec, length) for length in range(6)]
     assert [u2 for _, u2 in got] == [0, 0, 0, 3, 4, 5]
     assert [u1 for u1, _ in got[:4]] == [0, 0, 2, 3]
@@ -250,7 +249,7 @@ def test_burst_loss_count_profile_12_alpha2():
 
 def test_ia_baseline_has_larger_user2_delay():
     ia = ia_sco_build(2, 3, 2)
-    de = desco_build(DeScoParams(2, 3, 2))
+    de = DeScoCodec(DeScoParams(2, 3, 2))
     assert ia.user2_deadline == 9 and de.user2_deadline == 8
     w_ia, m_ia = sweep_max_delay(ia, 4, user=2, window=60)
     w_de, m_de = sweep_max_delay(de, 4, user=2, window=60)
@@ -280,7 +279,7 @@ def test_ia_rejects_fractional_alpha():
 
 def test_descriptor_roundtrip_bit_exact():
     for params in (DeScoParams(1, 2, 2), DeScoParams(2, 5, 3, 2)):
-        codec = desco_build(params)
+        codec = DeScoCodec(params)
         clone = parse_descriptor(descriptor(codec))
         assert clone.params == params
         assert clone.field == codec.field
@@ -290,7 +289,7 @@ def test_descriptor_roundtrip_bit_exact():
 
 
 def test_descriptor_with_explicit_field():
-    codec = DeScoCodec(DeScoParams(1, 2, 2), field=GF.binary(4))
+    codec = DeScoCodec(DeScoParams(1, 2, 2), field=GF(4))
     clone = parse_descriptor(descriptor(codec))
     assert clone.field.degree == 4
 
@@ -307,7 +306,7 @@ def test_parse_descriptor_errors():
 
 
 def test_decode_rejects_bad_user_and_width():
-    codec = desco_build(DeScoParams(1, 2, 2))
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
     stream = codec.encode_stream(random_source(codec, 5))
     erased = np.zeros(5, dtype=bool)
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ def exhaustive(gf):
 def test_field_degree_limits():
     for m in (0, 17):
         with pytest.raises(ValueError):
-            GF.binary(m)
+            GF(m)
 
 
 def test_canonical_polynomials_are_primitive():
@@ -27,7 +27,7 @@ def test_canonical_polynomials_are_primitive():
     # permutation of 1..2^m - 1 and the log table inverts it.
     assert sorted(CANONICAL_POLY) == list(range(1, 17))
     for m in CANONICAL_POLY:
-        g = GF.binary(m)
+        g = GF(m)
         powers, x = [], 1
         for _ in range(g.order - 1):
             powers.append(x)
@@ -49,14 +49,14 @@ def test_default_field_is_smallest_fitting():
 
 def test_gf2_add_is_xor():
     # the field's sum is XOR: 1 + 1 = 0, and mul distributes over it
-    g = GF.binary(1)
+    g = GF(1)
     assert 1 ^ 1 == 0 and g.mul(1, 1 ^ 1) == g.mul(1, 1) ^ g.mul(1, 1)
     assert 1 ^ 0 == 1 and g.mul(1, 1 ^ 0) == g.mul(1, 1) ^ g.mul(1, 0)
 
 
 def test_gf8_add_is_xor():
     # (x + 1) + (x^2 + 1) = x^2 + x, the sum the polynomial multiply uses
-    g = GF.binary(3)
+    g = GF(3)
     assert 0b011 ^ 0b101 == 0b110
     assert g.mul(0b010, 0b011) ^ g.mul(0b010, 0b101) \
         == g.mul_polynomial(0b010, 0b110)
@@ -64,12 +64,12 @@ def test_gf8_add_is_xor():
 
 def test_gf8_mul_example():
     # x * x^2 = x^3 = x + 1 mod x^3+x+1
-    g = GF.binary(3)
+    g = GF(3)
     assert g.mul(0b010, 0b100) == 0b011
 
 
 def test_identity_and_annihilator():
-    g = GF.binary(4)
+    g = GF(4)
     for a in exhaustive(g):
         assert g.mul(a, 1) == a
         assert g.mul(a, 0) == 0
@@ -78,7 +78,7 @@ def test_identity_and_annihilator():
 
 def test_table_mul_matches_polynomial_oracle():
     for m in (2, 3, 4, 8):
-        g = GF.binary(m)
+        g = GF(m)
         rng = np.random.default_rng(m)
         for _ in range(200):
             a, b = (int(x) for x in rng.integers(0, g.order, size=2))
@@ -86,18 +86,18 @@ def test_table_mul_matches_polynomial_oracle():
 
 
 def test_inverse_exhaustive_small():
-    for g in (GF.binary(3), GF.binary(4)):
+    for g in (GF(3), GF(4)):
         for a in range(1, g.order):
             assert g.mul(a, g.inv(a)) == 1
 
 
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        GF.binary(3).inv(0)
+        GF(3).inv(0)
 
 
 def test_axioms_exhaustive_up_to_16():
-    for g in (GF.binary(1), GF.binary(2), GF.binary(3), GF.binary(4)):
+    for g in (GF(1), GF(2), GF(3), GF(4)):
         els = exhaustive(g)
         for a in els:
             for b in els:
@@ -110,7 +110,7 @@ def test_axioms_exhaustive_up_to_16():
 
 def test_axioms_exhaustive_gf256_vectorized():
     """Exhaustive associativity/distributivity over GF(2^8) via table algebra."""
-    g = GF.binary(8)
+    g = GF(8)
     q = g.order
     mul = np.zeros((q, q), dtype=np.int32)
     for a in range(q):
@@ -127,7 +127,7 @@ def test_axioms_exhaustive_gf256_vectorized():
 
 
 def test_tables_deterministic():
-    g1, g2 = GF.binary(5), GF.binary(5)
+    g1, g2 = GF(5), GF(5)
     assert g1 == g2
     for a in range(g1.order):
         for b in (3, 17, 30):
@@ -139,7 +139,7 @@ def test_tables_deterministic():
 # ---------------------------------------------------------
 
 def test_solve_partially_pinned():
-    g = GF.binary(1)
+    g = GF(1)
     sys = IncrementalSystem(g)
     # x0 pinned, x1/x2 entangled
     sys.add_equation({0: 1}, 1)
@@ -148,7 +148,7 @@ def test_solve_partially_pinned():
 
 
 def test_solve_roundtrip_random_full_rank():
-    g = GF.binary(4)
+    g = GF(4)
     rng = np.random.default_rng(99)
     found = 0
     while found < 20:
@@ -172,7 +172,7 @@ def test_solve_roundtrip_random_full_rank():
 
 
 def test_incremental_system_cascades():
-    g = GF.binary(1)
+    g = GF(1)
     sys = IncrementalSystem(g)
     assert sys.add_equation({"a": 1, "b": 1}, 1) == {}
     got = sys.add_equation({"b": 1}, 0)
@@ -181,7 +181,7 @@ def test_incremental_system_cascades():
 
 
 def test_incremental_system_contradiction():
-    g = GF.binary(1)
+    g = GF(1)
     sys = IncrementalSystem(g)
     sys.add_equation({"a": 1}, 1)
     with pytest.raises(InconsistentSystemError):
@@ -192,7 +192,7 @@ def test_substitute_matches_add_equation():
     """``substitute`` returns and leaves what ``add_equation`` would, in
     the same order, whether the variable is solved, a pivot, a non-pivot
     term or absent."""
-    g = GF.binary(3)
+    g = GF(3)
     rng = random.Random(5)
     cases = {"solved": 0, "pivot": 0, "term": 0, "absent": 0}
     for _ in range(300):
@@ -222,7 +222,7 @@ def test_rows_stay_fully_reduced():
     """After any sequence of ``add_equation`` and ``substitute`` calls, no
     row is empty or holds a solved variable or another row's pivot, which
     is what lets ``add_equation`` harvest solved pivots in one pass."""
-    g = GF.binary(3)
+    g = GF(3)
     rng = random.Random(11)
     solved = 0
     for _ in range(300):
@@ -246,7 +246,7 @@ def test_rows_stay_fully_reduced():
 
 
 def test_substitute_contradiction():
-    g = GF.binary(2)
+    g = GF(2)
     sys = IncrementalSystem(g)
     sys.add_equation({"a": 1}, 0)
     assert sys.substitute("a", 0) == {}

@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from streamfec.channel import ErasurePattern, single_burst
-from streamfec.desco import (DeScoParams, desco_build, ia_sco_build,
-                             sco_build)
+from streamfec.channel import single_burst
+from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
 from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
                               rlc_decode_times, rlc_partial_threshold,
                               rlc_perfect_threshold)
@@ -19,10 +18,8 @@ rng = random.Random(20240819)
 # Unrestricted-decoder oracle
 # ---------------------------------------------------------
 
-def staged_times(codec, pattern):
-    stream = np.zeros((pattern.horizon, codec.symbol_width), dtype=np.int64)
-    erased = np.zeros(pattern.horizon, dtype=bool)
-    erased[list(pattern.slots)] = True
+def staged_times(codec, erased):
+    stream = np.zeros((len(erased), codec.symbol_width), dtype=np.int64)
     _, log = codec.decode(stream, erased)
     return log.sub_times
 
@@ -36,15 +33,16 @@ def test_ml_matches_staged_on_single_user_bursts():
 
 
 def test_ml_matches_staged_on_combined_random_patterns():
-    codecs = [desco_build(DeScoParams(1, 2, 2)),
-              desco_build(DeScoParams(2, 5, 3, 2)),
+    codecs = [DeScoCodec(DeScoParams(1, 2, 2)),
+              DeScoCodec(DeScoParams(2, 5, 3, 2)),
               ia_sco_build(1, 2, 2)]
     for codec in codecs:
         horizon = 36
         for _ in range(15):
-            slots = tuple(s for s in range(horizon - codec.user2_deadline - 2)
-                          if rng.random() < 0.12)
-            pattern = ErasurePattern(slots, horizon)
+            pattern = np.zeros(horizon, dtype=bool)
+            pattern[:horizon - codec.user2_deadline - 2] = [
+                rng.random() < 0.12
+                for _ in range(horizon - codec.user2_deadline - 2)]
             assert np.array_equal(ml_decode_times(codec, pattern),
                                   staged_times(codec, pattern))
 
@@ -57,7 +55,7 @@ def test_ml_unrecoverable_stays_none():
 
 def test_ml_clean_slots_are_instant():
     codec = sco_build(ScoParams(2, 3))
-    times = ml_decode_times(codec, ErasurePattern((), 8))
+    times = ml_decode_times(codec, np.zeros(8, dtype=bool))
     assert all(times[(s, k)] == s for s in range(8) for k in range(3))
 
 
@@ -78,10 +76,28 @@ def test_rlc_burst_longer_debt():
 
 
 def test_rlc_back_to_back_bursts_accumulate():
-    p = ErasurePattern((4, 5, 7), 30)
+    p = single_burst(4, 2, 30) | single_burst(7, 1, 30)
     times = rlc_decode_times(Fraction(1, 2), p)
     # debt never clears between the bursts (only one clean slot at 6)
     assert times[4] == times[5] == times[7]
+
+
+def test_rlc_times_are_slot_times_layout():
+    # a burst whose debt the horizon does not retire stays -1, as an
+    # unrecovered slot of StreamLog.slot_times
+    times = rlc_decode_times(Fraction(1, 2), single_burst(17, 2, 20))
+    assert times.shape == (20,) and times.dtype.kind == "i"
+    assert times.tolist() == list(range(17)) + [-1, -1, 19]
+    times = rlc_decode_times(Fraction(1, 2), single_burst(15, 2, 20))
+    assert times[15] == times[16] == 18
+
+
+def test_rlc_debt_restarts_at_zero_after_a_decode():
+    # R=5/7: one lost slot's debt 5/7 overshoots to -1/7 after 3 clean
+    # slots; the surplus is not carried into the next burst
+    p = single_burst(0, 1, 20) | single_burst(10, 1, 20)
+    times = rlc_decode_times(Fraction(5, 7), p)
+    assert times[0] == 3 and times[10] == 13
 
 
 def test_rlc_rate_validation():
@@ -109,10 +125,9 @@ def test_rlc_perfect_threshold_is_tight():
 def test_rlc_burst_losses_matches_simulation():
     for rate, t in [(Fraction(1, 2), 4), (Fraction(2, 3), 5)]:
         for length in range(0, 10):
-            times = rlc_decode_times(rate, single_burst(10, length, 80)) \
-                if length else {}
+            times = rlc_decode_times(rate, single_burst(10, length, 80))
             sim = sum(1 for j in range(length)
-                      if times[10 + j] is None or times[10 + j] > 10 + j + t)
+                      if times[10 + j] < 0 or times[10 + j] > 10 + j + t)
             assert rlc_burst_losses(rate, length, t) == sim, (rate, t, length)
 
 

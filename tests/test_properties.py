@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamfec import channel
-from streamfec.channel import ErasurePattern, apply
+from streamfec.channel import apply
 from streamfec.decoder import staged_decode
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
                              ia_sco_build, sco_build)
@@ -44,9 +44,10 @@ def channel_runs(draw, codec, max_horizon=28):
         min_size=horizon, max_size=horizon)))
     bursts = draw(st.lists(st.tuples(st.integers(0, horizon - 1),
                                      st.integers(1, 4)), max_size=4))
-    erased = {s for start, n in bursts
-              for s in range(start, min(horizon, start + n))}
-    return source, ErasurePattern(tuple(erased), horizon)
+    erased = np.zeros(horizon, dtype=bool)
+    for start, n in bursts:
+        erased[start:start + n] = True  # the slice stops at the horizon
+    return source, erased
 
 
 def reference_parities(codec, source):
@@ -126,10 +127,9 @@ def test_decoder_keeps_values_of_erased_sub_symbols_only(name, data):
                                      codec.subs_per_slot,
                                      codec.parities_per_slot, rx,
                                      apply(pattern, rx))
-    erased = set(pattern.slots)
-    assert times.shape == (pattern.horizon, codec.subs_per_slot)
+    assert times.shape == (len(pattern), codec.subs_per_slot)
     for (slot, sub), t in np.ndenumerate(times):
-        if slot in erased:
+        if pattern[slot]:
             assert (t >= 0) == ((slot, sub) in values), (slot, sub)
         else:
             assert t == slot and (slot, sub) not in values, (slot, sub)
@@ -305,11 +305,11 @@ def test_batched_bursts_equal_draw_segment_burst(seed, segments, segment_len,
     b_max = data.draw(st.integers(0, segment_len - 1))
     draws = [channel.draw_segment_burst(seed, seg, segment_len, b_max)
              for seg in range(segments)]
-    expect = [seg * segment_len + start + k
-              for seg, (start, length) in enumerate(draws)
-              for k in range(length)]
-    pattern = channel.segmented_bursts(segment_len, b_max, segments, seed)
-    assert list(pattern.slots) == expect
+    starts, lengths = channel.segmented_bursts(segment_len, b_max, segments,
+                                               seed)
+    assert list(zip(starts.tolist(), lengths.tolist())) == [
+        (seg * segment_len + start, length)
+        for seg, (start, length) in enumerate(draws)]
     counts = channel.burst_length_counts(seed, segments, [b_max])[b_max]
     assert counts == [sum(length == n for _, length in draws)
                       for n in range(b_max + 1)]
@@ -329,8 +329,8 @@ def test_encode_step_reads_reach_slots_of_history(name, data):
     assert np.array_equal(window[-1], full[t])
 
 
-FIELDS = [GF.binary(1), GF.binary(3), GF.binary(8), GF.binary(9),
-          GF.binary(16)]
+FIELDS = [GF(1), GF(3), GF(8), GF(9),
+          GF(16)]
 
 
 @st.composite

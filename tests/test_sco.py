@@ -10,7 +10,7 @@ from streamfec.gf import GF
 from streamfec.sco import (MAIN, OFF, ScoCodec, ScoParams, capacity,
                            memory_bound, split_urgent, vertical_interleave)
 
-GF2 = GF.binary(1)
+GF2 = GF(1)
 rng = random.Random(20240817)
 
 
