@@ -38,6 +38,16 @@ the recovery times of the same burst at start 0, shifted by s.
 ``desco``'s ``sweep_max_delay`` and ``burst_loss_count`` decode the
 burst at start 0 in place of every start, once for every user.
 
+So does a cluster, whose shape is its erasure mask up to ``reach``
+slots past its last erasure, clipped at the horizon.  What is known,
+which parity enters which system when, and every coefficient follow
+from the shape: received values only enter the constants.  One run of
+the staged logic decodes every cluster of a shape in a batch of
+``_BATCH`` clusters at once, each value an int64 vector with one column
+per cluster (XOR adds, ``mul_row(c)[v]`` multiplies; plain ints for a
+single cluster), and the others get the first's times and trace,
+shifted by their start.  Batches keep decoder memory flat in length.
+
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.
 """
@@ -47,16 +57,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .gf import GF, IncrementalSystem
+from .gf import GF, IncrementalSystem, InconsistentSystemError
 from .sco import ScoCodec, Var
 
+Value = Union[int, np.ndarray]  # an element, or one per cluster of a shape
 
-@dataclass(frozen=True)
-class TraceEvent:
+
+class TraceEvent(NamedTuple):
     """One recovered sub-symbol: which parity pinned it, and when.
 
     ``slot``, ``sub`` and ``time`` are on the stream clock, as in
@@ -195,20 +207,22 @@ class _PendingParity:
 
 
 _SCAN = 1024  # mask slots per nonzero() call: scan memory is flat in length
+_BATCH = 64  # clusters grouped by shape at a time: batch memory is flat too
 
 
-def _clusters(erased: np.ndarray, reach: int) -> Iterator[Tuple[int, int]]:
-    """(first, last) erased slot of each erasure cluster, in stream order."""
+def _clusters(erased: np.ndarray, reach: int) -> Iterator[Tuple[int, bytes]]:
+    """(first erased slot, shape) of each erasure cluster, in stream order;
+    the slice clips the shape's mask bytes at the horizon."""
     first = last = -reach - 1  # no erasure yet
     for lo in range(0, len(erased), _SCAN):
         for t in erased[lo:lo + _SCAN].nonzero()[0].tolist():
             if lo + t - last > reach:
                 if last >= 0:
-                    yield first, last
+                    yield first, erased[first:last + reach + 1].tobytes()
                 first = lo + t
             last = lo + t
     if last >= 0:
-        yield first, last
+        yield first, erased[first:last + reach + 1].tobytes()
 
 
 def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
@@ -217,54 +231,66 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
 
     ``symbols`` is the (horizon, n_subs + n_parities) integer array of
     channel symbols and ``erased`` the (horizon,) bool mask of the slots
-    lost on the channel, whose rows are never read.  Returns (values,
-    times, trace): values maps each recovered erased (slot, sub) to its
-    field element (received sub-symbols stay in ``symbols``); times is
-    the (horizon, n_subs) int array of recovery slots, a received row
-    holding its own slot and -1 marking a sub-symbol never recovered (see
-    ``StreamLog``); trace lists the parity attribution of each recovered
-    erased sub-symbol.
+    lost on the channel, whose rows are never read; ValueError names the
+    dtype and shape of any other mask.  Returns (recovered, times,
+    trace): recovered is the (horizon, n_subs) source array, 0 where a
+    sub-symbol was never recovered; times is the (horizon, n_subs) int
+    array of recovery slots, a received row holding its own slot and -1
+    marking a sub-symbol never recovered (see ``StreamLog``); trace lists
+    the parity attribution of each recovered erased sub-symbol, cluster
+    by cluster in stream order.  InconsistentSystemError names the
+    stream slot whose parities contradict the others.
     """
     horizon, width = len(symbols), n_subs + n_parities
-    if (symbols.shape[1:], erased.shape) != ((width,), (horizon,)):
-        raise ValueError(f"expected {width} symbols per slot and "
-                         f"one mask entry per slot, got shapes {symbols.shape} "
-                         f"and {erased.shape}")
+    if (symbols.shape[1:] != (width,) or np.shape(erased) != (horizon,)
+            or getattr(erased, "dtype", None) != bool):
+        raise ValueError(
+            f"expected {width} symbols per slot and a ({horizon},) bool "
+            f"erasure mask, got symbols of shape {symbols.shape} and a mask "
+            f"of dtype {getattr(erased, 'dtype', type(erased).__name__)} "
+            f"and shape {np.shape(erased)}")
     ncomp = len(components)
     reach = max(comp.reach for comp in components)
-    known: Dict[Var, int] = {}  # recovered erased sub-symbols only
+    recovered = np.where(erased[:, None], 0, symbols[:, :n_subs])
     # row t holds t, filled in place: no horizon-long temporary
     times = np.arange(horizon * n_subs).reshape(horizon, n_subs)
     times //= n_subs
     trace: List[TraceEvent] = []
+    events: List[TraceEvent] = []  # of one shape, in its first cluster's slots
+    known: Dict[Var, Value] = {}  # recovered erased sub-symbols
     systems: Dict[Tuple[int, int], IncrementalSystem] = {}
     sys_vars: Dict[Var, Set[Tuple[int, int]]] = {}
     watchers: Dict[Var, List[Tuple[_PendingParity, int]]] = {}  # var -> [(pp, comp)]
-
     queue: deque = deque()  # (var, value, attribution)
     ready: deque = deque()  # pending parities whose unknowns changed
-    unresolved: Set[Var] = set()  # erased sub-symbols of this cluster
+    unresolved: Set[Var] = set()  # erased sub-symbols not yet recovered
     probes = [[(ds, sub) for comp in components
                for ds, sub, _ in comp.templates[j][1]]
               for j in range(n_parities)]
+    mul, shift = field.mul, 0  # shift: each cluster's start minus the first's
 
-    def enqueue_known(var: Var, value: int, prov) -> None:
+    def mul_vector(c: int, v: np.ndarray) -> np.ndarray:
+        return v if c == 1 else field.mul_row(c)[v]
+
+    def enqueue_known(var: Var, value: Value, prov) -> None:
         if var in known:
             return
         known[var] = value
         queue.append((var, value, prov))
 
-    def absorb(var: Var, value: int, now: int, prov) -> None:
+    def absorb(var: Var, value: Value, now: int, prov) -> None:
         """Propagate one newly recovered sub-symbol through all bookkeeping."""
         unresolved.discard(var)
-        times[var] = now
+        slots = var[0] + shift  # the sub-symbol in every cluster of the shape
+        times[slots, var[1]] = now + shift
+        recovered[slots, var[1]] = value
         ci, row, pslot = prov
-        trace.append(TraceEvent(var[0], var[1], now, ci, row, pslot))
+        events.append(TraceEvent(var[0], var[1], now, ci, row, pslot))
         for pp, ci in watchers.pop(var, []):
             if pp.released:
                 continue  # its equation is already in a system
             coeff = pp.unknowns[ci].pop(var)
-            pp.const ^= field.mul(coeff, value)
+            pp.const = pp.const ^ mul(coeff, value)
             if not pp.unknowns[ci]:
                 ready.append(pp)
         for skey in sys_vars.pop(var, set()):
@@ -282,7 +308,9 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         pp.released = True
         comp = components[ci]
         skey = (ci, comp.expansion * pp.t + comp.templates[pp.j][0])
-        sysm = systems.setdefault(skey, IncrementalSystem(field))
+        sysm = systems.get(skey)
+        if sysm is None:
+            sysm = systems[skey] = IncrementalSystem(field, mul)
         eq = pp.unknowns[ci]  # absorb leaves a released parity alone
         for v in eq:
             sys_vars.setdefault(v, set()).add(skey)
@@ -300,27 +328,42 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             while ready:
                 try_release(ready.popleft())
 
-    for first, last in _clusters(erased, reach):
-        # the rows the cluster's parities read, as Python ints: row r is
-        # slot base + r, and a slot before 0 is zero padding as in
-        # encode_symbols
-        base, end = first - reach, min(horizon, last + reach + 1)
-        pad = max(0, -base)
-        rows = [[0] * width] * pad + symbols[base + pad:end].tolist()
-        gone = [False] * pad + erased[base + pad:end].tolist()
-        for state in (unresolved, watchers, systems, sys_vars):
-            state.clear()  # nothing held for an earlier cluster can change
+    def decode_shape(key: bytes, firsts: List[int]) -> List[TraceEvent]:
+        """Decode every cluster of one shape at once, one column each, in
+        the coordinates of the first; returns the first's trace."""
+        nonlocal mul, shift, events
+        first = firsts[0]
+        base, end = first - reach, first + len(key)
+        gone = [0] * reach + list(key)  # the window before is clean
+        vector = len(firsts) > 1
+        if vector:
+            # (row, symbol, column) int64 window, zeros before slot 0
+            at = np.add.outer(np.arange(base, end), firsts) - first
+            rows = symbols[np.maximum(at, 0)].transpose(0, 2, 1)
+            rows = [list(row) for row in
+                    np.where(at[:, None, :] < 0, 0, rows).astype(np.int64)]
+            mul, shift = mul_vector, np.array(firsts) - first
+        else:
+            pad = max(0, -base)
+            rows = [[0] * width] * pad + symbols[base + pad:end].tolist()
+            mul, shift = field.mul, 0
+        events = []
+        for state in (known, unresolved, watchers, systems, sys_vars):
+            state.clear()  # nothing held for another shape applies here
         for t in range(first, end):
             i = t - base
             if gone[i]:
-                times[t] = -1
+                times[t + shift] = -1
                 unresolved.update((t, k) for k in range(n_subs))
                 continue
             if not unresolved:
                 continue
             for j in range(n_parities):
                 # fast path: a parity whose terms are all known adds nothing
-                if not any((t + ds, sub) in unresolved for ds, sub in probes[j]):
+                for ds, sub in probes[j]:
+                    if (t + ds, sub) in unresolved:
+                        break
+                else:
                     continue
                 pp = _PendingParity(t, j, rows[i][n_subs + j], ncomp)
                 for ci, comp in enumerate(components):
@@ -332,9 +375,30 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                         if value is None:
                             unknowns[(t + ds, sub)] = coeff
                             watchers.setdefault((t + ds, sub), []).append((pp, ci))
-                        elif value:  # a zero term adds nothing
-                            pp.const ^= field.mul(coeff, value)
+                        elif vector or value:  # a zero element adds nothing
+                            pp.const = pp.const ^ mul(coeff, value)
                 ready.append(pp)
-            drain(t)
+            try:
+                drain(t)
+            except InconsistentSystemError as exc:
+                slot = t + firsts[exc.column] - first
+                raise InconsistentSystemError(
+                    f"the parities of stream slot {slot} contradict the "
+                    "earlier ones", exc.column, slot) from exc
+        return events
 
-    return known, times, trace
+    clusters = _clusters(erased, reach)
+    while block := list(islice(clusters, _BATCH)):
+        shapes: Dict[bytes, List[int]] = {}
+        for first, key in block:
+            shapes.setdefault(key, []).append(first)
+        decoded = {key: decode_shape(key, firsts)
+                   for key, firsts in shapes.items()}
+        for first, key in block:
+            d = first - shapes[key][0]
+            trace.extend(decoded[key] if d == 0 else (
+                TraceEvent(slot + d, sub, time + d, ci, row,
+                           pslot + components[0].expansion * d if row >= 0
+                           else -1)
+                for slot, sub, time, ci, row, pslot in decoded[key]))
+    return recovered, times, trace

@@ -177,18 +177,15 @@ class CombinedCodec:
 
         ``symbols`` is the (n_slots, symbol_width) received array and
         ``erased`` the (n_slots,) bool mask of its lost rows, whose
-        contents are ignored.  Returns (recovered, log): recovered is the
+        contents are ignored; ValueError names the dtype and shape of any
+        other mask.  Returns (recovered, log): recovered is the
         (n_slots, subs_per_slot) source array, 0 wherever
         ``log.sub_times`` is -1 (never recovered), and
         ``log.misses(self.deadline(u))`` lists user u's misses.
         """
-        n_subs = self.subs_per_slot
-        values, times, trace = staged_decode(
-            self.components, self.field, n_subs, self.parities_per_slot,
-            symbols, erased)
-        recovered = np.where(erased[:, None], 0, symbols[:, :n_subs])
-        at = [slot * n_subs + sub for slot, sub in values]
-        recovered.reshape(-1)[at] = list(values.values())  # through a view
+        recovered, times, trace = staged_decode(
+            self.components, self.field, self.subs_per_slot,
+            self.parities_per_slot, symbols, erased)
         return recovered, StreamLog(times, trace)
 
 

@@ -10,7 +10,7 @@ product rows (``mul_row``), built on first use.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,22 @@ CANONICAL_POLY = {
 
 
 class InconsistentSystemError(RuntimeError):
-    """A linear system contradicts itself (signals a codec bug)."""
+    """A linear system contradicts itself: a corrupted stream or a codec
+    bug.  ``column`` is the first contradicting column of vector constants
+    (0 for elements); ``slot`` is the stream slot whose parities showed
+    it, when the decoder raises it."""
+
+    def __init__(self, message: str, column: int = 0,
+                 slot: Optional[int] = None):
+        super().__init__(message)
+        self.column, self.slot = column, slot
+
+
+def _check_zero(c) -> None:
+    """InconsistentSystemError unless constant ``c`` is 0 in every column."""
+    bad = c.nonzero()[0] if isinstance(c, np.ndarray) else (0,) if c else ()
+    if len(bad):
+        raise InconsistentSystemError("contradictory equation", int(bad[0]))
 
 
 def _poly_mulmod(a: int, b: int, mod: int) -> int:
@@ -134,25 +149,31 @@ class IncrementalSystem:
     newly determined by the accumulated system, with their values.
     ``substitute`` adds the one-variable equation ``var = value``.
 
+    Constants, and so values, are elements or int64 vectors with one
+    column per system solved at once; ``mul(c, const)`` multiplies one by
+    element c (default ``field.mul``) and no constant changes in place.
+    A contradiction in any column raises InconsistentSystemError.
+
     Invariant: rows are fully reduced, so no row holds a solved variable,
     another row's pivot or no term but its pivot.  A row left with no term
     solves its pivot, which no other row holds.
     """
 
-    def __init__(self, field: GF):
+    def __init__(self, field: GF, mul: Optional[Callable] = None):
         self.field = field
+        self.mul = mul or field.mul
         self.solved: Dict[Hashable, int] = {}
         # pivot var -> (row dict var->coeff, const); rows kept fully reduced
         self._rows: Dict[Hashable, Tuple[Dict[Hashable, int], int]] = {}
 
     def add_equation(self, terms: Dict[Hashable, int], const: int) -> Dict[Hashable, int]:
-        f = self.field
+        f, mul = self.field, self.mul
         row = dict(terms)
         c = const
         # substitute already-solved variables
         for v in list(row):
             if v in self.solved:
-                c ^= f.mul(row.pop(v), self.solved[v])
+                c = c ^ mul(row.pop(v), self.solved[v])
             elif row[v] == 0:
                 del row[v]
         # reduce against existing pivot rows
@@ -166,15 +187,14 @@ class IncrementalSystem:
                         row[v2] = nv
                     else:
                         row.pop(v2, None)
-                c ^= f.mul(coef, pc)
+                c = c ^ mul(coef, pc)
         if not row:
-            if c != 0:
-                raise InconsistentSystemError("contradictory equation")
+            _check_zero(c)
             return {}
         pivot = next(iter(row))
         inv = f.inv(row.pop(pivot))
         row = {v: f.mul(inv, cv) for v, cv in row.items()}
-        c = f.mul(inv, c)
+        c = mul(inv, c)
         # eliminate the new pivot from older rows
         for opv, (orow, oc) in list(self._rows.items()):
             coef = orow.get(pivot)
@@ -186,7 +206,7 @@ class IncrementalSystem:
                         orow[v2] = nv
                     else:
                         orow.pop(v2, None)
-                self._rows[opv] = (orow, oc ^ f.mul(coef, c))
+                self._rows[opv] = (orow, oc ^ mul(coef, c))
         self._rows[pivot] = (row, c)
         # harvest rows left with only their pivot; no other row holds it
         newly: Dict[Hashable, int] = {}
@@ -209,18 +229,17 @@ class IncrementalSystem:
         """
         known = self.solved.get(var)
         if known is not None:
-            if known != value:
-                raise InconsistentSystemError("contradictory equation")
+            _check_zero(known ^ value)
             return {}
         if var in self._rows:
             return self.add_equation({var: 1}, value)
-        f = self.field
+        mul = self.mul
         newly: Dict[Hashable, int] = {}
         for pv, (prow, pc) in list(self._rows.items()):
             coef = prow.pop(var, 0)
             if not coef:
                 continue
-            pc ^= f.mul(coef, value)
+            pc = pc ^ mul(coef, value)
             if prow:
                 self._rows[pv] = (prow, pc)
             else:

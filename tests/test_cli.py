@@ -8,6 +8,9 @@ import pytest
 
 from streamfec import cli, desco, wire
 from streamfec.desco import DeScoCodec, DeScoParams, descriptor
+from streamfec.gf import InconsistentSystemError
+
+from reference_decoder import reference_decode
 
 
 def run(argv):
@@ -457,6 +460,14 @@ def test_decode_inconsistent_stream_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: inconsistent channel stream: ")
     assert err.count("\n") == 1
+    # the line names the slot at whose parities the reference decoder
+    # meets the contradiction
+    erased = np.zeros(len(stream), dtype=bool)
+    erased[[0, 4, 5]] = True
+    with pytest.raises(InconsistentSystemError) as exc:
+        reference_decode(codec.components, codec.field, codec.subs_per_slot,
+                         codec.parities_per_slot, stream, erased)
+    assert f" stream slot {exc.value.slot} " in err
 
 
 def test_decode_pattern_run_past_the_stream_is_usage_error(tmp_path, capsys):

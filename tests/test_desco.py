@@ -318,3 +318,19 @@ def test_decode_rejects_bad_user_and_width():
         single.deadline(2)
     with pytest.raises(ValueError):  # two of the three symbols per slot
         codec.decode(stream[:, :2], erased)
+
+
+@pytest.mark.parametrize("mask, dtype, shape", [
+    ([False, True, False, False, False], "list", (5,)),
+    (np.array([0, 1, 0, 0, 0]), "int64", (5,)),
+    (np.array([0.0, 1.0, 0.0, 0.0, 0.0]), "float64", (5,)),
+    (np.zeros((5, 1), dtype=bool), "bool", (5, 1)),
+    (np.zeros(4, dtype=bool), "bool", (4,)),
+])
+def test_decode_refuses_a_mask_that_is_not_one_bool_per_slot(mask, dtype,
+                                                             shape):
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    stream = codec.encode_stream(random_source(codec, 5))
+    with pytest.raises(ValueError) as exc:
+        codec.decode(stream, mask)
+    assert f"dtype {dtype} and shape {shape}" in str(exc.value)

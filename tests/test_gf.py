@@ -252,3 +252,37 @@ def test_substitute_contradiction():
     assert sys.substitute("a", 0) == {}
     with pytest.raises(InconsistentSystemError):
         sys.substitute("a", 3)
+
+
+def test_vector_constants_solve_each_column_alone():
+    """With one constant column per system, each column solves as an
+    element system of its own, and a contradiction in any column raises,
+    naming the first such column."""
+    g = GF(3)
+    rng = random.Random(17)
+    contradictions = solved = 0
+    for _ in range(200):
+        vec = IncrementalSystem(g, lambda c, v: g.mul_row(c)[v])
+        cols = [IncrementalSystem(g) for _ in range(3)]
+        for _ in range(rng.randint(1, 6)):
+            terms = {v: rng.randrange(1, 8)
+                     for v in rng.sample(range(6), rng.randint(1, 3))}
+            const = [rng.randrange(8) for _ in cols]
+            want, bad = [], []
+            for k, col in enumerate(cols):
+                try:
+                    want.append(col.add_equation(terms, const[k]))
+                except InconsistentSystemError:
+                    bad.append(k)
+            if bad:
+                with pytest.raises(InconsistentSystemError) as exc:
+                    vec.add_equation(terms, np.array(const))
+                assert exc.value.column == bad[0]
+                contradictions += 1
+                break
+            got = vec.add_equation(terms, np.array(const))
+            assert all(list(got) == list(w) for w in want)
+            for var, values in got.items():
+                assert values.tolist() == [w[var] for w in want]
+                solved += 1
+    assert contradictions > 20 and solved > 100, (contradictions, solved)
