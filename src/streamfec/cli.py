@@ -313,8 +313,8 @@ def cmd_bounds(args, out) -> int:
                                ("--t2", t2, 0)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}: {value}")
-    if b2 % b1 or b2 <= b1:
-        raise UsageError("need b2 = alpha*b1 with alpha > 1")
+    if b2 <= b1:
+        raise UsageError(f"need b2 > b1, got b2 = {b2}, b1 = {b1}")
     alpha = Fraction(b2, b1)
     t2_star = optimal_delay(b1, t1, alpha)
     bound = rate_upper_bound(b1, b2, t2, t1)

@@ -23,8 +23,7 @@ at slot t only involves source sub-symbols of slots t - reach .. t, where
 ``reach`` is the widest template reach over the components
 (``Component`` rejects anything else).  Three shortcuts rest on it.  A
 sub-symbol received at slot t cannot appear in any parity seen before
-t, so it is known at its own slot: received sub-symbols are read in
-place from the received array, never stored.  Decoder state is kept only
+t, so it is known at its own slot.  Decoder state is kept only
 for erased sub-symbols of one erasure cluster, a run of erased slots
 with gaps of at most ``reach`` received slots: no parity after a longer
 gap reads a term before it, and a diagonal's entries span less than its
@@ -44,9 +43,12 @@ which parity enters which system when, and every coefficient follow
 from the shape: received values only enter the constants.  One run of
 the staged logic decodes every cluster of a shape in a batch of
 ``_BATCH`` clusters at once, each value an int64 vector with one column
-per cluster (XOR adds, ``mul_row(c)[v]`` multiplies; plain ints for a
+per cluster (XOR adds, ``field.mul`` multiplies; plain ints for a
 single cluster), and the others get the first's times and trace,
-shifted by their start.  Batches keep decoder memory flat in length.
+shifted by their start.  The shape's window, its rows from ``reach``
+slots before the first erasure, is the one record of what is known: an
+erased slot's row holds None for each sub-symbol until it is recovered,
+then its value.  Batches keep decoder memory flat in length.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.
@@ -169,8 +171,8 @@ def encode_symbols(components: Sequence[Component], field: GF,
     Row t is source row t followed by the combined parities of slot t:
     parity j sums, over the components, each template-j term
     ``coeff * source[t + ds][sub]``, with time before slot 0 zero.  Each
-    term is one gather over the zero-padded source column (one product
-    row lookup unless coeff is 1), accumulated with XOR, the field's sum.
+    term is one ``field.mul`` of the zero-padded source column,
+    accumulated with XOR, the field's sum.
     """
     n_slots, n_subs = source.shape
     reach = max(comp.reach for comp in components)
@@ -184,7 +186,7 @@ def encode_symbols(components: Sequence[Component], field: GF,
         for comp in components:
             for ds, sub, coeff in comp.templates[j][1]:
                 col = padded[reach + ds:reach + ds + n_slots, sub]
-                acc = acc ^ (col if coeff == 1 else field.mul_row(coeff)[col])
+                acc = acc ^ field.mul(coeff, col)
         out[:, n_subs + j] = acc
     return out
 
@@ -257,30 +259,29 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     times //= n_subs
     trace: List[TraceEvent] = []
     events: List[TraceEvent] = []  # of one shape, in its first cluster's slots
-    known: Dict[Var, Value] = {}  # recovered erased sub-symbols
+    window: List[list] = []  # of one shape, see the module docstring
+    base = 0  # stream slot of window row 0
+    unknown = 0  # erased sub-symbols not yet recovered
     systems: Dict[Tuple[int, int], IncrementalSystem] = {}
     sys_vars: Dict[Var, Set[Tuple[int, int]]] = {}
     watchers: Dict[Var, List[Tuple[_PendingParity, int]]] = {}  # var -> [(pp, comp)]
     queue: deque = deque()  # (var, value, attribution)
     ready: deque = deque()  # pending parities whose unknowns changed
-    unresolved: Set[Var] = set()  # erased sub-symbols not yet recovered
     probes = [[(ds, sub) for comp in components
                for ds, sub, _ in comp.templates[j][1]]
               for j in range(n_parities)]
-    mul, shift = field.mul, 0  # shift: each cluster's start minus the first's
+    shift = 0  # each cluster's start minus the first's
 
-    def mul_vector(c: int, v: np.ndarray) -> np.ndarray:
-        return v if c == 1 else field.mul_row(c)[v]
-
-    def enqueue_known(var: Var, value: Value, prov) -> None:
-        if var in known:
-            return
-        known[var] = value
-        queue.append((var, value, prov))
+    def enqueue(var: Var, value: Value, prov) -> None:
+        nonlocal unknown
+        row = window[var[0] - base]
+        if row[var[1]] is None:
+            row[var[1]] = value
+            unknown -= 1
+            queue.append((var, value, prov))
 
     def absorb(var: Var, value: Value, now: int, prov) -> None:
         """Propagate one newly recovered sub-symbol through all bookkeeping."""
-        unresolved.discard(var)
         slots = var[0] + shift  # the sub-symbol in every cluster of the shape
         times[slots, var[1]] = now + shift
         recovered[slots, var[1]] = value
@@ -290,13 +291,13 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             if pp.released:
                 continue  # its equation is already in a system
             coeff = pp.unknowns[ci].pop(var)
-            pp.const = pp.const ^ mul(coeff, value)
+            pp.const = pp.const ^ field.mul(coeff, value)
             if not pp.unknowns[ci]:
                 ready.append(pp)
         for skey in sys_vars.pop(var, set()):
-            newly = systems[skey].substitute(var, value)
+            newly = systems[skey].add_equation({var: 1}, value)
             for v2, val2 in newly.items():
-                enqueue_known(v2, val2, (skey[0], -1, -1))
+                enqueue(v2, val2, (skey[0], -1, -1))
 
     def try_release(pp: _PendingParity) -> None:
         if pp.released:
@@ -310,7 +311,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         skey = (ci, comp.expansion * pp.t + comp.templates[pp.j][0])
         sysm = systems.get(skey)
         if sysm is None:
-            sysm = systems[skey] = IncrementalSystem(field, mul)
+            sysm = systems[skey] = IncrementalSystem(field)
         eq = pp.unknowns[ci]  # absorb leaves a released parity alone
         for v in eq:
             sys_vars.setdefault(v, set()).add(skey)
@@ -318,7 +319,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 comp.expansion * pp.t + pp.j // comp.codec.b - comp.shift)
         newly = sysm.add_equation(eq, pp.const)
         for v2, val2 in newly.items():
-            enqueue_known(v2, val2, prov)
+            enqueue(v2, val2, prov)
 
     def drain(now: int) -> None:
         while queue or ready:
@@ -331,52 +332,51 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     def decode_shape(key: bytes, firsts: List[int]) -> List[TraceEvent]:
         """Decode every cluster of one shape at once, one column each, in
         the coordinates of the first; returns the first's trace."""
-        nonlocal mul, shift, events
+        nonlocal window, base, unknown, shift, events
         first = firsts[0]
         base, end = first - reach, first + len(key)
-        gone = [0] * reach + list(key)  # the window before is clean
         vector = len(firsts) > 1
         if vector:
             # (row, symbol, column) int64 window, zeros before slot 0
             at = np.add.outer(np.arange(base, end), firsts) - first
             rows = symbols[np.maximum(at, 0)].transpose(0, 2, 1)
-            rows = [list(row) for row in
-                    np.where(at[:, None, :] < 0, 0, rows).astype(np.int64)]
-            mul, shift = mul_vector, np.array(firsts) - first
+            window = [list(row) for row in
+                      np.where(at[:, None, :] < 0, 0, rows).astype(np.int64)]
+            shift = np.array(firsts) - first
         else:
             pad = max(0, -base)
-            rows = [[0] * width] * pad + symbols[base + pad:end].tolist()
-            mul, shift = field.mul, 0
-        events = []
-        for state in (known, unresolved, watchers, systems, sys_vars):
+            window = [[0] * width] * pad + symbols[base + pad:end].tolist()
+            shift = 0
+        events, unknown = [], 0
+        for state in (watchers, systems, sys_vars):
             state.clear()  # nothing held for another shape applies here
         for t in range(first, end):
             i = t - base
-            if gone[i]:
+            if key[t - first]:
                 times[t + shift] = -1
-                unresolved.update((t, k) for k in range(n_subs))
+                window[i] = [None] * n_subs
+                unknown += n_subs
                 continue
-            if not unresolved:
+            if not unknown:
                 continue
             for j in range(n_parities):
                 # fast path: a parity whose terms are all known adds nothing
                 for ds, sub in probes[j]:
-                    if (t + ds, sub) in unresolved:
+                    if window[i + ds][sub] is None:
                         break
                 else:
                     continue
-                pp = _PendingParity(t, j, rows[i][n_subs + j], ncomp)
+                pp = _PendingParity(t, j, window[i][n_subs + j], ncomp)
                 for ci, comp in enumerate(components):
                     unknowns = pp.unknowns[ci]
                     for ds, sub, coeff in comp.templates[j][1]:
-                        r = i + ds  # causal templates: row r is in the window
-                        value = (known.get((t + ds, sub)) if gone[r]
-                                 else rows[r][sub])
+                        # causal templates: row i + ds is in the window
+                        value = window[i + ds][sub]
                         if value is None:
                             unknowns[(t + ds, sub)] = coeff
                             watchers.setdefault((t + ds, sub), []).append((pp, ci))
                         elif vector or value:  # a zero element adds nothing
-                            pp.const = pp.const ^ mul(coeff, value)
+                            pp.const = pp.const ^ field.mul(coeff, value)
                 ready.append(pp)
             try:
                 drain(t)
@@ -385,6 +385,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 raise InconsistentSystemError(
                     f"the parities of stream slot {slot} contradict the "
                     "earlier ones", exc.column, slot) from exc
+        window = []  # freed before the caller copies the trace
         return events
 
     clusters = _clusters(erased, reach)

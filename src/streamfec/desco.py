@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bebc import BurstParityMatrix
+from .bebc import BurstParityMatrix, verify_burst_correcting
 from .channel import single_burst
 from .decoder import Component, StreamLog, encode_symbols, staged_decode
 from .gf import GF, default_field
@@ -302,16 +302,26 @@ def parse_descriptor(text: str) -> DeScoCodec:
             raise ValueError(f"bad descriptor line: {line!r}")
         k, v = line.split("=", 1)
         kv[k.strip()] = v.strip()
+
+    def num(key: str, value: str, base: int = 10) -> int:
+        try:
+            return int(value, base)
+        except ValueError:
+            raise ValueError(f"descriptor key {key} holds {value!r}, "
+                             "not an integer") from None
     try:
-        params = DeScoParams(int(kv["b1"]), int(kv["t1"]), int(kv["a"]),
-                             int(kv.get("b", "1")))
-        field = GF(int(kv["field"]))
+        params = DeScoParams(*(num(k, kv[k]) for k in ("b1", "t1", "a")),
+                             num("b", kv.get("b", "1")))
+        field = GF(num("field", kv["field"]))
     except KeyError as exc:
         raise ValueError(f"descriptor missing key {exc}") from exc
     h = None
     if kv.get("h"):
-        rows = tuple(tuple(int(x, 16) for x in row.split("-"))
+        rows = tuple(tuple(num("h", x, 16) for x in row.split("-"))
                      for row in kv["h"].split(","))
         b0, t0 = params.base_size
         h = BurstParityMatrix(rows, t0, b0, field)
+        if not verify_burst_correcting(h):
+            raise ValueError(f"descriptor h={kv['h']} does not correct "
+                             f"every burst of {b0} erasures")
     return DeScoCodec(params, field, h)

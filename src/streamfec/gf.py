@@ -4,13 +4,14 @@ Field elements are plain ints in [0, 2^m).  A ``GF`` instance owns the
 arithmetic: addition is XOR, and multiplication and inversion read
 log/antilog tables built when the field is made.  A polynomial
 long-division multiply is kept as an independent slow path.
-Whole arrays of elements are multiplied by a constant through per-constant
-product rows (``mul_row``), built on first use.
+``mul(c, xs)`` also multiplies a whole int64 array of elements by a
+constant, through a per-constant product row (``mul_row``) built on
+first use.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,13 +51,6 @@ class InconsistentSystemError(RuntimeError):
         self.column, self.slot = column, slot
 
 
-def _check_zero(c) -> None:
-    """InconsistentSystemError unless constant ``c`` is 0 in every column."""
-    bad = c.nonzero()[0] if isinstance(c, np.ndarray) else (0,) if c else ()
-    if len(bad):
-        raise InconsistentSystemError("contradictory equation", int(bad[0]))
-
-
 def _poly_mulmod(a: int, b: int, mod: int) -> int:
     """Carry-less multiply of a and b, reduced modulo ``mod``."""
     deg = mod.bit_length() - 1
@@ -88,12 +82,16 @@ class GF:
             self._alog[i] = _poly_mulmod(self._alog[i - 1], 2, self.poly)
             self._log[self._alog[i]] = i
 
-    # -- element arithmetic (ints) ------------------------------------
+    # -- arithmetic (elements and int64 arrays of them) ---------------
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._alog[(self._log[a] + self._log[b]) % (self.order - 1)]
+    def mul(self, a: int, b: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
+        """a * b for an element a and an element or int64 array b; an array
+        is returned as is when a is 1, else gathered from ``mul_row(a)``."""
+        if isinstance(b, int):
+            if a == 0 or b == 0:
+                return 0
+            return self._alog[(self._log[a] + self._log[b]) % (self.order - 1)]
+        return b if a == 1 else self.mul_row(a)[b]
 
     def mul_polynomial(self, a: int, b: int) -> int:
         """Table-free multiply via polynomial long division (slow oracle)."""
@@ -104,13 +102,11 @@ class GF:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._alog[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
-    # -- array arithmetic (int64 numpy arrays of elements) ---------------
-
     def mul_row(self, c: int) -> np.ndarray:
         """Product row of ``c``: ``row[x] == mul(c, x)`` for every element x.
 
         Rows are built on first request and kept, so ``mul_row(c)[xs]``
-        multiplies a whole array by ``c`` with one gather.
+        multiplies a whole int64 array by ``c`` with one gather.
         """
         row = self._rows.get(c)
         if row is None:
@@ -146,31 +142,30 @@ class IncrementalSystem:
     """Online Gaussian elimination over arbitrary variable ids.
 
     Equations arrive one at a time; ``add_equation`` returns the variables
-    newly determined by the accumulated system, with their values.
-    ``substitute`` adds the one-variable equation ``var = value``.
+    newly determined by the accumulated system, with their values.  A
+    known value enters as the one-variable equation ``{var: 1}``.
 
     Constants, and so values, are elements or int64 vectors with one
-    column per system solved at once; ``mul(c, const)`` multiplies one by
-    element c (default ``field.mul``) and no constant changes in place.
-    A contradiction in any column raises InconsistentSystemError.
+    column per system solved at once; ``field.mul`` multiplies either by
+    an element and no constant changes in place.  A contradiction in any
+    column raises InconsistentSystemError.
 
     Invariant: rows are fully reduced, so no row holds a solved variable,
     another row's pivot or no term but its pivot.  A row left with no term
     solves its pivot, which no other row holds.
     """
 
-    def __init__(self, field: GF, mul: Optional[Callable] = None):
+    def __init__(self, field: GF):
         self.field = field
-        self.mul = mul or field.mul
         self.solved: Dict[Hashable, int] = {}
         # pivot var -> (row dict var->coeff, const); rows kept fully reduced
         self._rows: Dict[Hashable, Tuple[Dict[Hashable, int], int]] = {}
 
     def add_equation(self, terms: Dict[Hashable, int], const: int) -> Dict[Hashable, int]:
-        f, mul = self.field, self.mul
+        f, mul = self.field, self.field.mul
         row = dict(terms)
         c = const
-        # substitute already-solved variables
+        # fold in already-solved variables
         for v in list(row):
             if v in self.solved:
                 c = c ^ mul(row.pop(v), self.solved[v])
@@ -182,18 +177,20 @@ class IncrementalSystem:
                 coef = row.pop(pv)
                 prow, pc = self._rows[pv]
                 for v2, c2 in prow.items():
-                    nv = row.get(v2, 0) ^ f.mul(coef, c2)
+                    nv = row.get(v2, 0) ^ mul(coef, c2)
                     if nv:
                         row[v2] = nv
                     else:
                         row.pop(v2, None)
                 c = c ^ mul(coef, pc)
-        if not row:
-            _check_zero(c)
+        if not row:  # 0 = c: c must be 0 in every column
+            bad = c.nonzero()[0] if isinstance(c, np.ndarray) else [0] if c else []
+            if len(bad):
+                raise InconsistentSystemError("contradictory equation", int(bad[0]))
             return {}
         pivot = next(iter(row))
         inv = f.inv(row.pop(pivot))
-        row = {v: f.mul(inv, cv) for v, cv in row.items()}
+        row = {v: mul(inv, cv) for v, cv in row.items()}
         c = mul(inv, c)
         # eliminate the new pivot from older rows
         for opv, (orow, oc) in list(self._rows.items()):
@@ -201,7 +198,7 @@ class IncrementalSystem:
             if coef:
                 del orow[pivot]
                 for v2, c2 in row.items():
-                    nv = orow.get(v2, 0) ^ f.mul(coef, c2)
+                    nv = orow.get(v2, 0) ^ mul(coef, c2)
                     if nv:
                         orow[v2] = nv
                     else:
@@ -215,37 +212,4 @@ class IncrementalSystem:
                 del self._rows[pv]
                 self.solved[pv] = pc
                 newly[pv] = pc
-        return newly
-
-    def substitute(self, var: Hashable, value: int) -> Dict[Hashable, int]:
-        """``add_equation({var: 1}, value)``, without its row search.
-
-        A solved ``var`` is only checked against ``value``.  Otherwise,
-        unless ``var`` is a pivot (then ``add_equation`` runs), ``coeff *
-        value`` folds into the constant of each row holding ``var``; rows
-        are fully reduced, so a row left without terms solves its pivot
-        and no other row holds that pivot.  Returns what ``add_equation``
-        would, in the same order: the pivots solved, then ``var``.
-        """
-        known = self.solved.get(var)
-        if known is not None:
-            _check_zero(known ^ value)
-            return {}
-        if var in self._rows:
-            return self.add_equation({var: 1}, value)
-        mul = self.mul
-        newly: Dict[Hashable, int] = {}
-        for pv, (prow, pc) in list(self._rows.items()):
-            coef = prow.pop(var, 0)
-            if not coef:
-                continue
-            pc = pc ^ mul(coef, value)
-            if prow:
-                self._rows[pv] = (prow, pc)
-            else:
-                del self._rows[pv]
-                self.solved[pv] = pc
-                newly[pv] = pc
-        self.solved[var] = value
-        newly[var] = value
         return newly

@@ -71,7 +71,7 @@ def reference_decode(components, field, n_subs, n_parities, symbols, erased):
             if not pp.unknowns[ci]:
                 ready.append(pp)
         for skey in sys_vars.pop(var, set()):
-            for v2, val2 in systems[skey].substitute(var, value).items():
+            for v2, val2 in systems[skey].add_equation({var: 1}, value).items():
                 enqueue_known(v2, val2, (skey[0], -1, -1))
 
     def try_release(pp):

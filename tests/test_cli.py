@@ -547,6 +547,27 @@ def test_encode_parity_entry_outside_field_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    # parsed, and then a 2-slot burst missed both deadlines unreported
+    ("b1=2\nt1=5\na=2\nfield=3\nh=0-0,0-0,0-0\n",
+     "descriptor h=0-0,0-0,0-0 does not correct every burst of 2 erasures"),
+    ("b1=x\nt1=5\na=2\nfield=3\n",
+     "descriptor key b1 holds 'x', not an integer"),
+    ("b1=2\nt1=5\na=2\nfield=3\nh=6-7,5-zz,1-3\n",
+     "descriptor key h holds 'zz', not an integer"),
+])
+def test_bad_descriptor_is_usage_error(tmp_path, capsys, text, message):
+    desc = tmp_path / "codec.txt"
+    desc.write_text(text)
+    src = tmp_path / "src.bin"
+    src.write_bytes(bytes(5 * 4))
+    code, _ = run(["encode", "--descriptor", str(desc),
+                   "--in", str(src), "--out", str(tmp_path / "x.bin")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.bin").exists()
+
+
 # ---------------------------------------------------------
 # bounds
 # ---------------------------------------------------------
@@ -567,9 +588,19 @@ def test_bounds_infeasible_below_optimal_delay():
     assert "infeasible" in text
 
 
-def test_bounds_rejects_bad_ratio():
-    code, _ = run(["bounds", "--b1", "2", "--t1", "3", "--b2", "3", "--t2", "8"])
+def test_bounds_rejects_bad_ratio(capsys):
+    code, _ = run(["bounds", "--b1", "2", "--t1", "3", "--b2", "2", "--t2", "8"])
     assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: need b2 > b1, got b2 = 2, b1 = 2\n"
+
+
+def test_bounds_rational_alpha():
+    # alpha = 3/2, the ratio verify accepts with --alpha-num 3 --alpha-den 2
+    code, text = run(["bounds", "--b1", "2", "--t1", "3", "--b2", "3", "--t2", "8"])
+    assert code == cli.EXIT_OK
+    assert "rate_upper_bound(b1=2, b2=3, t2=8) = 2/3" in text
+    assert "optimal weak-receiver delay = 7" in text
+    assert "rate 3/5 at t2=8: feasible" in text
 
 
 @pytest.mark.parametrize("flag, value, least", [("--b1", "0", 1),

@@ -173,6 +173,27 @@ def test_shape_grouped_decode_equals_reference(name, data):
 
 @pytest.mark.parametrize("name", CODECS)
 @given(data=st.data())
+def test_erased_rows_are_never_read(name, data):
+    """Whatever an erased slot's row holds, values outside the field
+    included, the recovered values, recovery times and trace are those
+    of the same stream with the row zeroed."""
+    codec = CODECS[name]
+    source, erased, _ = data.draw(clustered_runs(codec))
+    rx = codec.encode_stream(source)
+    rx[erased] = 0
+    filled = rx.copy()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    filled[erased] = rng.integers(-2**40, 2**40, filled[erased].shape)
+    want, got = (staged_decode(codec.components, codec.field,
+                               codec.subs_per_slot, codec.parities_per_slot,
+                               symbols, erased) for symbols in (rx, filled))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("name", CODECS)
+@given(data=st.data())
 def test_staged_decode_is_never_earlier_than_ml(name, data):
     codec = CODECS[name]
     source, pattern = data.draw(channel_runs(codec))
