@@ -7,9 +7,7 @@ An information-debt model of random linear codes and an exhaustive
 Gaussian-elimination oracle provide baselines for comparison.
 """
 
-from .bebc import (BurstParityMatrix, LdBebcCode, UnrecoverableBurstError,
-                   make_burst_parity, verify_burst_correcting,
-                   verify_delay_profile)
+from .bebc import BurstParityMatrix, make_burst_parity, verify_burst_correcting
 from .channel import (apply, parse_pattern, periodic_pattern,
                       segmented_bursts, single_burst)
 from .decoder import Component, StreamLog, TraceEvent, staged_decode
@@ -19,7 +17,7 @@ from .desco import (CombinedCodec, DeScoCodec, DeScoParams, descriptor,
 from .gf import GF, IncrementalSystem, InconsistentSystemError, default_field
 from .oracle import (ml_decode_times, rlc_burst_losses, rlc_decode_times,
                      rlc_partial_threshold, rlc_perfect_threshold)
-from .sco import (ScoCodec, ScoParams, capacity, memory_bound, split_urgent,
+from .sco import (ScoCodec, ScoParams, capacity, memory_bound,
                   vertical_interleave)
 
 __version__ = "0.1.0"

@@ -6,19 +6,21 @@ n, and the B parity symbols combine both through a (T-B) x B matrix H.
 The code must correct every cyclic burst of B consecutive erasures, and
 when it does, each erased urgent symbol at position j is recovered as
 soon as position j + T of the codeword has been read.
+
+This module holds the parity matrix H with the code's one parity map
+(``BurstParityMatrix.coeff``), the burst check and the construction.
+The streaming codes lay that map along diagonals (``sco``); a block
+encoder and decoder for the code itself is kept in the tests as a
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .gf import GF, IncrementalSystem, default_field
-
-
-class UnrecoverableBurstError(ValueError):
-    """The erasure pattern exceeds what the code can correct."""
 
 
 @dataclass(frozen=True)
@@ -43,19 +45,19 @@ class BurstParityMatrix:
                     raise ValueError(f"H entry {v} at row {k}, column {j} "
                                      f"is outside {self.field}")
 
+    def coeff(self, e: int, j: int) -> int:
+        """Coefficient of info entry e in parity j, the code's one parity
+        map: parity j = u_j + sum_k H[k][j] * n_k."""
+        if e >= self.b:
+            return self.rows[e - self.b][j]
+        return int(e == j)
+
 
 def _generator_rows(h: BurstParityMatrix) -> List[List[int]]:
     """Rows of the t x (t+b) generator [I | stacked parity] in codeword order."""
-    t, b, f = h.t, h.b, h.field
-    rows = [[0] * (t + b) for _ in range(t)]
-    for i in range(t):
-        rows[i][i] = 1
-    # parity j = u_j + sum_k H[k][j] * n_k
-    for j in range(b):
-        rows[j][t + j] = 1
-        for k in range(t - b):
-            rows[b + k][t + j] = h.rows[k][j]
-    return rows
+    t, b = h.t, h.b
+    return [[int(i == c) for c in range(t)]
+            + [h.coeff(i, j) for j in range(b)] for i in range(t)]
 
 
 def verify_burst_correcting(h: BurstParityMatrix) -> bool:
@@ -115,98 +117,3 @@ def make_burst_parity(t: int, b: int, field: Optional[GF] = None) -> BurstParity
     if not verify_burst_correcting(h):
         raise ValueError("constructed matrix failed verification")
     return h
-
-
-class LdBebcCode:
-    """Encoder/decoder for the (t+b, t) low-delay burst code."""
-
-    def __init__(self, h: BurstParityMatrix):
-        self.h = h
-        self.t = h.t
-        self.b = h.b
-        self.field = h.field
-        self.length = h.t + h.b
-
-    def encode(self, info: Sequence[int]) -> List[int]:
-        if len(info) != self.t:
-            raise ValueError(f"expected {self.t} info symbols, got {len(info)}")
-        f = self.field
-        u = list(info[:self.b])
-        nu = list(info[self.b:])
-        parity = []
-        for j in range(self.b):
-            acc = u[j]
-            for k in range(self.t - self.b):
-                acc ^= f.mul(self.h.rows[k][j], nu[k])
-            parity.append(acc)
-        return u + nu + parity
-
-    def decode(self, received: Sequence[Optional[int]],
-               burst_start: Optional[int] = None) -> Tuple[List[int], List[int]]:
-        """Recover the info word from a codeword with ``None`` erasures.
-
-        Returns (info, delays) where delays[i] is the smallest codeword
-        index at which info symbol i became determined (its own index when
-        it arrived unerased).  Erasures must form one contiguous run of at
-        most b positions; ``burst_start``, if given, must match it.
-
-        Raises UnrecoverableBurstError if the pattern is longer than b,
-        ValueError if it is not contiguous or inconsistent with burst_start.
-        """
-        if len(received) != self.length:
-            raise ValueError(f"expected {self.length} symbols, got {len(received)}")
-        erased = [i for i, v in enumerate(received) if v is None]
-        if erased:
-            if erased[-1] - erased[0] != len(erased) - 1:
-                raise ValueError("erasures are not contiguous")
-            if burst_start is not None and burst_start != erased[0]:
-                raise ValueError(f"burst_start {burst_start} does not match erasures")
-            if len(erased) > self.b:
-                raise UnrecoverableBurstError(
-                    f"{len(erased)} erasures exceed burst capability {self.b}")
-        gen = _generator_rows(self.h)
-        sys = IncrementalSystem(self.field)
-        info: List[Optional[int]] = [None] * self.t
-        delays: List[Optional[int]] = [None] * self.t
-        for pos in range(self.length):
-            v = received[pos]
-            if v is None:
-                continue
-            terms = {i: gen[i][pos] for i in range(self.t) if gen[i][pos]}
-            newly = sys.add_equation(terms, v)
-            for var, val in newly.items():
-                info[var] = val
-                delays[var] = pos if delays[var] is None else delays[var]
-            if pos < self.t and delays[pos] is None:
-                delays[pos] = pos
-        if any(v is None for v in info):
-            raise UnrecoverableBurstError("info word not fully recoverable")
-        return [int(v) for v in info], [int(d) for d in delays]
-
-
-def verify_delay_profile(code: LdBebcCode) -> bool:
-    """Check each erased urgent symbol j is recovered by index j + t.
-
-    Exercises every burst of length <= b over a basis of info words.
-    """
-    t, b, f = code.t, code.b, code.field
-    n = code.length
-    words = [[0] * t]
-    for i in range(t):
-        w = [0] * t
-        w[i] = 1
-        words.append(w)
-    for info in words:
-        cw = code.encode(info)
-        for length in range(1, b + 1):
-            for s in range(n - length + 1):
-                rx: List[Optional[int]] = list(cw)
-                for k in range(s, s + length):
-                    rx[k] = None
-                got, delays = code.decode(rx)
-                if got != list(info):
-                    return False
-                for j in range(b):
-                    if delays[j] > j + t:
-                        return False
-    return True

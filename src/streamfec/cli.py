@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel, oracle, wire
 from .desco import (CombinedCodec, DeScoCodec, DeScoParams, burst_loss_count,
-                    descriptor, ia_sco_build, optimal_delay, parse_descriptor,
+                    ia_sco_build, optimal_delay, parse_descriptor,
                     rate_upper_bound, sweep_max_delay)
 from .gf import InconsistentSystemError
 from .sco import capacity

@@ -160,9 +160,6 @@ class Component:
         self.reach = max((-ds for _, entries in self.templates
                           for ds, _, _ in entries), default=0)
 
-    def terms(self, t: int, row: int) -> Dict[Var, int]:
-        return {(t + ds, sub): c for ds, sub, c in self.templates[row][1]}
-
 
 def encode_symbols(components: Sequence[Component], field: GF,
                    source: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .bebc import BurstParityMatrix, verify_burst_correcting
 from .channel import single_burst
 from .decoder import Component, StreamLog, encode_symbols, staged_decode
 from .gf import GF, default_field
-from .sco import MAIN, OFF, ScoCodec, ScoParams, memory_bound
+from .sco import MAIN, OFF, ScoCodec, ScoParams, memory_bound, require_ints
 from .wire import check_stream
 
 
@@ -73,6 +73,7 @@ class DeScoParams:
     b: int = 1
 
     def __post_init__(self):
+        require_ints(b1=self.b1, t1=self.t1, a=self.a, b=self.b)
         if not 1 <= self.b < self.a:
             raise ValueError("need a > b >= 1")
         if math.gcd(self.a, self.b) != 1:
@@ -222,7 +223,8 @@ def ia_sco_build(b1: int, t1: int, alpha: int,
     weak receiver's delay is alpha*t1 + t1, worse than the embedded
     construction's alpha*t1 + b1 whenever b1 < t1.
     """
-    if alpha < 2 or int(alpha) != alpha:
+    require_ints(alpha=alpha)
+    if alpha < 2:
         raise ValueError("alpha must be an integer >= 2")
     if field is None:
         field = default_field(t1, b1)

@@ -2,11 +2,9 @@
 
 Field elements are plain ints in [0, 2^m).  A ``GF`` instance owns the
 arithmetic: addition is XOR, and multiplication and inversion read
-log/antilog tables built when the field is made.  A polynomial
-long-division multiply is kept as an independent slow path.
-``mul(c, xs)`` also multiplies a whole int64 array of elements by a
-constant, through a per-constant product row (``mul_row``) built on
-first use.
+log/antilog tables built when the field is made.  ``mul(c, xs)`` also
+multiplies a whole int64 array of elements by a constant, through a
+per-constant product row (``mul_row``) built on first use.
 """
 
 from __future__ import annotations
@@ -92,10 +90,6 @@ class GF:
                 return 0
             return self._alog[(self._log[a] + self._log[b]) % (self.order - 1)]
         return b if a == 1 else self.mul_row(a)[b]
-
-    def mul_polynomial(self, a: int, b: int) -> int:
-        """Table-free multiply via polynomial long division (slow oracle)."""
-        return _poly_mulmod(a, b, self.poly)
 
     def inv(self, a: int) -> int:
         if a == 0:

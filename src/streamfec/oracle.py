@@ -45,7 +45,8 @@ def ml_decode_times(codec, erased: np.ndarray) -> np.ndarray:
         for j in range(codec.parities_per_slot):
             terms: Dict[Var, int] = {}
             for comp in codec.components:
-                for var, coeff in comp.terms(t, j).items():
+                for ds, sub, coeff in comp.templates[j][1]:
+                    var = (t + ds, sub)
                     if var in unknown:
                         prev = terms.get(var, 0)
                         cur = prev ^ coeff

@@ -7,13 +7,17 @@ along with later source symbols.  A burst of up to ``b * step`` channel
 erasures then meets every diagonal codeword in at most ``b`` positions,
 and every erased source symbol is recovered within ``t * step`` slots.
 
-This module holds the parameters and the diagonal geometry.  Encoding
-and decoding go through ``desco.sco_build``, which wraps a code as a
-one-component ``CombinedCodec``.
+This module holds the parameters and the diagonal geometry; a
+diagonal's parities weigh its entries by the burst code's one parity
+map, ``BurstParityMatrix.coeff``.  Parameters that are not integers are
+refused with a ValueError naming them.  Encoding and decoding go
+through ``desco.sco_build``, which wraps a code as a one-component
+``CombinedCodec``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -25,6 +29,13 @@ Var = Tuple[int, int]  # (slot, sub-symbol index)
 
 MAIN = "main"
 OFF = "off"
+
+
+def require_ints(**values) -> None:
+    """ValueError naming the first of ``values`` that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def capacity(b: int, t: int) -> Fraction:
@@ -54,6 +65,7 @@ class ScoParams:
     field: Optional[GF] = None
 
     def __post_init__(self):
+        require_ints(b=self.b, t=self.t, step=self.step)
         if not 1 <= self.b <= self.t:
             raise ValueError("need 1 <= b <= t")
         if self.step < 1:
@@ -62,14 +74,6 @@ class ScoParams:
             raise ValueError(f"unknown orientation {self.orientation!r}")
         if self.field is None:
             object.__setattr__(self, "field", default_field(self.t, self.b))
-
-    @property
-    def sub_symbols(self) -> int:
-        return self.t
-
-    @property
-    def parities_per_slot(self) -> int:
-        return self.b
 
     @property
     def rate(self) -> Fraction:
@@ -82,6 +86,7 @@ def vertical_interleave(base: ScoParams, alpha: int) -> ScoParams:
     The result applies the base code independently to each of the alpha
     time-decimated sub-streams; sub-symbol count per slot is unchanged.
     """
+    require_ints(alpha=alpha)
     if alpha < 2:
         raise ValueError("alpha must be an integer >= 2")
     return replace(base, step=base.step * alpha)
@@ -92,28 +97,14 @@ def memory_bound(params: ScoParams) -> int:
     return params.t * params.step
 
 
-def split_urgent(params: ScoParams, subs: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Partition a source symbol into (urgent, non-urgent) sub-symbols.
-
-    Urgent sub-symbols occupy the first b diagonal-codeword entries:
-    subs 0..b-1 on main diagonals, subs t-1..t-b on reversed ones.
-    """
-    t, b = params.t, params.b
-    if len(subs) != t:
-        raise ValueError(f"expected {t} sub-symbols")
-    if params.orientation == MAIN:
-        return tuple(subs[:b]), tuple(subs[b:])
-    return (tuple(subs[t - 1 - j] for j in range(b)),
-            tuple(subs[t - 1 - e] for e in range(b, t)))
-
-
 class ScoCodec:
     """Diagonal layout of one streaming code.
 
     The diagonal codeword with index i has information entry k at
     (slot, sub) given by ``info_entry(i, k)``; ``diag_of_parity(slot, j)``
     names the diagonal whose parity j is transmitted in ``slot``.  Parity
-    values follow the burst block code's systematic parity map.
+    j of a diagonal weighs its entry e by the burst code's parity map,
+    ``h.coeff(e, j)``.
     """
 
     def __init__(self, params: ScoParams, h: Optional[BurstParityMatrix] = None):
@@ -131,7 +122,11 @@ class ScoCodec:
     # -- diagonal geometry --------------------------------------------
 
     def info_entry(self, i: int, k: int) -> Var:
-        """(slot, sub) of information entry k on diagonal i."""
+        """(slot, sub) of information entry k on diagonal i.
+
+        Entries 0..b-1 are the urgent part: subs 0..b-1 on main
+        diagonals, subs t-1..t-b on reversed ones.
+        """
         if self.params.orientation == MAIN:
             return (i + k * self.step, k)
         return (i - (self.t - 1 - k) * self.step, self.t - 1 - k)
@@ -140,14 +135,6 @@ class ScoCodec:
         if self.params.orientation == MAIN:
             return slot - (self.t + j) * self.step
         return slot - self.step * (j + 1)
-
-    def entry_coeff(self, e: int, j: int) -> int:
-        """Coefficient of diagonal entry e in parity j (u_j + n . H column j)."""
-        if e == j:
-            return 1
-        if e >= self.b:
-            return self.h.rows[e - self.b][j] if self.b < self.t else 0
-        return 0
 
     def parity_terms(self, slot: int, j: int) -> Dict[Var, int]:
         """Source terms of parity j emitted at ``slot`` (zero coeffs omitted).
@@ -158,7 +145,7 @@ class ScoCodec:
         i = self.diag_of_parity(slot, j)
         terms: Dict[Var, int] = {}
         for e in range(self.t):
-            c = self.entry_coeff(e, j)
+            c = self.h.coeff(e, j)
             if c:
                 terms[self.info_entry(i, e)] = c
         return terms

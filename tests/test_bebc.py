@@ -1,22 +1,21 @@
 import random
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from streamfec.bebc import (BurstParityMatrix, LdBebcCode,
-                            UnrecoverableBurstError, make_burst_parity,
-                            verify_burst_correcting, verify_delay_profile)
+from streamfec.bebc import (BurstParityMatrix, make_burst_parity,
+                            verify_burst_correcting)
 from streamfec.gf import GF, IncrementalSystem, default_field
 
 GF2 = GF(1)
 
 
-def brute_force_burst_check(h):
-    """Independent verdict: solve every cyclic burst with plain elimination."""
-    t, b, f = h.t, h.b, h.field
-    n = t + b
-    # generator columns
+def generator_columns(h):
+    """Columns of the t x (t+b) generator [I | stacked parity], built from
+    H's rows here rather than from the library's parity map."""
+    t, b = h.t, h.b
     cols = []
-    for c in range(n):
+    for c in range(t + b):
         col = [0] * t
         if c < t:
             col[c] = 1
@@ -26,6 +25,14 @@ def brute_force_burst_check(h):
             for k in range(t - b):
                 col[b + k] = h.rows[k][j]
         cols.append(col)
+    return cols
+
+
+def brute_force_burst_check(h):
+    """Independent verdict: solve every cyclic burst with plain elimination."""
+    t, b, f = h.t, h.b, h.field
+    n = t + b
+    cols = generator_columns(h)
     for s in range(n):
         erased = {(s + k) % n for k in range(b)}
         # info recoverable iff the kept columns have full column rank t
@@ -36,6 +43,104 @@ def brute_force_burst_check(h):
             sys.add_equation({i: cols[c][i] for i in range(t) if cols[c][i]}, 0)
         if len(sys.solved) != t:
             return False
+    return True
+
+
+class UnrecoverableBurstError(ValueError):
+    """The erasure pattern exceeds what the code can correct."""
+
+
+class LdBebcCode:
+    """Reference encoder/decoder for the (t+b, t) low-delay burst code,
+    built on this file's generator columns."""
+
+    def __init__(self, h: BurstParityMatrix):
+        self.h = h
+        self.t = h.t
+        self.b = h.b
+        self.field = h.field
+        self.length = h.t + h.b
+        self.cols = generator_columns(h)
+
+    def encode(self, info: Sequence[int]) -> List[int]:
+        if len(info) != self.t:
+            raise ValueError(f"expected {self.t} info symbols, got {len(info)}")
+        f = self.field
+        u = list(info[:self.b])
+        nu = list(info[self.b:])
+        parity = []
+        for j in range(self.b):
+            acc = u[j]
+            for k in range(self.t - self.b):
+                acc ^= f.mul(self.h.rows[k][j], nu[k])
+            parity.append(acc)
+        return u + nu + parity
+
+    def decode(self, received: Sequence[Optional[int]],
+               burst_start: Optional[int] = None) -> Tuple[List[int], List[int]]:
+        """Recover the info word from a codeword with ``None`` erasures.
+
+        Returns (info, delays) where delays[i] is the smallest codeword
+        index at which info symbol i became determined (its own index when
+        it arrived unerased).  Erasures must form one contiguous run of at
+        most b positions; ``burst_start``, if given, must match it.
+
+        Raises UnrecoverableBurstError if the pattern is longer than b,
+        ValueError if it is not contiguous or inconsistent with burst_start.
+        """
+        if len(received) != self.length:
+            raise ValueError(f"expected {self.length} symbols, got {len(received)}")
+        erased = [i for i, v in enumerate(received) if v is None]
+        if erased:
+            if erased[-1] - erased[0] != len(erased) - 1:
+                raise ValueError("erasures are not contiguous")
+            if burst_start is not None and burst_start != erased[0]:
+                raise ValueError(f"burst_start {burst_start} does not match erasures")
+            if len(erased) > self.b:
+                raise UnrecoverableBurstError(
+                    f"{len(erased)} erasures exceed burst capability {self.b}")
+        sys = IncrementalSystem(self.field)
+        info: List[Optional[int]] = [None] * self.t
+        delays: List[Optional[int]] = [None] * self.t
+        for pos, v in enumerate(received):
+            if v is None:
+                continue
+            col = self.cols[pos]
+            newly = sys.add_equation({i: c for i, c in enumerate(col) if c}, v)
+            for var, val in newly.items():
+                info[var] = val
+                delays[var] = pos if delays[var] is None else delays[var]
+            if pos < self.t and delays[pos] is None:
+                delays[pos] = pos
+        if any(v is None for v in info):
+            raise UnrecoverableBurstError("info word not fully recoverable")
+        return [int(v) for v in info], [int(d) for d in delays]
+
+
+def verify_delay_profile(code: LdBebcCode) -> bool:
+    """Check each erased urgent symbol j is recovered by index j + t.
+
+    Exercises every burst of length <= b over a basis of info words.
+    """
+    t, b = code.t, code.b
+    words = [[0] * t]
+    for i in range(t):
+        w = [0] * t
+        w[i] = 1
+        words.append(w)
+    for info in words:
+        cw = code.encode(info)
+        for length in range(1, b + 1):
+            for s in range(code.length - length + 1):
+                rx: List[Optional[int]] = list(cw)
+                for k in range(s, s + length):
+                    rx[k] = None
+                got, delays = code.decode(rx)
+                if got != list(info):
+                    return False
+                for j in range(b):
+                    if delays[j] > j + t:
+                        return False
     return True
 
 

@@ -80,6 +80,10 @@ def test_params_validation():
         DeScoParams(3, 2, 2)          # b1 > t1
     with pytest.raises(ValueError):
         DeScoParams(3, 4, 3, 2)       # b1 not divisible by b
+    for args, name in (((1.0, 2, 2), "b1"), ((1, 2.5, 2), "t1"),
+                       ((1, 2, 2.0), "a"), ((2, 5, 3, 2.0), "b")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DeScoParams(*args)
 
 
 def test_source_expand():
@@ -271,6 +275,9 @@ def test_ia_user1_still_meets_t1():
 def test_ia_rejects_fractional_alpha():
     with pytest.raises(ValueError):
         ia_sco_build(1, 2, 1)
+    for alpha in (2.0, 2.5):
+        with pytest.raises(ValueError, match="alpha must be an integer"):
+            ia_sco_build(1, 2, alpha)
 
 
 # ---------------------------------------------------------

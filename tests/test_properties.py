@@ -54,9 +54,9 @@ def channel_runs(draw, codec, max_horizon=28):
 
 def reference_parities(codec, source):
     """Per stream slot, the parities from ScoCodec.parity_value on the
-    expanded clock and from Component.terms on the stream clock, computed
-    element by element.  Stream row r * b0 + j is expanded parity j at
-    sub-slot r."""
+    expanded clock and from the Component templates on the stream clock,
+    computed element by element.  Stream row r * b0 + j is expanded
+    parity j at sub-slot r."""
     f = codec.field
     n = codec.components[0].expansion
     t0, b0 = codec.components[0].codec.t, codec.components[0].codec.b
@@ -70,9 +70,9 @@ def reference_parities(codec, source):
                 for comp in codec.components:
                     a ^= comp.codec.parity_value(
                         n * i + r - comp.shift, j, expanded)
-                    for (slot, sub), c in comp.terms(i, r * b0 + j).items():
-                        if slot >= 0:
-                            b ^= f.mul(c, source[slot][sub])
+                    for ds, sub, c in comp.templates[r * b0 + j][1]:
+                        if i + ds >= 0:
+                            b ^= f.mul(c, source[i + ds][sub])
                 pv.append(a)
                 pt.append(b)
         by_value.append(pv)

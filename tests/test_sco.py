@@ -8,7 +8,7 @@ from streamfec.channel import apply, single_burst
 from streamfec.desco import sco_build
 from streamfec.gf import GF
 from streamfec.sco import (MAIN, OFF, ScoCodec, ScoParams, capacity,
-                           memory_bound, split_urgent, vertical_interleave)
+                           memory_bound, vertical_interleave)
 
 GF2 = GF(1)
 rng = random.Random(20240817)
@@ -38,7 +38,8 @@ def test_capacity_values():
 
 def test_rate_is_b_over_t_plus_b():
     p = ScoParams(2, 5, step=3, field=GF2)
-    assert p.parities_per_slot == 2 and p.sub_symbols == 5
+    codec = sco_build(p)
+    assert codec.parities_per_slot == 2 and codec.subs_per_slot == 5
     assert p.rate == Fraction(5, 7)
 
 
@@ -245,23 +246,31 @@ def test_memory_twin_stream():
         assert np.array_equal(a[t][5:], b[t][5:])
 
 
+def entry_subs(codec, diag=40):
+    """Subs of diagonal ``diag``'s entries 0..t-1; 0..b-1 are urgent."""
+    return [codec.info_entry(diag, k)[1] for k in range(codec.t)]
+
+
 def test_split_urgent_main():
-    p = ScoParams(2, 5, field=GF2)
-    urgent, non = split_urgent(p, [10, 11, 12, 13, 14])
-    assert urgent == (10, 11) and non == (12, 13, 14)
+    # the urgent entries 0..b-1 of a main diagonal sit at subs 0..b-1
+    codec = ScoCodec(ScoParams(2, 5, field=GF2))
+    subs = entry_subs(codec)
+    assert subs[:2] == [0, 1] and subs[2:] == [2, 3, 4]
 
 
 def test_split_urgent_off_diagonal():
-    p = ScoParams(2, 5, orientation=OFF, field=GF2)
-    a, b, c, d, e = 0, 1, 2, 3, 4
-    urgent, non = split_urgent(p, [a, b, c, d, e])
-    assert urgent == (e, d) and non == (c, b, a)
+    # on a reversed diagonal they sit at subs t-1..t-b
+    codec = ScoCodec(ScoParams(2, 5, orientation=OFF, field=GF2))
+    subs = entry_subs(codec)
+    assert subs[:2] == [4, 3] and subs[2:] == [2, 1, 0]
 
 
 def test_split_urgent_b_equals_t():
-    p = ScoParams(3, 3, field=GF2)
-    urgent, non = split_urgent(p, [1, 2, 3])
-    assert urgent == (1, 2, 3) and non == ()
+    # with b = t every entry is urgent, and each parity reads its own entry
+    codec = ScoCodec(ScoParams(3, 3, field=GF2))
+    assert entry_subs(codec)[:codec.b] == [0, 1, 2]
+    assert [codec.h.coeff(e, j) for j in range(3) for e in range(3)] \
+        == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_params_validation():
@@ -273,3 +282,11 @@ def test_params_validation():
         ScoParams(1, 2, orientation="diag")
     with pytest.raises(ValueError):
         vertical_interleave(ScoParams(1, 2), 1)
+    # a non-integer parameter is refused by name, not carried into a
+    # float deadline or sub index
+    for kwargs, name in (({"b": 1.0, "t": 2}, "b"), ({"b": 1, "t": 2.5}, "t"),
+                         ({"b": 1, "t": 2, "step": 1.5}, "step")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ScoParams(**kwargs)
+    with pytest.raises(ValueError, match="alpha must be an integer"):
+        vertical_interleave(ScoParams(1, 2), 2.0)
