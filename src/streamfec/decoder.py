@@ -40,15 +40,18 @@ burst at start 0 in place of every start, once for every user.
 So does a cluster, whose shape is its erasure mask up to ``reach``
 slots past its last erasure, clipped at the horizon.  What is known,
 which parity enters which system when, and every coefficient follow
-from the shape: received values only enter the constants.  One run of
-the staged logic decodes every cluster of a shape in a batch of
-``_BATCH`` clusters at once, each value an int64 vector with one column
-per cluster (XOR adds, ``field.mul`` multiplies; plain ints for a
-single cluster), and the others get the first's times and trace,
-shifted by their start.  The shape's window, its rows from ``reach``
-slots before the first erasure, is the one record of what is known: an
-erased slot's row holds None for each sub-symbol until it is recovered,
-then its value.  Batches keep decoder memory flat in length.
+from the shape: received values only enter the constants.  The decoder
+looks ahead over ``_HORIZON`` clusters at a time and groups them by
+shape.  One run of the staged logic then decodes up to ``_BATCH``
+clusters of a shape at once, in stream order, each value an int64
+vector with one column per cluster (XOR adds, ``field.mul`` multiplies;
+plain ints for a single cluster), and the others get the first's times
+shifted by their start.  The trace keeps only each shape's first
+events and shifts them for every cluster when it is read (``Trace``).
+The shape's window, its rows from ``reach`` slots before the first
+erasure, is the one record of what is known: an erased slot's row
+holds None for each sub-symbol until it is recovered, then its value.
+Horizons and runs keep decoder memory flat in length.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.
@@ -57,7 +60,7 @@ source array, so encoder and decoder share one parity definition.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
@@ -89,6 +92,60 @@ class TraceEvent(NamedTuple):
     parity_slot: int     # emission slot on the component's own clock
 
 
+class Trace(Sequence[TraceEvent]):
+    """The ``TraceEvent`` of each recovered erased sub-symbol, cluster by
+    cluster in stream order, built when read.
+
+    Every cluster of a shape decodes as the shape's first cluster in its
+    grouping horizon (``_HORIZON`` clusters) does, shifted by d, the
+    difference of their first slots: slot and time move by d, a parity's
+    emission slot by expansion * d, and a substitution's -1 stays.  So
+    each grouping horizon is kept as its clusters' first slots (int64),
+    their shape ids (numbered in order of first appearance) and each
+    shape's first-cluster events, and the length is counted without
+    building an event.  Indexing builds the events up to the index; a
+    trace equals any sequence of the same events in the same order.
+    """
+
+    def __init__(self, horizons: List[Tuple[np.ndarray, np.ndarray,
+                                            List[List[TraceEvent]]]],
+                 expansion: int):
+        self._horizons = horizons
+        self._expansion = expansion
+        self._len = sum(
+            int(np.array([len(ev) for ev in events], dtype=np.int64)[ids].sum())
+            for _, ids, events in horizons)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        n = self._expansion
+        for firsts, ids, events in self._horizons:
+            origins = firsts[np.unique(ids, return_index=True)[1]].tolist()
+            for first, k in zip(firsts.tolist(), ids.tolist()):
+                d = first - origins[k]
+                if not d:
+                    yield from events[k]
+                    continue
+                for slot, sub, time, ci, row, pslot in events[k]:
+                    yield TraceEvent(slot + d, sub, time + d, ci, row,
+                                     pslot + n * d if row >= 0 else -1)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if not -self._len <= index < self._len:
+            raise IndexError("trace index out of range")
+        return next(islice(self, index % self._len, None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+
 @dataclass
 class StreamLog:
     """Per-sub-symbol recovery times of one decode.
@@ -96,10 +153,12 @@ class StreamLog:
     ``sub_times`` is a (horizon, n_subs) int array: ``sub_times[slot, sub]``
     is the stream slot at which the sub-symbol became known (its own slot
     when received) or -1 if it was never recovered; every user reads them.
+    ``trace`` attributes each recovered erased sub-symbol to the parity
+    that pinned it, in stream order (a ``Trace``, built when read).
     """
 
     sub_times: np.ndarray
-    trace: List[TraceEvent] = dc_field(default_factory=list)
+    trace: Sequence[TraceEvent] = ()
 
     @property
     def horizon(self) -> int:
@@ -206,7 +265,8 @@ class _PendingParity:
 
 
 _SCAN = 1024  # mask slots per nonzero() call: scan memory is flat in length
-_BATCH = 64  # clusters grouped by shape at a time: batch memory is flat too
+_HORIZON = 1024  # clusters grouped by shape at a time: flat memory too
+_BATCH = 64  # columns of one run: its window's memory is flat as well
 
 
 def _clusters(erased: np.ndarray, reach: int) -> Iterator[Tuple[int, bytes]]:
@@ -235,10 +295,13 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     trace): recovered is the (horizon, n_subs) source array, 0 where a
     sub-symbol was never recovered; times is the (horizon, n_subs) int
     array of recovery slots, a received row holding its own slot and -1
-    marking a sub-symbol never recovered (see ``StreamLog``); trace lists
+    marking a sub-symbol never recovered (see ``StreamLog``); trace is
     the parity attribution of each recovered erased sub-symbol, cluster
-    by cluster in stream order.  InconsistentSystemError names the
-    stream slot whose parities contradict the others.
+    by cluster in stream order, a ``Trace`` built when read.  Clusters
+    are grouped by shape ``_HORIZON`` at a time, and each shape runs on
+    up to ``_BATCH`` of them at once, in stream order (see the module
+    docstring).  InconsistentSystemError names the stream slot whose
+    parities contradict the others, the earliest in stream order.
     """
     horizon, width = len(symbols), n_subs + n_parities
     if (symbols.shape[1:] != (width,) or np.shape(erased) != (horizon,)
@@ -254,9 +317,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     # row t holds t, filled in place: no horizon-long temporary
     times = np.arange(horizon * n_subs).reshape(horizon, n_subs)
     times //= n_subs
-    trace: List[TraceEvent] = []
-    events: List[TraceEvent] = []  # of one shape, in its first cluster's slots
-    window: List[list] = []  # of one shape, see the module docstring
+    events: List[TraceEvent] = []  # of one run, in its first cluster's slots
+    window: List[list] = []  # of one run, see the module docstring
     base = 0  # stream slot of window row 0
     unknown = 0  # erased sub-symbols not yet recovered
     systems: Dict[Tuple[int, int], IncrementalSystem] = {}
@@ -327,8 +389,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 try_release(ready.popleft())
 
     def decode_shape(key: bytes, firsts: List[int]) -> List[TraceEvent]:
-        """Decode every cluster of one shape at once, one column each, in
-        the coordinates of the first; returns the first's trace."""
+        """Decode clusters of one shape at once, one column each, in the
+        coordinates of the first; returns the first's trace."""
         nonlocal window, base, unknown, shift, events
         first = firsts[0]
         base, end = first - reach, first + len(key)
@@ -345,8 +407,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             window = [[0] * width] * pad + symbols[base + pad:end].tolist()
             shift = 0
         events, unknown = [], 0
-        for state in (watchers, systems, sys_vars):
-            state.clear()  # nothing held for another shape applies here
+        for state in (watchers, systems, sys_vars, queue, ready):
+            state.clear()  # nothing held for another run applies here
         for t in range(first, end):
             i = t - base
             if key[t - first]:
@@ -382,21 +444,35 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 raise InconsistentSystemError(
                     f"the parities of stream slot {slot} contradict the "
                     "earlier ones", exc.column, slot) from exc
-        window = []  # freed before the caller copies the trace
+        window = []  # freed before the next run builds its own
         return events
 
+    horizons = []  # see Trace
     clusters = _clusters(erased, reach)
-    while block := list(islice(clusters, _BATCH)):
-        shapes: Dict[bytes, List[int]] = {}
-        for first, key in block:
-            shapes.setdefault(key, []).append(first)
-        decoded = {key: decode_shape(key, firsts)
-                   for key, firsts in shapes.items()}
-        for first, key in block:
-            d = first - shapes[key][0]
-            trace.extend(decoded[key] if d == 0 else (
-                TraceEvent(slot + d, sub, time + d, ci, row,
-                           pslot + components[0].expansion * d if row >= 0
-                           else -1)
-                for slot, sub, time, ci, row, pslot in decoded[key]))
-    return recovered, times, trace
+    n = _HORIZON
+    while n == _HORIZON:  # a short grouping horizon is the last
+        shapes: Dict[bytes, int] = {}  # shape -> id, in order of appearance
+        firsts = np.empty(_HORIZON, dtype=np.int64)
+        ids = np.empty(_HORIZON, dtype=np.uint16)
+        n = 0
+        for first, key in islice(clusters, _HORIZON):
+            firsts[n], ids[n] = first, shapes.setdefault(key, len(shapes))
+            n += 1
+        firsts, ids = firsts[:n], ids[:n]
+        firsts_events = []  # each shape's, in the coordinates of its first
+        try:
+            for k, key in enumerate(shapes):
+                cols = firsts[ids == k].tolist()
+                firsts_events.append(decode_shape(key, cols[:_BATCH]))
+                for lo in range(_BATCH, len(cols), _BATCH):
+                    decode_shape(key, cols[lo:lo + _BATCH])
+        except InconsistentSystemError:
+            # a run raises at the first column to contradict at its time t,
+            # but an earlier cluster may contradict only at a later t: the
+            # clusters one by one in stream order name the earliest
+            keys = list(shapes)
+            for first, k in zip(firsts.tolist(), ids.tolist()):
+                decode_shape(keys[k], [first])
+            raise
+        horizons.append((firsts, ids, firsts_events))
+    return recovered, times, Trace(horizons, components[0].expansion)

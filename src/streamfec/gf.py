@@ -49,20 +49,6 @@ class InconsistentSystemError(RuntimeError):
         self.column, self.slot = column, slot
 
 
-def _poly_mulmod(a: int, b: int, mod: int) -> int:
-    """Carry-less multiply of a and b, reduced modulo ``mod``."""
-    deg = mod.bit_length() - 1
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        b >>= 1
-        a <<= 1
-        if a >> deg & 1:
-            a ^= mod
-    return res
-
-
 class GF:
     """Arithmetic over GF(2^m) modulo ``CANONICAL_POLY[m]``, 1 <= m <= 16."""
 
@@ -77,7 +63,8 @@ class GF:
         self._alog = [1] * (self.order - 1)
         self._log = [0] * self.order
         for i in range(1, self.order - 1):
-            self._alog[i] = _poly_mulmod(self._alog[i - 1], 2, self.poly)
+            a = self._alog[i - 1] << 1  # times x, reduced by the polynomial
+            self._alog[i] = a ^ self.poly if a & self.order else a
             self._log[self._alog[i]] = i
 
     # -- arithmetic (elements and int64 arrays of them) ---------------

@@ -147,7 +147,8 @@ def clustered_runs(draw, codec):
 def test_shape_grouped_decode_equals_reference(name, data):
     """Decoding each cluster shape once for all its clusters gives the
     per-cluster reference's values, times and trace, in order, and a
-    contradiction in one decode exactly when the reference has one."""
+    contradiction in one decode exactly when the reference has one, at
+    the same stream slot."""
     codec = CODECS[name]
     source, erased, corrupt = data.draw(clustered_runs(codec))
     rx = codec.encode_stream(source)
@@ -161,14 +162,67 @@ def test_shape_grouped_decode_equals_reference(name, data):
     for decode_fn in (reference_decode, staged_decode):
         try:
             results.append(decode_fn(*args))
-        except InconsistentSystemError:
-            results.append(None)
+        except InconsistentSystemError as exc:
+            results.append(exc.slot)
     want, got = results
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
+    assert isinstance(got, int) == isinstance(want, int)
+    if isinstance(want, int):
+        assert got == want
+    else:
+        assert_same_decode(got, want)
+
+
+def assert_same_decode(got, want):
+    """Equal recovered values, times and trace, in order."""
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert len(got[2]) == len(want[2])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("name", ["desco", "desco-rational"])
+def test_shape_grouped_decode_across_grouping_horizons(name):
+    """One shape repeats more than a grouping horizon holds, interleaved
+    with a second, so both take several runs of at most ``_BATCH``
+    columns on each side of two horizon boundaries; a third shape, the
+    last cluster, is clipped at the stream's end.  The decode equals the
+    per-cluster reference's, the trace's length and order included."""
+    codec = CODECS[name]
+    reach = codec.reach_slots
+    period = 2 * reach + 4  # > reach clean slots after each cluster
+    n_clusters = 2 * decoder._HORIZON + 3 * decoder._BATCH
+    erased = np.zeros(n_clusters * period + 1, dtype=bool)
+    for i in range(n_clusters):
+        # every 5th cluster is a 2-slot burst, the others 1 slot
+        erased[i * period:i * period + 1 + (i % 5 == 2)] = True
+    erased[-2:] = True
+    rng = np.random.default_rng(11)
+    source = rng.integers(0, codec.field.order,
+                          (len(erased), codec.subs_per_slot))
+    args = (codec.components, codec.field, codec.subs_per_slot,
+            codec.parities_per_slot, codec.encode_stream(source), erased)
+    assert_same_decode(staged_decode(*args), reference_decode(*args))
+
+
+def test_contradiction_names_the_earliest_cluster():
+    """Two clusters of one shape, each with one corrupted element: the
+    first contradicts at 19 slots past its start, the second at 17.  The
+    error names the first's slot, as the per-cluster reference does,
+    though the second's contradiction comes at an earlier offset."""
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
+    rx = np.zeros((100, codec.symbol_width), dtype=np.int64)
+    erased = np.zeros(100, dtype=bool)
+    for start in (20, 60):
+        erased[[start, start + 1, start + 6, start + 7]] = True
+    rx[22, 1] = rx[62, 0] = 1
+    args = (codec.components, codec.field, codec.subs_per_slot,
+            codec.parities_per_slot, rx, erased)
+    slots = []
+    for decode_fn in (reference_decode, staged_decode):
+        with pytest.raises(InconsistentSystemError) as exc:
+            decode_fn(*args)
+        slots.append(exc.value.slot)
+    assert slots == [39, 39]
 
 
 @pytest.mark.parametrize("name", CODECS)
@@ -347,10 +401,12 @@ def test_bursts_closer_than_reach_decode_jointly(gap):
 def test_decoder_working_memory_does_not_grow_with_length():
     """tracemalloc peak minus the retained outputs of ``staged_decode``
     with a 4-slot burst every 50 slots stays flat with stream length:
-    decoder state lives for one erasure cluster, and the times array is
-    filled without a horizon-long temporary.  On DE-SCo (2,5,2) every
-    burst is recovered; on (1,2,2) most are not, so few retained outputs
-    hide the working memory."""
+    decoder state lives for one grouping horizon of ``_HORIZON``
+    clusters, and the times array is filled without a horizon-long
+    temporary.  Both lengths fill at least two grouping horizons, so the
+    comparison reads growth with length, not the fill of the first
+    horizon.  On DE-SCo (2,5,2) every burst is recovered; on (1,2,2)
+    most are not, so few retained outputs hide the working memory."""
     def working_bytes(codec, slots):
         rx = np.zeros((slots, codec.symbol_width), dtype=np.int64)
         erased = np.zeros(slots, dtype=bool)
@@ -366,14 +422,15 @@ def test_decoder_working_memory_does_not_grow_with_length():
             tracemalloc.stop()
         return peak - current, int((result[1][erased] >= 0).sum())
 
+    short, long = 2 * 50 * decoder._HORIZON, 8 * 50 * decoder._HORIZON
     codec = DeScoCodec(DeScoParams(2, 5, 2))
-    (small, _), (large, recovered) = (working_bytes(codec, 2_000),
-                                      working_bytes(codec, 20_000))
-    assert recovered == 20_000 // 50 * 4 * codec.subs_per_slot
+    (small, _), (large, recovered) = (working_bytes(codec, short),
+                                      working_bytes(codec, long))
+    assert recovered == long // 50 * 4 * codec.subs_per_slot
     assert large < small + 16 * 1024, (small, large)
     codec = DeScoCodec(DeScoParams(1, 2, 2))
-    (small, _), (large, _) = (working_bytes(codec, 10_000),
-                              working_bytes(codec, 40_000))
+    (small, _), (large, _) = (working_bytes(codec, short),
+                              working_bytes(codec, long))
     assert large < small + 16 * 1024, (small, large)
 
 
