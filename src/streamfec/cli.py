@@ -29,7 +29,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INCONSISTENT = 4
-LOG_CHUNK = 4096  # decode log rows per write: the log's memory is flat
+LOG_CHUNK = 4096  # decode log rows per _log_rows call and write: flat memory
 
 
 class UsageError(Exception):
@@ -273,6 +273,32 @@ def cmd_encode(args, out) -> int:
     return EXIT_OK
 
 
+def _log_rows(lo: int, latest: np.ndarray, miss: np.ndarray) -> bytes:
+    """The decode log rows ``slot,recovery_slot,delay,miss`` of slots lo..
+    as ASCII: ``latest`` is each slot's recovery slot, -1 if never, and
+    ``miss`` its bool.  Each number is a fixed-width digit field with
+    its leading zeros NUL, as are both times of an unrecovered slot, and
+    the NULs are dropped."""
+    n = len(latest)
+    slots = np.arange(lo, lo + n)
+    values = np.stack([slots, latest, latest - slots], axis=1)
+    width = len(str(int(values.max(initial=0))))
+    rows = np.zeros((n, 3 * (width + 1) + 2), dtype=np.uint8)
+    fields = rows[:, :-2].reshape(n, 3, width + 1)  # a view: digits, ","
+    fields[:, :, width] = ord(",")
+    for col in range(width - 1, -1, -1):
+        quot = values // 10
+        digit = (values - quot * 10).astype(np.uint8) + ord("0")
+        if col < width - 1:
+            digit *= values != 0  # a leading zero is NUL
+        fields[:, :, col] = digit
+        values = quot
+    fields[latest < 0, 1:, :width] = 0
+    rows[:, -2] = miss.view(np.uint8) + ord("0")
+    rows[:, -1] = ord("\n")
+    return rows[rows != 0].tobytes()
+
+
 def cmd_decode(args, out) -> int:
     codec = _load_codec(args)
     _require(args, "infile", "out")
@@ -292,16 +318,11 @@ def cmd_decode(args, out) -> int:
         latest = log.slot_times
         miss = np.zeros(len(latest), dtype=bool)
         miss[misses] = True
-        with open(args.log, "w", newline="") as fh:
-            fh.write("slot,recovery_slot,delay,miss\n")
+        with open(args.log, "wb") as fh:
+            fh.write(b"slot,recovery_slot,delay,miss\n")
             for lo in range(0, len(latest), LOG_CHUNK):
-                times = latest[lo:lo + LOG_CHUNK]
-                slots = np.arange(lo, lo + len(times))
-                table = np.stack([slots, times, times - slots,
-                                  miss[lo:lo + LOG_CHUNK]], axis=1).astype(object)
-                table[times < 0, 1:3] = ""  # no recovery slot or delay
-                fh.write(("%s,%s,%s,%s\n" * len(table))
-                         % tuple(table.ravel().tolist()))
+                fh.write(_log_rows(lo, latest[lo:lo + LOG_CHUNK],
+                                   miss[lo:lo + LOG_CHUNK]))
     print(f"decoded {log.horizon} slots, {len(misses)} misses", file=out)
     return EXIT_OK
 

@@ -42,16 +42,17 @@ slots past its last erasure, clipped at the horizon.  What is known,
 which parity enters which system when, and every coefficient follow
 from the shape: received values only enter the constants.  The decoder
 looks ahead over ``_HORIZON`` clusters at a time and groups them by
-shape.  One run of the staged logic then decodes up to ``_BATCH``
-clusters of a shape at once, in stream order, each value an int64
-vector with one column per cluster (XOR adds, ``field.mul`` multiplies;
-plain ints for a single cluster), and the others get the first's times
-shifted by their start.  The trace keeps only each shape's first
-events and shifts them for every cluster when it is read (``Trace``).
-The shape's window, its rows from ``reach`` slots before the first
-erasure, is the one record of what is known: an erased slot's row
-holds None for each sub-symbol until it is recovered, then its value.
-Horizons and runs keep decoder memory flat in length.
+shape.  One run of the staged logic then decodes all of a shape's
+clusters in that grouping horizon at once, in stream order, each value
+an int64 vector with one column per cluster (XOR adds, ``field.mul``
+multiplies; plain ints for a single cluster), and the others get the
+first's times shifted by their start.  The trace keeps only each
+shape's first events and shifts them for every cluster when it is read
+(``Trace``).  The shape's window, its rows from ``reach`` slots before
+the first erasure, is the one record of what is known: an erased
+slot's row holds None for each sub-symbol until it is recovered, then
+its value.  A grouping horizon bounds a run's columns, so decoder
+memory is flat in length.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.
@@ -169,8 +170,12 @@ class StreamLog:
         """Recovery time of every slot in the horizon: the latest time of
         its sub-symbols, -1 if any is missing.  Computed on first use;
         ``sub_times`` must not change afterwards."""
-        times = self.sub_times
-        return np.where(times.min(axis=1) < 0, -1, times.max(axis=1))
+        # one contiguous row per sub-symbol: reduce across rows, not along
+        # a short inner axis
+        cols = np.ascontiguousarray(self.sub_times.T)
+        latest = cols.max(axis=0)
+        latest[cols.min(axis=0) < 0] = -1
+        return latest
 
     def misses(self, deadline: int) -> List[int]:
         """Slots not recovered within ``deadline`` slots of their own."""
@@ -266,7 +271,6 @@ class _PendingParity:
 
 _SCAN = 1024  # mask slots per nonzero() call: scan memory is flat in length
 _HORIZON = 1024  # clusters grouped by shape at a time: flat memory too
-_BATCH = 64  # columns of one run: its window's memory is flat as well
 
 
 def _clusters(erased: np.ndarray, reach: int) -> Iterator[Tuple[int, bytes]]:
@@ -298,8 +302,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     marking a sub-symbol never recovered (see ``StreamLog``); trace is
     the parity attribution of each recovered erased sub-symbol, cluster
     by cluster in stream order, a ``Trace`` built when read.  Clusters
-    are grouped by shape ``_HORIZON`` at a time, and each shape runs on
-    up to ``_BATCH`` of them at once, in stream order (see the module
+    are grouped by shape ``_HORIZON`` at a time, and each shape runs once
+    on all of its clusters there, in stream order (see the module
     docstring).  InconsistentSystemError names the stream slot whose
     parities contradict the others, the earliest in stream order.
     """
@@ -398,9 +402,9 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         if vector:
             # (row, symbol, column) int64 window, zeros before slot 0
             at = np.add.outer(np.arange(base, end), firsts) - first
-            rows = symbols[np.maximum(at, 0)].transpose(0, 2, 1)
-            window = [list(row) for row in
-                      np.where(at[:, None, :] < 0, 0, rows).astype(np.int64)]
+            rows = symbols[np.maximum(at, 0)].astype(np.int64, copy=False)
+            rows[at < 0] = 0
+            window = [list(row) for row in rows.transpose(0, 2, 1)]
             shift = np.array(firsts) - first
         else:
             pad = max(0, -base)
@@ -462,10 +466,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         firsts_events = []  # each shape's, in the coordinates of its first
         try:
             for k, key in enumerate(shapes):
-                cols = firsts[ids == k].tolist()
-                firsts_events.append(decode_shape(key, cols[:_BATCH]))
-                for lo in range(_BATCH, len(cols), _BATCH):
-                    decode_shape(key, cols[lo:lo + _BATCH])
+                firsts_events.append(
+                    decode_shape(key, firsts[ids == k].tolist()))
         except InconsistentSystemError:
             # a run raises at the first column to contradict at its time t,
             # but an earlier cluster may contradict only at a later t: the

@@ -410,23 +410,82 @@ def test_decode_log_across_chunks_matches_row_by_row(tmp_path):
     for start, n in bursts:
         erased[start:start + n] = True
     _, log = codec.decode(stream, erased)
-    deadline = codec.deadline(1)
+    text = files["log"].read_bytes().decode("ascii")
+    assert_same_log(text, row_by_row_log(log, codec.deadline(1)), slots)
+    # the log holds unrecovered slots and slots recovered after the deadline
+    assert ",,1\n" in text and ",1\n" in text.replace(",,1\n", "")
+
+
+def row_by_row_log(log, deadline: int) -> str:
+    """The decode log written one row at a time by csv.writer; a slot's
+    recovery slot is the latest of its sub-symbols' times, read in
+    Python from ``log.sub_times``."""
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["slot", "recovery_slot", "delay", "miss"])
-    for slot, t in enumerate(log.slot_times.tolist()):
-        if t < 0:
+    for slot, subs in enumerate(log.sub_times.tolist()):
+        if min(subs) < 0:
             writer.writerow([slot, "", "", 1])
         else:
+            t = max(subs)
             writer.writerow([slot, t, t - slot, int(t - slot > deadline)])
-    text = files["log"].read_text()
-    # the first differing row, not a diff of the whole text, which is slow
-    rows, want_rows = text.split("\n"), want.getvalue().split("\n")
+    return want.getvalue()
+
+
+def assert_same_log(text: str, want: str, slots: int) -> None:
+    """``text``, decoded from the log's bytes with no newline translation,
+    equals ``want``; on failure the first differing row is shown, not a
+    diff of the whole text, which is slow."""
+    rows, want_rows = text.split("\n"), want.split("\n")
     assert len(rows) == len(want_rows) == slots + 2
     assert next((pair for pair in zip(rows, want_rows)
                  if pair[0] != pair[1]), None) is None
-    # the log holds unrecovered slots and slots recovered after the deadline
-    assert ",,1\n" in text and ",1\n" in text.replace(",,1\n", "")
+
+
+@pytest.mark.parametrize("params", [(1, 2, 2), (2, 5, 2)])
+def test_decode_log_bytes_equal_row_by_row(tmp_path, params):
+    """The log's bytes equal csv.writer's row-by-row log for both users,
+    at horizons on each side of a digit-count edge (10, 100, 10 000) and
+    of a LOG_CHUNK edge: random bursts at every horizon, some of them
+    longer than the codec recovers, every slot erased (each row
+    ``slot,,,1``) at two, and no --pattern at two."""
+    codec = DeScoCodec(DeScoParams(*params))
+    chunk = cli.LOG_CHUNK
+    horizons = [0, 1, 9, 10, 11, 99, 100, 101, chunk - 1, chunk, chunk + 1,
+                10_000, 10_001]
+    cases = ([(slots, "bursts") for slots in horizons]
+             + [(1, "all"), (chunk + 1, "all"), (0, None), (10_001, None)])
+    rng = np.random.default_rng(17)
+    files = {k: tmp_path / k for k in ("codec", "stream", "pattern", "rec",
+                                       "log")}
+    files["codec"].write_text(descriptor(codec))
+    for slots, kind in cases:
+        source = rng.integers(0, codec.field.order,
+                              (slots, codec.subs_per_slot))
+        stream = codec.encode_stream(source)
+        files["stream"].write_bytes(wire.pack_stream(stream, codec.field))
+        erased = np.zeros(slots, dtype=bool)
+        argv = ["decode", "--descriptor", str(files["codec"]),
+                "--in", str(files["stream"]), "--out", str(files["rec"]),
+                "--log", str(files["log"])]
+        if kind is not None:
+            if kind == "all":
+                bursts = [(0, slots)]
+            else:
+                starts = np.sort(rng.choice(slots, slots // 20, replace=False))
+                bursts = [(s, min(int(n), slots - s)) for s, n in
+                          zip(starts.tolist(), rng.integers(1, 8, len(starts)))]
+            for start, n in bursts:
+                erased[start:start + n] = True
+            files["pattern"].write_text(
+                "".join(f"{s}:{n}\n" for s, n in bursts))
+            argv += ["--pattern", str(files["pattern"])]
+        _, log = codec.decode(stream, erased)
+        for user in (1, 2):
+            code, _ = run(argv + ["--user", str(user)])
+            assert code == cli.EXIT_OK, (slots, kind, user)
+            assert_same_log(files["log"].read_bytes().decode("ascii"),
+                            row_by_row_log(log, codec.deadline(user)), slots)
 
 
 def test_decode_without_pattern_is_clean(tmp_path):

@@ -111,9 +111,9 @@ def clustered_runs(draw, codec):
     exercise the grouping by shape.
 
     A motif of bursts with gaps of reach - 1, reach and reach + 1 clean
-    slots (one cluster, or several) repeats once, twice or one more time
-    than a batch holds, with gaps of at least reach between the copies.
-    The first burst is at slot 0, 1 or reach + 1, and the stream ends
+    slots (one cluster, or several) repeats once, twice or 65 times,
+    with gaps of at least reach between the copies, so one run of a
+    shape holds one, two or 65 columns.  The first burst is at slot 0, 1 or reach + 1, and the stream ends
     0 .. reach + 1 slots after the last one, so the last cluster's shape
     may be clipped at the horizon.  A third of the streams get a random
     parity column from the second copy on (the first burst's end when
@@ -124,7 +124,7 @@ def clustered_runs(draw, codec):
     bursts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     gaps = [draw(near) for _ in bursts[1:]] + [draw(st.sampled_from(
         [reach, reach + 1]))]
-    repeats = draw(st.sampled_from([1, 2, decoder._BATCH + 1]))
+    repeats = draw(st.sampled_from([1, 2, 65]))
     lead = draw(st.sampled_from([0, 1, reach + 1]))
     tail = draw(st.sampled_from([0, 1, reach - 1, reach, reach + 1]))
     motif = [False] * lead
@@ -183,14 +183,14 @@ def assert_same_decode(got, want):
 @pytest.mark.parametrize("name", ["desco", "desco-rational"])
 def test_shape_grouped_decode_across_grouping_horizons(name):
     """One shape repeats more than a grouping horizon holds, interleaved
-    with a second, so both take several runs of at most ``_BATCH``
-    columns on each side of two horizon boundaries; a third shape, the
-    last cluster, is clipped at the stream's end.  The decode equals the
-    per-cluster reference's, the trace's length and order included."""
+    with a second, so both take one run per grouping horizon, on each
+    side of two horizon boundaries; a third shape, the last cluster, is
+    clipped at the stream's end.  The decode equals the per-cluster
+    reference's, the trace's length and order included."""
     codec = CODECS[name]
     reach = codec.reach_slots
     period = 2 * reach + 4  # > reach clean slots after each cluster
-    n_clusters = 2 * decoder._HORIZON + 3 * decoder._BATCH
+    n_clusters = 2 * decoder._HORIZON + 192
     erased = np.zeros(n_clusters * period + 1, dtype=bool)
     for i in range(n_clusters):
         # every 5th cluster is a 2-slot burst, the others 1 slot
@@ -406,7 +406,10 @@ def test_decoder_working_memory_does_not_grow_with_length():
     temporary.  Both lengths fill at least two grouping horizons, so the
     comparison reads growth with length, not the fill of the first
     horizon.  On DE-SCo (2,5,2) every burst is recovered; on (1,2,2)
-    most are not, so few retained outputs hide the working memory."""
+    most are not, so few retained outputs hide the working memory.  A
+    run decodes all of a shape's clusters in a grouping horizon, so
+    (2,5,2) also has a ceiling that a window built through full-size
+    temporaries exceeds."""
     def working_bytes(codec, slots):
         rx = np.zeros((slots, codec.symbol_width), dtype=np.int64)
         erased = np.zeros(slots, dtype=bool)
@@ -428,6 +431,7 @@ def test_decoder_working_memory_does_not_grow_with_length():
                                       working_bytes(codec, long))
     assert recovered == long // 50 * 4 * codec.subs_per_slot
     assert large < small + 16 * 1024, (small, large)
+    assert small < 5 * 2**20, small
     codec = DeScoCodec(DeScoParams(1, 2, 2))
     (small, _), (large, _) = (working_bytes(codec, short),
                               working_bytes(codec, long))
