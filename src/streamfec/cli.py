@@ -29,7 +29,11 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INCONSISTENT = 4
-LOG_CHUNK = 4096  # decode log rows per _log_rows call and write: flat memory
+# decode log rows per _log_rows call and write: flat memory.  A chunk's
+# slot digits are computed once and serve as the recovery slot of every
+# row recovered at its own slot; a larger chunk is faster but raises the
+# peak RSS of a long decode
+LOG_CHUNK = 4096
 
 
 class UsageError(Exception):
@@ -50,63 +54,39 @@ def _read_config(path: str) -> Dict[str, str]:
     return cfg
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="streamfec")
+class _FullParserNeeded(Exception):
+    """A usage error met by a one-command parser (``_build_parser``)."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises ``_FullParserNeeded`` on a usage error instead of reporting
+    it: the full parser's usage line lists every command, so it reports
+    the error."""
+
+    def error(self, message):
+        raise _FullParserNeeded(message)
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone, which parses
+    that command's arguments alike but raises ``_FullParserNeeded`` where
+    the full parser would report a usage error."""
+    p = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="streamfec")
     p.add_argument("--config", help="key=value defaults file")
     sub = p.add_subparsers(dest="command")
-
-    def add_codec_flags(sp):
-        sp.add_argument("--b1", type=int)
-        sp.add_argument("--t1", type=int)
-        sp.add_argument("--alpha-num", type=int, dest="alpha_num")
-        sp.add_argument("--alpha-den", type=int, dest="alpha_den", default=1)
-
-    sp = sub.add_parser(
-        "verify", help="burst delay sweep over every start in a window",
-        description="Worst recovery delay and misses of one burst (b1 for "
-        "user 1, b2 for user 2) over every start in 0..window-burst.  Exact "
-        "from one decode per user: the codes are causal and time-invariant "
-        "and the stream before slot 0 counts as known zeros, so a burst at "
-        "any start decodes like the one at start 0, shifted.")
-    add_codec_flags(sp)
-    sp.add_argument("--window", type=int,
-                    help="default 10*(t1+b1); at least b2")
-
-    sp = sub.add_parser(
-        "simulate", help="segmented-burst loss experiment (approximate)",
-        description="Each segment's losses are counted as those of one "
-        "isolated burst.  A burst may end on a segment's last slot and the "
-        "next start on the following segment's first slot; such back-to-back "
-        "bursts interact, so at any --segment-len the curve is approximate.")
-    add_codec_flags(sp)
-    sp.add_argument("--bmax-list", dest="bmax_list")
-    sp.add_argument("--segment-len", type=int, dest="segment_len", default=2000)
-    sp.add_argument("--segments", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--schemes", default="desco,ia,rlc")
-    sp.add_argument("--users", default="1,2")
-    sp.add_argument("--out", default="-")
-
-    sp = sub.add_parser("encode", help="encode a packed source stream")
-    sp.add_argument("--descriptor", required=False)
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("decode", help="decode a packed channel stream")
-    sp.add_argument("--descriptor", required=False)
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--pattern")
-    sp.add_argument("--user", type=int, default=2)
-    sp.add_argument("--out")
-    sp.add_argument("--log")
-
-    sp = sub.add_parser("bounds", help="rate bound and delay formulas")
-    sp.add_argument("--b1", type=int)
-    sp.add_argument("--t1", type=int)
-    sp.add_argument("--b2", type=int)
-    sp.add_argument("--t2", type=int)
+    for name, add_parser in _PARSERS.items():
+        if command in (None, name):
+            add_parser(sub)
     p.subcommands = dict(sub.choices)
     return p
+
+
+def _codec_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--b1", type=int)
+    sp.add_argument("--t1", type=int)
+    sp.add_argument("--alpha-num", type=int, dest="alpha_num")
+    sp.add_argument("--alpha-den", type=int, dest="alpha_den", default=1)
 
 
 def _flags(parser: argparse.ArgumentParser) -> Dict[str, str]:
@@ -132,6 +112,19 @@ def _int_list(flag: str, text) -> List[int]:
         raise UsageError(f"bad {flag}: {text}") from exc
 
 
+def _verify_parser(sub) -> None:
+    sp = sub.add_parser(
+        "verify", help="burst delay sweep over every start in a window",
+        description="Worst recovery delay and misses of one burst (b1 for "
+        "user 1, b2 for user 2) over every start in 0..window-burst.  Exact "
+        "from one decode per user: the codes are causal and time-invariant "
+        "and the stream before slot 0 counts as known zeros, so a burst at "
+        "any start decodes like the one at start 0, shifted.")
+    _codec_flags(sp)
+    sp.add_argument("--window", type=int,
+                    help="default 10*(t1+b1); at least b2")
+
+
 def cmd_verify(args, out) -> int:
     _require(args, "b1", "t1", "alpha_num")
     codec = DeScoCodec(DeScoParams(args.b1, args.t1, args.alpha_num,
@@ -152,6 +145,23 @@ def cmd_verify(args, out) -> int:
           file=out)
     print(verdict, file=out)
     return EXIT_OK if ok else EXIT_VERIFY
+
+
+def _simulate_parser(sub) -> None:
+    sp = sub.add_parser(
+        "simulate", help="segmented-burst loss experiment (approximate)",
+        description="Each segment's losses are counted as those of one "
+        "isolated burst.  A burst may end on a segment's last slot and the "
+        "next start on the following segment's first slot; such back-to-back "
+        "bursts interact, so at any --segment-len the curve is approximate.")
+    _codec_flags(sp)
+    sp.add_argument("--bmax-list", dest="bmax_list")
+    sp.add_argument("--segment-len", type=int, dest="segment_len", default=2000)
+    sp.add_argument("--segments", type=int, default=10000)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--schemes", default="desco,ia,rlc")
+    sp.add_argument("--users", default="1,2")
+    sp.add_argument("--out", default="-")
 
 
 def simulate_records(args) -> List[Dict[str, object]]:
@@ -260,6 +270,13 @@ def _load_codec(args) -> DeScoCodec:
         return parse_descriptor(fh.read())
 
 
+def _encode_parser(sub) -> None:
+    sp = sub.add_parser("encode", help="encode a packed source stream")
+    sp.add_argument("--descriptor", required=False)
+    sp.add_argument("--in", dest="infile")
+    sp.add_argument("--out")
+
+
 def cmd_encode(args, out) -> int:
     codec = _load_codec(args)
     _require(args, "infile", "out")
@@ -273,30 +290,54 @@ def cmd_encode(args, out) -> int:
     return EXIT_OK
 
 
-def _log_rows(lo: int, latest: np.ndarray, miss: np.ndarray) -> bytes:
-    """The decode log rows ``slot,recovery_slot,delay,miss`` of slots lo..
-    as ASCII: ``latest`` is each slot's recovery slot, -1 if never, and
-    ``miss`` its bool.  Each number is a fixed-width digit field with
-    its leading zeros NUL, as are both times of an unrecovered slot, and
-    the NULs are dropped."""
-    n = len(latest)
-    slots = np.arange(lo, lo + n)
-    values = np.stack([slots, latest, latest - slots], axis=1)
-    width = len(str(int(values.max(initial=0))))
-    rows = np.zeros((n, 3 * (width + 1) + 2), dtype=np.uint8)
-    fields = rows[:, :-2].reshape(n, 3, width + 1)  # a view: digits, ","
-    fields[:, :, width] = ord(",")
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of an int array, ``width`` of them along a new last
+    axis, with the leading zeros NUL."""
+    digits = np.zeros(values.shape + (width,), dtype=np.uint8)
     for col in range(width - 1, -1, -1):
         quot = values // 10
         digit = (values - quot * 10).astype(np.uint8) + ord("0")
         if col < width - 1:
             digit *= values != 0  # a leading zero is NUL
-        fields[:, :, col] = digit
+        digits[..., col] = digit
         values = quot
-    fields[latest < 0, 1:, :width] = 0
+    return digits
+
+
+def _log_rows(lo: int, latest: np.ndarray, miss: np.ndarray) -> bytes:
+    """The decode log rows ``slot,recovery_slot,delay,miss`` of slots lo..
+    as ASCII: ``latest`` is each slot's recovery slot, -1 if never, and
+    ``miss`` its bool.  Each number is a fixed-width digit field with
+    its leading zeros NUL, as are both times of an unrecovered slot, and
+    the NULs are dropped.  Most slots are recovered at their own slot:
+    each row takes the slot's digits as its recovery slot and delay 0,
+    and only the other rows get their own."""
+    n = len(latest)
+    slots = np.arange(lo, lo + n)
+    width = len(str(max(lo + n - 1, int(latest.max(initial=0)))))
+    rows = np.zeros((n, 3 * (width + 1) + 2), dtype=np.uint8)
+    fields = rows[:, :-2].reshape(n, 3, width + 1)  # a view: digits, ","
+    fields[:, :, width] = ord(",")
+    fields[:, 0, :width] = fields[:, 1, :width] = _digits(slots, width)
+    fields[:, 2, width - 1] = ord("0")
+    late = (latest != slots).nonzero()[0]
+    times = latest[late]
+    digits = _digits(np.stack([times, times - slots[late]], axis=1), width)
+    digits *= (times >= 0)[:, None, None]  # never recovered: both NUL
+    fields[late, 1:, :width] = digits
     rows[:, -2] = miss.view(np.uint8) + ord("0")
     rows[:, -1] = ord("\n")
     return rows[rows != 0].tobytes()
+
+
+def _decode_parser(sub) -> None:
+    sp = sub.add_parser("decode", help="decode a packed channel stream")
+    sp.add_argument("--descriptor", required=False)
+    sp.add_argument("--in", dest="infile")
+    sp.add_argument("--pattern")
+    sp.add_argument("--user", type=int, default=2)
+    sp.add_argument("--out")
+    sp.add_argument("--log")
 
 
 def cmd_decode(args, out) -> int:
@@ -327,6 +368,14 @@ def cmd_decode(args, out) -> int:
     return EXIT_OK
 
 
+def _bounds_parser(sub) -> None:
+    sp = sub.add_parser("bounds", help="rate bound and delay formulas")
+    sp.add_argument("--b1", type=int)
+    sp.add_argument("--t1", type=int)
+    sp.add_argument("--b2", type=int)
+    sp.add_argument("--t2", type=int)
+
+
 def cmd_bounds(args, out) -> int:
     _require(args, "b1", "t1", "b2", "t2")
     b1, t1, b2, t2 = args.b1, args.t1, args.b2, args.t2
@@ -350,25 +399,57 @@ def cmd_bounds(args, out) -> int:
     return EXIT_OK
 
 
+# each command's subparser, in the order help lists them
+_PARSERS = {"verify": _verify_parser, "simulate": _simulate_parser,
+            "encode": _encode_parser, "decode": _decode_parser,
+            "bounds": _bounds_parser}
+
+
+def _scan(argv: Sequence[str]):
+    """(--config path or None, command or None) as the top-level parser
+    reads the arguments before the command: ``--config PATH``,
+    ``--config=PATH`` or an abbreviation of ``--config``, then the
+    command if the next argument names one."""
+    path, at = None, 0
+    while at < len(argv):
+        flag, eq, value = argv[at].partition("=")
+        if not (len(flag) > 2 and "--config".startswith(flag)):
+            return path, argv[at] if argv[at] in _PARSERS else None
+        if not eq:
+            if at + 1 == len(argv):
+                raise UsageError("--config needs a path")
+            at, value = at + 1, argv[at + 1]
+        path, at = value, at + 1
+    return path, None
+
+
+def _parse(argv: Sequence[str], command: Optional[str],
+           cfg: Dict[str, str]):
+    """(parser, args) of ``_build_parser(command)``, with the config's
+    values as defaults."""
+    parser = _build_parser(command)
+    if cfg:
+        # keys name long flags; another key is taken as a dest (infile)
+        dest = {f[2:].replace("-", "_"): d for d, f in _flags(parser).items()}
+        cfg = {dest.get(k, k): v for k, v in cfg.items()}
+        for p in (parser, *parser.subcommands.values()):
+            p.set_defaults(**cfg)  # subparser defaults win otherwise
+    return parser, parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # pre-scan for --config so its values become defaults
-        if "--config" in argv:
-            at = argv.index("--config") + 1
-            if at == len(argv):
-                raise UsageError("--config needs a path")
-            # keys name long flags; another key is taken as a dest (infile)
-            dest = {f[2:].replace("-", "_"): d
-                    for d, f in _flags(parser).items()}
-            cfg = {dest.get(k, k): v for k, v in _read_config(argv[at]).items()}
-            parser.set_defaults(**cfg)
-            for sp in parser.subcommands.values():
-                sp.set_defaults(**cfg)  # subparser defaults win otherwise
+        # a named command is parsed by its subparser alone; help, a usage
+        # error and no command go to the full parser
+        path, command = _scan(argv)
+        cfg = {} if path is None else _read_config(path)
         try:
-            args = parser.parse_args(argv)
+            try:
+                parser, args = _parse(argv, command, cfg)
+            except _FullParserNeeded:
+                parser, args = _parse(argv, None, cfg)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code else EXIT_OK
         if not args.command:

@@ -44,9 +44,9 @@ from the shape: received values only enter the constants.  The decoder
 looks ahead over ``_HORIZON`` clusters at a time and groups them by
 shape.  One run of the staged logic then decodes all of a shape's
 clusters in that grouping horizon at once, in stream order, each value
-an int64 vector with one column per cluster (XOR adds, ``field.mul``
-multiplies; plain ints for a single cluster), and the others get the
-first's times shifted by their start.  The trace keeps only each
+a vector at the field's dtype with one column per cluster (XOR adds,
+``field.mul`` multiplies; plain ints for a single cluster), and the
+others get the first's times shifted by their start.  The trace keeps only each
 shape's first events and shifts them for every cluster when it is read
 (``Trace``).  The shape's window, its rows from ``reach`` slots before
 the first erasure, is the one record of what is known: an erased
@@ -55,7 +55,10 @@ its value.  A grouping horizon bounds a run's columns, so decoder
 memory is flat in length.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
-source array, so encoder and decoder share one parity definition.
+source array, so encoder and decoder share one parity definition.  It
+works at the field's dtype, the wire's element width (uint8 for
+GF(2^m <= 8), else uint16): a term is one gather from a product row and
+one in-place XOR, and the stream it returns is packed without a cast.
 """
 
 from __future__ import annotations
@@ -169,12 +172,19 @@ class StreamLog:
     def slot_times(self) -> np.ndarray:
         """Recovery time of every slot in the horizon: the latest time of
         its sub-symbols, -1 if any is missing.  Computed on first use;
-        ``sub_times`` must not change afterwards."""
-        # one contiguous row per sub-symbol: reduce across rows, not along
-        # a short inner axis
-        cols = np.ascontiguousarray(self.sub_times.T)
-        latest = cols.max(axis=0)
-        latest[cols.min(axis=0) < 0] = -1
+        ``sub_times`` must not change afterwards.
+
+        It rests on the decoder's causality invariant (see the module
+        docstring): every sub-symbol of a received slot is known at its
+        own slot, and no sub-symbol of an erased slot ever is, since
+        the parities of its own slot are lost with it and no earlier
+        parity reads it.  So a slot whose first sub-symbol is known at
+        its own slot has that slot as its time, and only the others,
+        the erased slots, are reduced over their sub-symbols."""
+        latest = np.arange(len(self.sub_times))
+        erased = (self.sub_times[:, 0] != latest).nonzero()[0]
+        rows = self.sub_times[erased]
+        latest[erased] = np.where((rows < 0).any(axis=1), -1, rows.max(axis=1))
         return latest
 
     def misses(self, deadline: int) -> List[int]:
@@ -227,27 +237,32 @@ class Component:
 
 def encode_symbols(components: Sequence[Component], field: GF,
                    source: np.ndarray) -> np.ndarray:
-    """Channel symbols for a checked (n_slots, n_subs) source array.
+    """Channel symbols for a checked (n_slots, n_subs) source array, at
+    the field's dtype (the wire's element width).
 
     Row t is source row t followed by the combined parities of slot t:
     parity j sums, over the components, each template-j term
     ``coeff * source[t + ds][sub]``, with time before slot 0 zero.  Each
-    term is one ``field.mul`` of the zero-padded source column,
-    accumulated with XOR, the field's sum.
+    source column is kept contiguous, zero-padded in front; a term
+    gathers the column's products from ``field.mul_row(coeff)`` (the
+    column itself when coeff is 1) and XORs them, the field's sum, into
+    the parity in place.
     """
     n_slots, n_subs = source.shape
     reach = max(comp.reach for comp in components)
-    padded = np.zeros((reach + n_slots, n_subs), dtype=np.int64)
-    padded[reach:] = source
+    padded = np.zeros((n_subs, reach + n_slots), dtype=field.dtype)
+    padded[:, reach:] = source.T
     n_par = len(components[0].templates)
-    out = np.empty((n_slots, n_subs + n_par), dtype=np.int64)
+    out = np.empty((n_slots, n_subs + n_par), dtype=field.dtype)
     out[:, :n_subs] = source
+    acc, product = np.empty((2, n_slots), dtype=field.dtype)
     for j in range(n_par):
-        acc = np.zeros(n_slots, dtype=np.int64)
+        acc[:] = 0
         for comp in components:
             for ds, sub, coeff in comp.templates[j][1]:
-                col = padded[reach + ds:reach + ds + n_slots, sub]
-                acc = acc ^ field.mul(coeff, col)
+                col = padded[sub, reach + ds:reach + ds + n_slots]
+                acc ^= col if coeff == 1 else field.mul_row(coeff).take(
+                    col, out=product)
         out[:, n_subs + j] = acc
     return out
 
@@ -317,7 +332,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             f"and shape {np.shape(erased)}")
     ncomp = len(components)
     reach = max(comp.reach for comp in components)
-    recovered = np.where(erased[:, None], 0, symbols[:, :n_subs])
+    recovered = symbols[:, :n_subs].copy()
+    recovered[erased] = 0
     # row t holds t, filled in place: no horizon-long temporary
     times = np.arange(horizon * n_subs).reshape(horizon, n_subs)
     times //= n_subs
@@ -328,23 +344,28 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     systems: Dict[Tuple[int, int], IncrementalSystem] = {}
     sys_vars: Dict[Var, Set[Tuple[int, int]]] = {}
     watchers: Dict[Var, List[Tuple[_PendingParity, int]]] = {}  # var -> [(pp, comp)]
-    queue: deque = deque()  # (var, value, attribution)
+    queue: deque = deque()  # (var, value, attribution, producing system)
     ready: deque = deque()  # pending parities whose unknowns changed
     probes = [[(ds, sub) for comp in components
                for ds, sub, _ in comp.templates[j][1]]
               for j in range(n_parities)]
     shift = 0  # each cluster's start minus the first's
 
-    def enqueue(var: Var, value: Value, prov) -> None:
+    def enqueue(var: Var, value: Value, prov, skey: Tuple[int, int]) -> None:
         nonlocal unknown
         row = window[var[0] - base]
         if row[var[1]] is None:
             row[var[1]] = value
             unknown -= 1
-            queue.append((var, value, prov))
+            queue.append((var, value, prov, skey))
 
-    def absorb(var: Var, value: Value, now: int, prov) -> None:
-        """Propagate one newly recovered sub-symbol through all bookkeeping."""
+    def absorb(var: Var, value: Value, now: int, prov,
+               source: Tuple[int, int]) -> None:
+        """Propagate one newly recovered sub-symbol through all bookkeeping.
+
+        The value is substituted into every system holding it but
+        ``source``, the one that solved it, where it would only cancel
+        out; in any other system it is a consistency check."""
         slots = var[0] + shift  # the sub-symbol in every cluster of the shape
         times[slots, var[1]] = now + shift
         recovered[slots, var[1]] = value
@@ -358,9 +379,11 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             if not pp.unknowns[ci]:
                 ready.append(pp)
         for skey in sys_vars.pop(var, set()):
+            if skey == source:
+                continue
             newly = systems[skey].add_equation({var: 1}, value)
             for v2, val2 in newly.items():
-                enqueue(v2, val2, (skey[0], -1, -1))
+                enqueue(v2, val2, (skey[0], -1, -1), skey)
 
     def try_release(pp: _PendingParity) -> None:
         if pp.released:
@@ -382,13 +405,13 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                 comp.expansion * pp.t + pp.j // comp.codec.b - comp.shift)
         newly = sysm.add_equation(eq, pp.const)
         for v2, val2 in newly.items():
-            enqueue(v2, val2, prov)
+            enqueue(v2, val2, prov, skey)
 
     def drain(now: int) -> None:
         while queue or ready:
             while queue:
-                var, value, prov = queue.popleft()
-                absorb(var, value, now, prov)
+                var, value, prov, skey = queue.popleft()
+                absorb(var, value, now, prov, skey)
             while ready:
                 try_release(ready.popleft())
 
@@ -400,9 +423,10 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         base, end = first - reach, first + len(key)
         vector = len(firsts) > 1
         if vector:
-            # (row, symbol, column) int64 window, zeros before slot 0
+            # (row, symbol, column) window at the field's dtype, zeros
+            # before slot 0
             at = np.add.outer(np.arange(base, end), firsts) - first
-            rows = symbols[np.maximum(at, 0)].astype(np.int64, copy=False)
+            rows = symbols[np.maximum(at, 0)].astype(field.dtype, copy=False)
             rows[at < 0] = 0
             window = [list(row) for row in rows.transpose(0, 2, 1)]
             shift = np.array(firsts) - first

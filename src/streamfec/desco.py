@@ -166,8 +166,8 @@ class CombinedCodec:
     def encode_stream(self, source: np.ndarray) -> np.ndarray:
         """Channel symbols of an (n_slots, subs_per_slot) integer source
         array: row t is source row t followed by slot t's combined
-        parities.  ValueError on another width or an element outside the
-        field."""
+        parities, at the field's dtype, the wire's element width.
+        ValueError on another width or an element outside the field."""
         check_stream(source, self.field, self.subs_per_slot)
         return encode_symbols(self.components, self.field, source)
 

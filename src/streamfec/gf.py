@@ -3,8 +3,11 @@
 Field elements are plain ints in [0, 2^m).  A ``GF`` instance owns the
 arithmetic: addition is XOR, and multiplication and inversion read
 log/antilog tables built when the field is made.  ``mul(c, xs)`` also
-multiplies a whole int64 array of elements by a constant, through a
-per-constant product row (``mul_row``) built on first use.
+multiplies a whole integer array of elements by a constant, through a
+per-constant product row (``mul_row``) built on first use.  Product rows
+and so array products have the field's ``dtype``, the narrowest
+unsigned integer holding an element (uint8 for m <= 8, else uint16),
+which is also the wire's element width.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ class GF:
         self.degree = degree
         self.order = 1 << degree
         self.poly = CANONICAL_POLY[degree]
+        self.dtype = np.dtype(np.uint8 if degree <= 8 else np.uint16)
         self._rows: Dict[int, np.ndarray] = {}
         # x generates the multiplicative group: alog[i] = x^i, log inverts it.
         self._alog = [1] * (self.order - 1)
@@ -67,11 +71,12 @@ class GF:
             self._alog[i] = a ^ self.poly if a & self.order else a
             self._log[self._alog[i]] = i
 
-    # -- arithmetic (elements and int64 arrays of them) ---------------
+    # -- arithmetic (elements and integer arrays of them) -------------
 
     def mul(self, a: int, b: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
-        """a * b for an element a and an element or int64 array b; an array
-        is returned as is when a is 1, else gathered from ``mul_row(a)``."""
+        """a * b for an element a and an element or integer array b; an
+        array is returned as is when a is 1, else gathered from
+        ``mul_row(a)``, so at the field's dtype."""
         if isinstance(b, int):
             if a == 0 or b == 0:
                 return 0
@@ -86,13 +91,14 @@ class GF:
     def mul_row(self, c: int) -> np.ndarray:
         """Product row of ``c``: ``row[x] == mul(c, x)`` for every element x.
 
-        Rows are built on first request and kept, so ``mul_row(c)[xs]``
-        multiplies a whole int64 array by ``c`` with one gather.
+        Rows have the field's dtype and are built on first request and
+        kept, so ``mul_row(c)[xs]`` (or ``.take(xs)``) multiplies a whole
+        integer array by ``c`` with one gather.
         """
         row = self._rows.get(c)
         if row is None:
             row = np.array([self.mul(c, x) for x in range(self.order)],
-                           dtype=np.int64)
+                           dtype=self.dtype)
             self._rows[c] = row
         return row
 
@@ -126,7 +132,7 @@ class IncrementalSystem:
     newly determined by the accumulated system, with their values.  A
     known value enters as the one-variable equation ``{var: 1}``.
 
-    Constants, and so values, are elements or int64 vectors with one
+    Constants, and so values, are elements or integer vectors with one
     column per system solved at once; ``field.mul`` multiplies either by
     an element and no constant changes in place.  A contradiction in any
     column raises InconsistentSystemError.

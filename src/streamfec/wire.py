@@ -3,7 +3,9 @@
 A stream is an (n_slots, width) numpy integer array.  Each field element
 occupies one byte (GF(2^m), m <= 8) or two bytes (m <= 16), big-endian;
 the wire form is the plain concatenation of the rows with no framing,
-read and written as one ``>u1``/``>u2`` array.
+read and written as one ``>u1``/``>u2`` array.  That is the field's
+``dtype`` (``GF.dtype``) in big-endian order, which ``encode_stream``
+returns, so a GF(2^m <= 8) stream is written without a cast.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .gf import GF
 
 def element_width(field: GF) -> int:
     """Bytes per element: minimal big-endian width for values < field order."""
-    return max(1, ((field.order - 1).bit_length() + 7) // 8)
+    return field.dtype.itemsize
 
 
 def check_stream(symbols: np.ndarray, field: GF,
@@ -37,7 +39,7 @@ def check_stream(symbols: np.ndarray, field: GF,
 def pack_stream(symbols: np.ndarray, field: GF) -> bytes:
     """Wire bytes of an (n, width) stream; ValueError as ``check_stream``."""
     check_stream(symbols, field)
-    return symbols.astype(f">u{element_width(field)}").tobytes()
+    return symbols.astype(f">u{element_width(field)}", copy=False).tobytes()
 
 
 def unpack_stream(data: bytes, field: GF, symbol_width: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 from streamfec import cli, desco, wire
 from streamfec.desco import DeScoCodec, DeScoParams, descriptor
-from streamfec.gf import InconsistentSystemError
+from streamfec.gf import GF, InconsistentSystemError
 
 from reference_decoder import reference_decode
 
@@ -76,6 +76,45 @@ def test_alpha_den_zero_is_usage_error(argv, capsys):
 def test_no_command_is_usage_error():
     code, _ = run([])
     assert code == cli.EXIT_USAGE
+
+
+def full_parser_main(argv):
+    """Exit code of ``main`` parsing ``argv`` with every command's
+    subparser built, printing what it prints."""
+    parser = cli._build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return cli.EXIT_USAGE if exc.code else cli.EXIT_OK
+    assert args.command is None
+    parser.print_usage()
+    return cli.EXIT_USAGE
+
+
+def test_one_command_parser_prints_what_the_full_parser_does(capsys):
+    """``main`` builds only the named command's subparser; help, an
+    unknown command, no command and bad options print the same text on
+    the same stream with the same exit code as the full parser."""
+    every = "{verify,simulate,encode,decode,bounds}"
+    cases = [(["-h"], "out", "usage: streamfec [-h] [--config CONFIG]"),
+             ([], "out", every),
+             (["frobnicate"], "err", "invalid choice: 'frobnicate'"),
+             (["--bogus"], "err", "unrecognized arguments: --bogus"),
+             (["verify", "--bogus"], "err", every),
+             (["decode", "--user"], "err",
+              "streamfec decode: error: argument --user: expected one argument"),
+             (["bounds", "--b1", "x"], "err", "invalid int value: 'x'")]
+    cases += [([command, "-h"], "out", f"usage: streamfec {command} [-h]")
+              for command in cli._PARSERS]
+    for argv, stream, text in cases:
+        code = cli.main(argv)
+        got = capsys.readouterr()
+        want_code = full_parser_main(argv)
+        want = capsys.readouterr()
+        assert (code, got.out, got.err) == (want_code, want.out, want.err), argv
+        assert code == (cli.EXIT_OK if "-h" in argv else cli.EXIT_USAGE)
+        assert text in (got.out if stream == "out" else got.err), argv
+        assert not (got.err if stream == "out" else got.out), argv
 
 
 # ---------------------------------------------------------
@@ -246,21 +285,16 @@ def test_config_file_supplies_defaults(tmp_path):
     assert "t1=3" in text
 
 
-def config_run(tmp_path, command, text):
+def config_run(tmp_path, command, text, flag="--config", joined=False):
+    """Run ``command`` with ``text`` as its config file, named by
+    ``flag PATH`` or, if ``joined``, by ``flag=PATH``."""
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text(text)
-    return run(["--config", str(cfg), command])
+    flags = [f"{flag}={cfg}"] if joined else [flag, str(cfg)]
+    return run(flags + [command])
 
 
 def test_config_values_equal_explicit_flags(tmp_path):
-    # argparse converts config defaults with each option's type
-    assert config_run(tmp_path, "simulate", "b1=1\nt1=2\nalpha-num=2\n"
-                      "bmax-list=0,2,4\nsegment-len=50\nsegments=40\n"
-                      "seed=9\n") == run(SIM)
-    bounds = ["bounds", "--b1", "2", "--t1", "5", "--b2", "4", "--t2", "12"]
-    assert config_run(tmp_path, "bounds", "b1=2\nt1=5\nb2=4\nt2=12\n") \
-        == run(bounds)
-
     codec = DeScoCodec(DeScoParams(2, 5, 2))
     desc = tmp_path / "codec.txt"
     desc.write_text(descriptor(codec))
@@ -274,13 +308,24 @@ def test_config_values_equal_explicit_flags(tmp_path):
                     "--pattern", str(pattern), "--user", "1",
                     "--out", str(tmp_path / "a.bin"),
                     "--log", str(tmp_path / "a.csv")])
-    from_config = config_run(
-        tmp_path, "decode", f"descriptor={desc}\ninfile={enc}\n"
-        f"pattern={pattern}\nuser=1\nout={tmp_path / 'b.bin'}\n"
-        f"log={tmp_path / 'b.csv'}\n")
-    assert from_config == explicit and "decoded 40 slots" in explicit[1]
-    for a, b in (("a.bin", "b.bin"), ("a.csv", "b.csv")):
-        assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+    bounds = ["bounds", "--b1", "2", "--t1", "5", "--b2", "4", "--t2", "12"]
+    # --config PATH, --config=PATH and an abbreviation, which argparse takes
+    for form in (("--config", False), ("--config", True), ("--conf", False)):
+        # argparse converts config defaults with each option's type
+        assert config_run(tmp_path, "simulate", "b1=1\nt1=2\nalpha-num=2\n"
+                          "bmax-list=0,2,4\nsegment-len=50\nsegments=40\n"
+                          "seed=9\n", *form) == run(SIM)
+        assert config_run(tmp_path, "bounds", "b1=2\nt1=5\nb2=4\nt2=12\n",
+                          *form) == run(bounds)
+        for f in ("b.bin", "b.csv"):
+            (tmp_path / f).unlink(missing_ok=True)
+        from_config = config_run(
+            tmp_path, "decode", f"descriptor={desc}\ninfile={enc}\n"
+            f"pattern={pattern}\nuser=1\nout={tmp_path / 'b.bin'}\n"
+            f"log={tmp_path / 'b.csv'}\n", *form)
+        assert from_config == explicit and "decoded 40 slots" in explicit[1]
+        for a, b in (("a.bin", "b.bin"), ("a.csv", "b.csv")):
+            assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
 
 
 def test_config_keys_are_named_like_the_long_flags(tmp_path):
@@ -382,6 +427,38 @@ def test_encode_decode_roundtrip(tmp_path):
     by_slot = {int(r["slot"]): r for r in rows}
     assert int(by_slot[10]["delay"]) > 0 and by_slot[10]["miss"] == "0"
     assert by_slot[5]["recovery_slot"] == "5"
+
+
+def test_encode_decode_roundtrip_with_two_byte_elements(tmp_path):
+    """A GF(2^12) stream, two big-endian bytes per element, encodes and
+    decodes through the CLI as ``encode_stream`` and ``decode`` do."""
+    codec = DeScoCodec(DeScoParams(1, 2, 2), field=GF(12))
+    rng = np.random.default_rng(12)
+    source = rng.integers(0, codec.field.order, (40, codec.subs_per_slot))
+    files = {k: tmp_path / k for k in ("codec", "source", "stream",
+                                       "pattern", "rec")}
+    files["codec"].write_text(descriptor(codec))
+    files["source"].write_bytes(wire.pack_stream(source, codec.field))
+    files["pattern"].write_text("3:2\n20:2\n")
+    code, text = run(["encode", "--descriptor", str(files["codec"]),
+                      "--in", str(files["source"]),
+                      "--out", str(files["stream"])])
+    assert code == cli.EXIT_OK and text == "encoded 40 slots\n"
+    stream = codec.encode_stream(source)
+    assert stream.dtype == np.uint16
+    assert files["stream"].read_bytes() == stream.astype(">u2").tobytes()
+
+    code, text = run(["decode", "--descriptor", str(files["codec"]),
+                      "--in", str(files["stream"]),
+                      "--pattern", str(files["pattern"]),
+                      "--out", str(files["rec"])])
+    erased = np.zeros(40, dtype=bool)
+    erased[3:5] = erased[20:22] = True
+    recovered, _ = codec.decode(stream, erased)
+    assert code == cli.EXIT_OK
+    assert text == "decoded 40 slots, 0 misses\n"
+    assert files["rec"].read_bytes() == recovered.astype(">u2").tobytes()
+    assert np.array_equal(recovered, source)
 
 
 def test_decode_log_across_chunks_matches_row_by_row(tmp_path):

@@ -80,12 +80,18 @@ def reference_parities(codec, source):
     return by_value, by_terms
 
 
-@pytest.mark.parametrize("name", CODECS)
+# two-byte elements: the encoder's uint16 kernel
+WIDE = {"desco-gf12": DeScoCodec(DeScoParams(1, 2, 2), field=GF(12))}
+
+
+@pytest.mark.parametrize("name", [*CODECS, *WIDE])
 @given(data=st.data())
 def test_array_encoder_matches_scalar_reference(name, data):
-    codec = CODECS[name]
+    codec = {**CODECS, **WIDE}[name]
     source, _ = data.draw(channel_runs(codec))
     stream = codec.encode_stream(source)
+    # the wire's element width, so pack_stream writes it without a cast
+    assert stream.dtype == np.dtype(f"u{element_width(codec.field)}")
     by_value, by_terms = reference_parities(codec, source)
     assert by_value == by_terms
     subs = codec.subs_per_slot
@@ -155,7 +161,7 @@ def test_shape_grouped_decode_equals_reference(name, data):
     if corrupt is not None:
         rng = np.random.default_rng(corrupt)
         rx[corrupt:, codec.subs_per_slot] ^= rng.integers(
-            1, codec.field.order, len(rx) - corrupt)
+            1, codec.field.order, len(rx) - corrupt).astype(rx.dtype)
     args = (codec.components, codec.field, codec.subs_per_slot,
             codec.parities_per_slot, rx, erased)
     results = []
