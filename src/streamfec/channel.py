@@ -1,6 +1,7 @@
-"""Erasure patterns: single bursts, the periodic patterns of the
-rate-converse argument, and the segmented random-burst model of the
-loss-probability runs.
+"""Erasure patterns: pattern files, single bursts, and the segmented
+random-burst model of the loss-probability runs.  The periodic channel
+of the rate-converse argument is a reference of the tests
+(``tests/reference_bounds.py``).
 
 A pattern is the (horizon,) bool mask of its erased slots, the mask the
 decoder takes; ``apply`` pads it with False to a longer stream.  Only
@@ -21,12 +22,9 @@ numpy would reject and redraw, and any range above 2**32, is made by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
-
-HIGH_DELAY = "high-delay"
-LOW_DELAY = "low-delay"
 
 
 def parse_pattern(text: str, horizon: int) -> np.ndarray:
@@ -59,30 +57,6 @@ def single_burst(start: int, length: int, horizon: int) -> np.ndarray:
     erased = np.zeros(horizon, dtype=bool)
     erased[start:start + length] = True
     return erased
-
-
-def periodic_pattern(b1: int, b2: int, t2: int, regime: str, periods: int,
-                     t1: Optional[int] = None) -> np.ndarray:
-    """Periodic channel: b2 erasures at the head of every period.
-
-    High-delay regime: period (alpha-1)*b1 + t2 = b2 - b1 + t2.
-    Low-delay regime: period t1 + b2 (t1 required).
-    """
-    if b2 <= b1:
-        raise ValueError("need b2 = alpha * b1 with alpha > 1")
-    if regime == HIGH_DELAY:
-        period = b2 - b1 + t2
-    elif regime == LOW_DELAY:
-        if t1 is None:
-            raise ValueError("low-delay regime needs t1")
-        period = t1 + b2
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    if period <= b2:
-        raise ValueError("period not longer than its erasure run")
-    erased = np.zeros((periods, period), dtype=bool)
-    erased[:, :b2] = True
-    return erased.reshape(-1)
 
 
 def _check_seed(seed: int) -> None:

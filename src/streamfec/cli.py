@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
 error, 4 inconsistent channel stream (the received symbols contradict
 each other, so no codeword of the codec produced them).  A ``--config``
 file supplies key=value defaults (keys named like the long flags, with
-underscores); explicit flags override it.
+underscores, or like their dests); explicit flags override it, and a key
+that names no option of the command is ignored.
 """
 
 from __future__ import annotations
@@ -54,28 +55,17 @@ def _read_config(path: str) -> Dict[str, str]:
     return cfg
 
 
-class _FullParserNeeded(Exception):
-    """A usage error met by a one-command parser (``_build_parser``)."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """Raises ``_FullParserNeeded`` on a usage error instead of reporting
-    it: the full parser's usage line lists every command, so it reports
-    the error."""
-
-    def error(self, message):
-        raise _FullParserNeeded(message)
-
-
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone, which parses
-    that command's arguments alike but raises ``_FullParserNeeded`` where
-    the full parser would report a usage error."""
-    p = (argparse.ArgumentParser if command is None else _OneCommandParser)(
-        prog="streamfec")
+    that command's arguments alike.  Its usage line lists every command,
+    so its help and its usage errors read as the full parser's; the full
+    parser names the command argument "command" in an unknown command's
+    error, which a listing metavar would replace."""
+    p = argparse.ArgumentParser(prog="streamfec")
     p.add_argument("--config", help="key=value defaults file")
-    sub = p.add_subparsers(dest="command")
-    for name, add_parser in _PARSERS.items():
+    metavar = None if command is None else "{%s}" % ",".join(_PARSERS)
+    sub = p.add_subparsers(dest="command", metavar=metavar)
+    for name, (add_parser, _) in _PARSERS.items():
         if command in (None, name):
             add_parser(sub)
     p.subcommands = dict(sub.choices)
@@ -90,16 +80,15 @@ def _codec_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _flags(parser: argparse.ArgumentParser) -> Dict[str, str]:
-    """dest -> long flag of each option of the parser and its subcommands."""
-    return {action.dest: opt for p in (parser, *parser.subcommands.values())
-            for action in p._actions
+    """dest -> long flag of each option of the parser."""
+    return {action.dest: opt for action in parser._actions
             for opt in action.option_strings if opt.startswith("--")}
 
 
 def _require(args, *dests):
     missing = [d for d in dests if getattr(args, d, None) is None]
     if missing:
-        flags = _flags(_build_parser())
+        flags = _flags(_build_parser(args.command).subcommands[args.command])
         raise UsageError("missing required option(s): "
                          + ", ".join(flags[d] for d in missing))
 
@@ -399,41 +388,55 @@ def cmd_bounds(args, out) -> int:
     return EXIT_OK
 
 
-# each command's subparser, in the order help lists them
-_PARSERS = {"verify": _verify_parser, "simulate": _simulate_parser,
-            "encode": _encode_parser, "decode": _decode_parser,
-            "bounds": _bounds_parser}
+# each command's subparser and handler, in the order help lists them
+_PARSERS = {"verify": (_verify_parser, cmd_verify),
+            "simulate": (_simulate_parser, cmd_simulate),
+            "encode": (_encode_parser, cmd_encode),
+            "decode": (_decode_parser, cmd_decode),
+            "bounds": (_bounds_parser, cmd_bounds)}
 
 
 def _scan(argv: Sequence[str]):
-    """(--config path or None, command or None) as the top-level parser
-    reads the arguments before the command: ``--config PATH``,
-    ``--config=PATH`` or an abbreviation of ``--config``, then the
-    command if the next argument names one."""
-    path, at = None, 0
+    """(--config path or None, command or None, separate --config values)
+    as the top-level parser reads the arguments before the command:
+    ``--config PATH``, ``--config=PATH`` or an abbreviation of
+    ``--config``, then the command if the next argument names one.
+    argparse refuses "--" and a separate value that it takes for an
+    option ("-h", but not "-5"); the caller asks its parser which values
+    those are (``_parse``)."""
+    path, at, alone = None, 0, []
     while at < len(argv):
         flag, eq, value = argv[at].partition("=")
         if not (len(flag) > 2 and "--config".startswith(flag)):
-            return path, argv[at] if argv[at] in _PARSERS else None
+            return path, argv[at] if argv[at] in _PARSERS else None, alone
         if not eq:
             if at + 1 == len(argv):
                 raise UsageError("--config needs a path")
             at, value = at + 1, argv[at + 1]
+            alone.append(value)
         path, at = value, at + 1
-    return path, None
+    return path, None, alone
 
 
-def _parse(argv: Sequence[str], command: Optional[str],
-           cfg: Dict[str, str]):
-    """(parser, args) of ``_build_parser(command)``, with the config's
-    values as defaults."""
+def _parse(argv: Sequence[str]):
+    """(parser, args): a named command is parsed by its subparser alone
+    (``_build_parser``), with the config's values for its options as
+    defaults; help, an unknown command and no command get the full
+    parser."""
+    path, command, alone = _scan(argv)
     parser = _build_parser(command)
-    if cfg:
-        # keys name long flags; another key is taken as a dest (infile)
-        dest = {f[2:].replace("-", "_"): d for d, f in _flags(parser).items()}
-        cfg = {dest.get(k, k): v for k, v in cfg.items()}
-        for p in (parser, *parser.subcommands.values()):
-            p.set_defaults(**cfg)  # subparser defaults win otherwise
+    if any(value == "--" or parser._parse_optional(value) is not None
+           for value in alone):
+        path = None  # argparse refuses it as a value: the parse reports it
+    if path is not None:
+        cfg = _read_config(path)
+        for sp in parser.subcommands.values():
+            # keys name an option of the command by long flag or by dest
+            dests = {}
+            for dest, flag in _flags(sp).items():
+                dests[dest] = dests[flag[2:].replace("-", "_")] = dest
+            sp.set_defaults(**{dests[k]: v for k, v in cfg.items()
+                               if k in dests})
     return parser, parser.parse_args(argv)
 
 
@@ -441,28 +444,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # a named command is parsed by its subparser alone; help, a usage
-        # error and no command go to the full parser
-        path, command = _scan(argv)
-        cfg = {} if path is None else _read_config(path)
         try:
-            try:
-                parser, args = _parse(argv, command, cfg)
-            except _FullParserNeeded:
-                parser, args = _parse(argv, None, cfg)
+            parser, args = _parse(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code else EXIT_OK
         if not args.command:
             parser.print_usage(out)
             return EXIT_USAGE
-        handler = {
-            "verify": cmd_verify,
-            "simulate": cmd_simulate,
-            "encode": cmd_encode,
-            "decode": cmd_decode,
-            "bounds": cmd_bounds,
-        }[args.command]
-        return handler(args, out)
+        return _PARSERS[args.command][1](args, out)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,12 +1,16 @@
-"""The staged decoder as one Python loop over the slots of each erasure
-cluster, with element arithmetic: the reference ``staged_decode`` is
-compared against.
+"""Reference decoders that ``staged_decode`` is compared against.
 
-It decodes the clusters one by one in stream order, holding no state
-from one cluster to the next, and returns what ``staged_decode`` does:
-(recovered, times, trace).  A contradiction raises
-``InconsistentSystemError`` whose ``slot`` is the stream slot at whose
-parities it showed.
+``reference_decode`` is the staged decoder as one Python loop over the
+slots of each erasure cluster, with element arithmetic.  It decodes the
+clusters one by one in stream order, holding no state from one cluster
+to the next, and returns what ``staged_decode`` does: (recovered, times,
+trace).  A contradiction raises ``InconsistentSystemError`` whose
+``slot`` is the stream slot at whose parities it showed.
+
+``ml_decode_times`` is the elimination oracle: unrestricted incremental
+Gaussian elimination over everything the receiver has seen, giving the
+earliest slot at which each erased sub-symbol is pinned by *any* linear
+decoder.
 """
 
 from collections import deque
@@ -138,3 +142,41 @@ def reference_decode(components, field, n_subs, n_parities, symbols, erased):
     for (slot, sub), value in known.items():
         recovered[slot, sub] = value
     return recovered, times, trace
+
+
+def ml_decode_times(codec, erased):
+    """Earliest per-sub-symbol determination times for a codec under the
+    (horizon,) bool mask ``erased`` of its lost slots.
+
+    ``codec`` is a ``CombinedCodec`` (single- or two-user); the times are
+    laid out as its decode log's ``sub_times``, -1 marking never determined.
+    Only the coefficient structure matters for determination times, so the
+    elimination runs against an all-zero right-hand side.
+    """
+    n_subs = codec.subs_per_slot
+    times = np.arange(len(erased))[:, None].repeat(n_subs, axis=1)
+    times[erased] = -1
+    unknown = set()
+    system = IncrementalSystem(codec.field)
+    for t, lost in enumerate(erased.tolist()):
+        if lost:
+            unknown.update((t, k) for k in range(n_subs))
+            continue
+        for j in range(codec.parities_per_slot):
+            terms = {}
+            for comp in codec.components:
+                for ds, sub, coeff in comp.templates[j][1]:
+                    var = (t + ds, sub)
+                    if var in unknown:
+                        prev = terms.get(var, 0)
+                        cur = prev ^ coeff
+                        if cur:
+                            terms[var] = cur
+                        else:
+                            terms.pop(var, None)
+            if not terms:
+                continue
+            # each variable is solved, and returned, once
+            for var in system.add_equation(terms, 0):
+                times[var] = t
+    return times

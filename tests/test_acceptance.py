@@ -14,15 +14,17 @@ from fractions import Fraction
 import numpy as np
 
 from streamfec import cli
-from streamfec.channel import (HIGH_DELAY, apply, periodic_pattern,
-                               single_burst)
+from streamfec.channel import apply, single_burst
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
                              ia_sco_build, rate_upper_bound, sco_build,
                              sweep_max_delay)
 from streamfec.gf import GF
-from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
-                              rlc_partial_threshold, rlc_perfect_threshold)
+from streamfec.oracle import rlc_burst_losses
 from streamfec.sco import ScoParams, vertical_interleave
+
+from reference_bounds import (HIGH_DELAY, periodic_pattern,
+                              rlc_partial_threshold, rlc_perfect_threshold)
+from reference_decoder import ml_decode_times
 
 GF2 = GF(1)
 rng = random.Random(20240820)

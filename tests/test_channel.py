@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from streamfec import channel
-from streamfec.channel import (HIGH_DELAY, LOW_DELAY, apply,
-                               burst_length_counts, draw_segment_burst,
-                               parse_pattern, periodic_pattern,
+from streamfec.channel import (apply, burst_length_counts,
+                               draw_segment_burst, parse_pattern,
                                segmented_bursts, single_burst)
+
+from reference_bounds import HIGH_DELAY, LOW_DELAY, periodic_pattern
 
 
 def erased_slots(pattern):

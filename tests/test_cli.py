@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,39 +81,68 @@ def test_no_command_is_usage_error():
 
 def full_parser_main(argv):
     """Exit code of ``main`` parsing ``argv`` with every command's
-    subparser built, printing what it prints."""
+    subparser built, printing what it prints, up to reading the config
+    file."""
     parser = cli._build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return cli.EXIT_USAGE if exc.code else cli.EXIT_OK
+    if args.config is not None:
+        try:
+            open(args.config).close()
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return cli.EXIT_IO
     assert args.command is None
     parser.print_usage()
     return cli.EXIT_USAGE
 
 
-def test_one_command_parser_prints_what_the_full_parser_does(capsys):
+def test_one_command_parser_prints_what_the_full_parser_does(capsys,
+                                                              monkeypatch,
+                                                              tmp_path):
     """``main`` builds only the named command's subparser; help, an
-    unknown command, no command and bad options print the same text on
-    the same stream with the same exit code as the full parser."""
+    unknown command, no command, bad options and a --config value that
+    argparse refuses, or takes for a path, print the same text on the
+    same stream with the same exit code as the full parser."""
+    monkeypatch.chdir(tmp_path)  # no file named like an option
     every = "{verify,simulate,encode,decode,bounds}"
-    cases = [(["-h"], "out", "usage: streamfec [-h] [--config CONFIG]"),
-             ([], "out", every),
-             (["frobnicate"], "err", "invalid choice: 'frobnicate'"),
-             (["--bogus"], "err", "unrecognized arguments: --bogus"),
-             (["verify", "--bogus"], "err", every),
-             (["decode", "--user"], "err",
+    usage, ok, io_error = cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_IO
+    cases = [(["-h"], ok, "out", "usage: streamfec [-h] [--config CONFIG]"),
+             ([], usage, "out", every),
+             (["frobnicate"], usage, "err", "invalid choice: 'frobnicate'"),
+             (["--bogus"], usage, "err", "unrecognized arguments: --bogus"),
+             (["verify", "--bogus"], usage, "err", every),
+             (["decode", "--user"], usage, "err",
               "streamfec decode: error: argument --user: expected one argument"),
-             (["bounds", "--b1", "x"], "err", "invalid int value: 'x'")]
-    cases += [([command, "-h"], "out", f"usage: streamfec {command} [-h]")
+             (["bounds", "--b1", "x"], usage, "err", "invalid int value: 'x'"),
+             (["--config", "-h"], usage, "err",
+              "argument --config: expected one argument"),
+             (["--config", "--bogus", "verify"], usage, "err",
+              "argument --config: expected one argument"),
+             (["--config", "--=x", "verify"], usage, "err",
+              "ambiguous option: --=x"),
+             # argparse takes these for paths
+             (["--config", "-5", "verify"], io_error, "err",
+              "No such file or directory: '-5'"),
+             (["--config=-h"], io_error, "err",
+              "No such file or directory: '-h'")]
+    cases += [(["--config", value, "verify"], usage, "err",
+               "argument --config: expected one argument")
+              for value in ("-hx", "--help", "--c", "--con=x", "--")]
+    cases += [(["--config", value, "verify"], io_error, "err",
+               f"No such file or directory: '{value}'")
+              for value in ("-.5", "-", "-x y", "")]
+    cases += [([command, "-h"], ok, "out", f"usage: streamfec {command} [-h]")
               for command in cli._PARSERS]
-    for argv, stream, text in cases:
+    for argv, exit_code, stream, text in cases:
         code = cli.main(argv)
         got = capsys.readouterr()
         want_code = full_parser_main(argv)
         want = capsys.readouterr()
         assert (code, got.out, got.err) == (want_code, want.out, want.err), argv
-        assert code == (cli.EXIT_OK if "-h" in argv else cli.EXIT_USAGE)
+        assert code == exit_code, argv
         assert text in (got.out if stream == "out" else got.err), argv
         assert not (got.err if stream == "out" else got.out), argv
 
@@ -345,6 +375,20 @@ def test_config_keys_are_named_like_the_long_flags(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
+def test_config_cannot_change_the_command(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("command=bounds\n")
+    code, text = run(["--config", str(cfg), "verify", "--b1", "1", "--t1", "2",
+                      "--alpha-num", "2"])
+    assert code == cli.EXIT_OK and "PASS" in text
+    # keys that name no option of the command are ignored
+    cfg.write_text("command=verify\nb1=1\nt1=2\nalpha-num=2\nsegments=3\n")
+    code, text = run(["--config", str(cfg)])
+    assert code == cli.EXIT_USAGE and text.startswith("usage: streamfec")
+    code, text = run(["--config", str(cfg), "verify"])
+    assert code == cli.EXIT_OK and "PASS" in text
+
+
 @pytest.mark.parametrize("command", ["encode", "decode"])
 def test_missing_in_names_the_in_flag(tmp_path, capsys, command):
     desc = tmp_path / "codec.txt"
@@ -381,7 +425,7 @@ def test_index_error_in_a_command_propagates(monkeypatch):
     def broken(args, out):
         raise IndexError("codec bug")
 
-    monkeypatch.setattr(cli, "cmd_verify", broken)
+    monkeypatch.setitem(cli._PARSERS, "verify", (cli._verify_parser, broken))
     with pytest.raises(IndexError, match="codec bug"):
         run(["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2"])
 

@@ -6,10 +6,11 @@ import pytest
 
 from streamfec.channel import single_burst
 from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
-from streamfec.oracle import (ml_decode_times, rlc_burst_losses,
-                              rlc_decode_times, rlc_partial_threshold,
-                              rlc_perfect_threshold)
+from streamfec.oracle import rlc_burst_losses, rlc_decode_times
 from streamfec.sco import ScoParams
+
+from reference_bounds import rlc_partial_threshold, rlc_perfect_threshold
+from reference_decoder import ml_decode_times
 
 rng = random.Random(20240819)
 

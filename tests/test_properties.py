@@ -16,11 +16,10 @@ from streamfec.decoder import staged_decode
 from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
                              ia_sco_build, sco_build)
 from streamfec.gf import GF, InconsistentSystemError
-from streamfec.oracle import ml_decode_times
 from streamfec.sco import ScoParams
 from streamfec.wire import element_width, pack_stream, unpack_stream
 
-from reference_decoder import reference_decode
+from reference_decoder import ml_decode_times, reference_decode
 
 CODECS = {
     "single": sco_build(ScoParams(2, 3)),
