@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .gf import GF, IncrementalSystem, default_field
 
@@ -53,31 +53,29 @@ class BurstParityMatrix:
         return int(e == j)
 
 
-def _generator_rows(h: BurstParityMatrix) -> List[List[int]]:
-    """Rows of the t x (t+b) generator [I | stacked parity] in codeword order."""
-    t, b = h.t, h.b
-    return [[int(i == c) for c in range(t)]
-            + [h.coeff(i, j) for j in range(b)] for i in range(t)]
-
-
 def verify_burst_correcting(h: BurstParityMatrix) -> bool:
     """Check every cyclic burst of b erasures leaves the info recoverable.
 
     A burst starting at position s erases codeword positions
-    s, s+1, ..., s+b-1 modulo t+b; the surviving t columns of the
-    generator must still have rank t.
+    s, s+1, ..., s+b-1 modulo t+b; the info is recoverable when the
+    surviving t columns of the generator [I | P] have rank t.  The
+    surviving identity columns pin the surviving info entries, so
+    ordering the rows as surviving then erased entries makes those
+    columns block triangular: the rank is t exactly when the e erased
+    info entries are solved by the e surviving parity columns (the burst
+    erases b - e parities) restricted to them.  That e x e system is what
+    is solved here, e <= b, in place of t equations in t unknowns.
     """
-    t, b, f = h.t, h.b, h.field
+    t, b = h.t, h.b
     n = t + b
-    gen = _generator_rows(h)
     for s in range(n):
-        erased = {(s + k) % n for k in range(b)}
-        kept = [c for c in range(n) if c not in erased]
-        sys = IncrementalSystem(f)
-        for c in kept:
-            terms = {i: gen[i][c] for i in range(t) if gen[i][c]}
-            sys.add_equation(terms, 0)
-        if len(sys.solved) != t:
+        erased = [(s + k) % n for k in range(b)]
+        info = [e for e in erased if e < t]
+        system = IncrementalSystem(h.field)
+        for j in range(b):
+            if t + j not in erased:
+                system.add_equation({e: h.coeff(e, j) for e in info}, 0)
+        if len(system.solved) != len(info):
             return False
     return True
 

@@ -22,15 +22,62 @@ numpy would reject and redraw, and any range above 2**32, is made by
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 
+# The start of a line that the bulk parse does not take.  It takes blanks
+# around at most one "start:length" run in ASCII digits, then at most a
+# "#" comment, each line ending at "\n" (no other line break of
+# ``str.splitlines``); a text with any other line is parsed line by line.
+# One lookahead per line: no memory that grows with the text.  The
+# patterns are compiled on first use (``re``'s cache), not on import.
+_ODD_LINE = (r"(?m)^(?![ \t]*(?:[0-9]{1,18}:[0-9]{1,18}[ \t]*)?"
+             r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?$)")
+_COMMENT = r"#[^\n]*"
+
+
 def parse_pattern(text: str, horizon: int) -> np.ndarray:
     """The (horizon,) bool mask of a pattern text: one "start:length" run
     of erased slots per line, "#" starting a comment.  Runs may overlap;
-    a non-empty run must lie inside the horizon."""
+    a non-empty run must lie inside the horizon.
+
+    A text of plain runs is parsed in bulk: one split into ints, array
+    checks of the runs, and the mask set at an index of the slots that
+    the runs erase.  Any other text, and a run outside the horizon, goes
+    through the line by line parse, which names the bad line."""
+    if re.search(_ODD_LINE, text) is None:
+        runs = np.array(re.sub(_COMMENT, "", text).replace(":", " ").split(),
+                        dtype=np.int64).reshape(-1, 2)
+        runs = runs[runs[:, 1] > 0]  # starts and lengths hold no sign
+        starts, ends = runs[:, 0], runs[:, 0] + runs[:, 1]
+        if (ends <= horizon).all():
+            return _union(starts, ends, horizon)
+    return _parse_lines(text, horizon)
+
+
+def _union(starts: np.ndarray, ends: np.ndarray, horizon: int) -> np.ndarray:
+    """The (horizon,) bool mask of the union of runs [start, end).
+
+    In order of start, each run adds the slots from the end of the union
+    so far, if it reaches past it; the index of those disjoint pieces
+    holds each erased slot once, however the runs overlap."""
+    order = np.argsort(starts)
+    starts = starts[order]
+    ends = np.maximum.accumulate(ends[order])  # the union's end so far
+    lo = np.maximum(starts, np.concatenate(([0], ends[:-1])))
+    counts = np.maximum(ends - lo, 0)
+    erased = np.zeros(horizon, dtype=bool)
+    erased[np.repeat(lo - np.cumsum(counts) + counts, counts)
+           + np.arange(counts.sum())] = True
+    return erased
+
+
+def _parse_lines(text: str, horizon: int) -> np.ndarray:
+    """``parse_pattern`` one line at a time; ValueError names the first
+    bad line."""
     erased = np.zeros(horizon, dtype=bool)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#")[0].strip()

@@ -55,21 +55,23 @@ def _read_config(path: str) -> Dict[str, str]:
     return cfg
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone, which parses
-    that command's arguments alike.  Its usage line lists every command,
-    so its help and its usage errors read as the full parser's; the full
-    parser names the command argument "command" in an unknown command's
-    error, which a listing metavar would replace."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every command's parser as a subparser
+    (``subcommands``, by name).  ``_parse`` builds it only where its own
+    output is wanted (see there)."""
     p = argparse.ArgumentParser(prog="streamfec")
     p.add_argument("--config", help="key=value defaults file")
-    metavar = None if command is None else "{%s}" % ",".join(_PARSERS)
-    sub = p.add_subparsers(dest="command", metavar=metavar)
-    for name, (add_parser, _) in _PARSERS.items():
-        if command in (None, name):
-            add_parser(sub)
-    p.subcommands = dict(sub.choices)
+    sub = p.add_subparsers(dest="command")
+    p.subcommands = {name: build(sub.add_parser)
+                     for name, (build, _) in _PARSERS.items()}
     return p
+
+
+def _alone(name: str, **kwargs) -> argparse.ArgumentParser:
+    """A command's parser built on its own, as ``add_parser`` of the
+    top-level parser's subparsers builds it."""
+    kwargs.pop("help", None)  # it lists the command in the top-level help
+    return argparse.ArgumentParser(prog=f"streamfec {name}", **kwargs)
 
 
 def _codec_flags(sp: argparse.ArgumentParser) -> None:
@@ -88,7 +90,7 @@ def _flags(parser: argparse.ArgumentParser) -> Dict[str, str]:
 def _require(args, *dests):
     missing = [d for d in dests if getattr(args, d, None) is None]
     if missing:
-        flags = _flags(_build_parser(args.command).subcommands[args.command])
+        flags = _flags(_PARSERS[args.command][0](_alone))
         raise UsageError("missing required option(s): "
                          + ", ".join(flags[d] for d in missing))
 
@@ -101,8 +103,8 @@ def _int_list(flag: str, text) -> List[int]:
         raise UsageError(f"bad {flag}: {text}") from exc
 
 
-def _verify_parser(sub) -> None:
-    sp = sub.add_parser(
+def _verify_parser(make) -> argparse.ArgumentParser:
+    sp = make(
         "verify", help="burst delay sweep over every start in a window",
         description="Worst recovery delay and misses of one burst (b1 for "
         "user 1, b2 for user 2) over every start in 0..window-burst.  Exact "
@@ -112,6 +114,7 @@ def _verify_parser(sub) -> None:
     _codec_flags(sp)
     sp.add_argument("--window", type=int,
                     help="default 10*(t1+b1); at least b2")
+    return sp
 
 
 def cmd_verify(args, out) -> int:
@@ -136,8 +139,8 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _simulate_parser(sub) -> None:
-    sp = sub.add_parser(
+def _simulate_parser(make) -> argparse.ArgumentParser:
+    sp = make(
         "simulate", help="segmented-burst loss experiment (approximate)",
         description="Each segment's losses are counted as those of one "
         "isolated burst.  A burst may end on a segment's last slot and the "
@@ -151,6 +154,7 @@ def _simulate_parser(sub) -> None:
     sp.add_argument("--schemes", default="desco,ia,rlc")
     sp.add_argument("--users", default="1,2")
     sp.add_argument("--out", default="-")
+    return sp
 
 
 def simulate_records(args) -> List[Dict[str, object]]:
@@ -259,11 +263,12 @@ def _load_codec(args) -> DeScoCodec:
         return parse_descriptor(fh.read())
 
 
-def _encode_parser(sub) -> None:
-    sp = sub.add_parser("encode", help="encode a packed source stream")
+def _encode_parser(make) -> argparse.ArgumentParser:
+    sp = make("encode", help="encode a packed source stream")
     sp.add_argument("--descriptor", required=False)
     sp.add_argument("--in", dest="infile")
     sp.add_argument("--out")
+    return sp
 
 
 def cmd_encode(args, out) -> int:
@@ -319,14 +324,15 @@ def _log_rows(lo: int, latest: np.ndarray, miss: np.ndarray) -> bytes:
     return rows[rows != 0].tobytes()
 
 
-def _decode_parser(sub) -> None:
-    sp = sub.add_parser("decode", help="decode a packed channel stream")
+def _decode_parser(make) -> argparse.ArgumentParser:
+    sp = make("decode", help="decode a packed channel stream")
     sp.add_argument("--descriptor", required=False)
     sp.add_argument("--in", dest="infile")
     sp.add_argument("--pattern")
     sp.add_argument("--user", type=int, default=2)
     sp.add_argument("--out")
     sp.add_argument("--log")
+    return sp
 
 
 def cmd_decode(args, out) -> int:
@@ -357,12 +363,13 @@ def cmd_decode(args, out) -> int:
     return EXIT_OK
 
 
-def _bounds_parser(sub) -> None:
-    sp = sub.add_parser("bounds", help="rate bound and delay formulas")
+def _bounds_parser(make) -> argparse.ArgumentParser:
+    sp = make("bounds", help="rate bound and delay formulas")
     sp.add_argument("--b1", type=int)
     sp.add_argument("--t1", type=int)
     sp.add_argument("--b2", type=int)
     sp.add_argument("--t2", type=int)
+    return sp
 
 
 def cmd_bounds(args, out) -> int:
@@ -397,47 +404,71 @@ _PARSERS = {"verify": (_verify_parser, cmd_verify),
 
 
 def _scan(argv: Sequence[str]):
-    """(--config path or None, command or None, separate --config values)
-    as the top-level parser reads the arguments before the command:
-    ``--config PATH``, ``--config=PATH`` or an abbreviation of
-    ``--config``, then the command if the next argument names one.
-    argparse refuses "--" and a separate value that it takes for an
-    option ("-h", but not "-5"); the caller asks its parser which values
-    those are (``_parse``)."""
+    """(--config path or None, command or None, the command's position,
+    separate --config values) as the top-level parser reads the
+    arguments before the command: ``--config PATH``, ``--config=PATH`` or
+    an abbreviation of ``--config``, then the command if the next
+    argument names one.  argparse refuses "--" and a separate value that
+    it takes for an option ("-h", but not "-5"); the caller asks the
+    top-level parser which values those are (``_parse``)."""
     path, at, alone = None, 0, []
     while at < len(argv):
         flag, eq, value = argv[at].partition("=")
         if not (len(flag) > 2 and "--config".startswith(flag)):
-            return path, argv[at] if argv[at] in _PARSERS else None, alone
+            return (path, argv[at] if argv[at] in _PARSERS else None, at,
+                    alone)
         if not eq:
             if at + 1 == len(argv):
                 raise UsageError("--config needs a path")
             at, value = at + 1, argv[at + 1]
             alone.append(value)
         path, at = value, at + 1
-    return path, None, alone
+    return path, None, at, alone
 
 
-def _parse(argv: Sequence[str]):
-    """(parser, args): a named command is parsed by its subparser alone
-    (``_build_parser``), with the config's values for its options as
-    defaults; help, an unknown command and no command get the full
-    parser."""
-    path, command, alone = _scan(argv)
-    parser = _build_parser(command)
-    if any(value == "--" or parser._parse_optional(value) is not None
-           for value in alone):
-        path = None  # argparse refuses it as a value: the parse reports it
-    if path is not None:
-        cfg = _read_config(path)
-        for sp in parser.subcommands.values():
-            # keys name an option of the command by long flag or by dest
-            dests = {}
-            for dest, flag in _flags(sp).items():
-                dests[dest] = dests[flag[2:].replace("-", "_")] = dest
-            sp.set_defaults(**{dests[k]: v for k, v in cfg.items()
-                               if k in dests})
-    return parser, parser.parse_args(argv)
+def _set_config(parser: argparse.ArgumentParser, cfg: Dict[str, str]) -> None:
+    """The config's values as defaults of the parser's options; keys name
+    an option by long flag or by dest."""
+    if not cfg:
+        return
+    dests = {}
+    for dest, flag in _flags(parser).items():
+        dests[dest] = dests[flag[2:].replace("-", "_")] = dest
+    parser.set_defaults(**{dests[k]: v for k, v in cfg.items() if k in dests})
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments as the top-level parser reads them, with the
+    config's values as defaults of the command's options.
+
+    A named command's arguments are parsed by that command's parser
+    alone, built on its own (``_alone``).  The top-level parser is built
+    only where its own output is wanted: help, no or an unknown command,
+    a separate --config value that may be an option, and the error
+    naming arguments that the command's parser left over, which it
+    reports under its usage.  So every help, usage and error text is the
+    top-level parser's."""
+    path, command, at, alone = _scan(argv)
+    full = None
+    if command is None or any(value[:1] == "-" for value in alone):
+        full = _build_parser()
+        if any(value == "--" or full._parse_optional(value) is not None
+               for value in alone):
+            path = None  # argparse refuses it as a value: the parse reports it
+        elif command is not None:
+            full = None  # a path after all
+    cfg = {} if path is None else _read_config(path)
+    if full is not None:
+        for sp in full.subcommands.values():
+            _set_config(sp, cfg)
+        return full.parse_args(argv)
+    parser = _PARSERS[command][0](_alone)
+    _set_config(parser, cfg)
+    args, extras = parser.parse_known_args(argv[at + 1:])
+    if extras:
+        _build_parser().error("unrecognized arguments: " + " ".join(extras))
+    args.command, args.config = command, path
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -445,11 +476,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         try:
-            parser, args = _parse(argv)
+            args = _parse(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code else EXIT_OK
         if not args.command:
-            parser.print_usage(out)
+            _build_parser().print_usage(out)
             return EXIT_USAGE
         return _PARSERS[args.command][1](args, out)
     except (UsageError, ValueError) as exc:

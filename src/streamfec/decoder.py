@@ -49,10 +49,15 @@ a vector at the field's dtype with one column per cluster (XOR adds,
 others get the first's times shifted by their start.  The trace keeps only each
 shape's first events and shifts them for every cluster when it is read
 (``Trace``).  The shape's window, its rows from ``reach`` slots before
-the first erasure, is the one record of what is known: an erased
-slot's row holds None for each sub-symbol until it is recovered, then
-its value.  A grouping horizon bounds a run's columns, so decoder
-memory is flat in length.
+the first erasure, is the one record of what is known.  It is two flat
+lists: the source values, row by row, and the received parities.  A
+variable is an integer, its flat window index row * n_subs + sub; an
+erased slot's entries hold None until they are recovered, then their
+values, and ``divmod`` gives an event's slot and sub back.  Each
+``Component`` compiles its templates once into such flat offsets,
+ds * n_subs + sub, so a parity at row i reads the variable
+i * n_subs + offset.  A grouping horizon bounds a run's columns, so
+decoder memory is flat in length.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.  It
@@ -67,12 +72,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from .gf import GF, IncrementalSystem, InconsistentSystemError
-from .sco import ScoCodec, Var
+from .sco import ScoCodec
 
 Value = Union[int, np.ndarray]  # an element, or one per cluster of a shape
 
@@ -106,19 +111,23 @@ class Trace(Sequence[TraceEvent]):
     emission slot by expansion * d, and a substitution's -1 stays.  So
     each grouping horizon is kept as its clusters' first slots (int64),
     their shape ids (numbered in order of first appearance) and each
-    shape's first-cluster events, and the length is counted without
-    building an event.  Indexing builds the events up to the index; a
-    trace equals any sequence of the same events in the same order.
+    shape's first-cluster events, as plain tuples of the ``TraceEvent``
+    fields, and the length is counted without building an event.
+    Indexing builds the events up to the index; a trace equals any
+    sequence of the same events in the same order.
     """
 
     def __init__(self, horizons: List[Tuple[np.ndarray, np.ndarray,
-                                            List[List[TraceEvent]]]],
+                                            List[List[tuple]]]],
                  expansion: int):
         self._horizons = horizons
         self._expansion = expansion
-        self._len = sum(
+
+    @cached_property
+    def _len(self) -> int:
+        return sum(
             int(np.array([len(ev) for ev in events], dtype=np.int64)[ids].sum())
-            for _, ids, events in horizons)
+            for _, ids, events in self._horizons)
 
     def __len__(self) -> int:
         return self._len
@@ -130,7 +139,7 @@ class Trace(Sequence[TraceEvent]):
             for first, k in zip(firsts.tolist(), ids.tolist()):
                 d = first - origins[k]
                 if not d:
-                    yield from events[k]
+                    yield from map(TraceEvent._make, events[k])
                     continue
                 for slot, sub, time, ci, row, pslot in events[k]:
                     yield TraceEvent(slot + d, sub, time + d, ci, row,
@@ -206,7 +215,9 @@ class Component:
     expanded term offset ds of that row lands at stream offset
     (r + ds) // n and stream sub ((r + ds) % n)*t0 + k; its diagonal
     codeword is n*t plus the row's codeword offset.  Term positions
-    relative to t are fixed per row, so they are precomputed once.
+    relative to t are fixed per row, so they are precomputed once, as
+    ``templates`` and, for the decoder, as flat offsets: ``flat_terms``
+    (offset, coeff) and ``probes``, each row's offsets.
     ``reach`` is how many stream slots before t the oldest term lies.  A
     term after its emission slot would break the decoder's causality
     invariant and raises ValueError.
@@ -233,6 +244,15 @@ class Component:
                                        entries))
         self.reach = max((-ds for _, entries in self.templates
                           for ds, _, _ in entries), default=0)
+        # the templates on the decoder's flat window (see staged_decode):
+        # term (ds, sub) of a parity at window row i is variable
+        # i * n_subs + ds * n_subs + sub
+        n_subs = n * codec.t
+        self.flat_terms = [tuple((ds * n_subs + sub, coeff)
+                                 for ds, sub, coeff in entries)
+                           for _, entries in self.templates]
+        self.probes = [tuple(off for off, _ in terms)
+                       for terms in self.flat_terms]
 
 
 def encode_symbols(components: Sequence[Component], field: GF,
@@ -270,17 +290,20 @@ def encode_symbols(components: Sequence[Component], field: GF,
 class _PendingParity:
     """One combined parity equation awaiting staged release.
 
-    ``const`` is the received parity plus every known term.  Unknowns only
-    shrink, so at most one component is ever released.
+    ``const`` is the received parity plus every known term, and
+    ``unknowns[ci]`` component ci's unknown terms, flat variable ->
+    coefficient.  Unknowns only shrink, so at most one component is ever
+    released: the one left when ``live`` is 1.
     """
 
-    __slots__ = ("t", "j", "const", "unknowns", "released")
+    __slots__ = ("t", "j", "const", "unknowns", "live", "released")
 
-    def __init__(self, t: int, j: int, value: int, n_components: int):
+    def __init__(self, t: int, j: int, const: Value):
         self.t = t
         self.j = j
-        self.const = value
-        self.unknowns: List[Dict[Var, int]] = [dict() for _ in range(n_components)]
+        self.const = const
+        self.unknowns: List[Dict[int, int]] = []
+        self.live = 0  # components with unknown terms
         self.released = False
 
 
@@ -330,149 +353,164 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
             f"erasure mask, got symbols of shape {symbols.shape} and a mask "
             f"of dtype {getattr(erased, 'dtype', type(erased).__name__)} "
             f"and shape {np.shape(erased)}")
-    ncomp = len(components)
     reach = max(comp.reach for comp in components)
     recovered = symbols[:, :n_subs].copy()
     recovered[erased] = 0
     # row t holds t, filled in place: no horizon-long temporary
     times = np.arange(horizon * n_subs).reshape(horizon, n_subs)
     times //= n_subs
-    events: List[TraceEvent] = []  # of one run, in its first cluster's slots
-    window: List[list] = []  # of one run, see the module docstring
-    base = 0  # stream slot of window row 0
-    unknown = 0  # erased sub-symbols not yet recovered
-    systems: Dict[Tuple[int, int], IncrementalSystem] = {}
-    sys_vars: Dict[Var, Set[Tuple[int, int]]] = {}
-    watchers: Dict[Var, List[Tuple[_PendingParity, int]]] = {}  # var -> [(pp, comp)]
-    queue: deque = deque()  # (var, value, attribution, producing system)
-    ready: deque = deque()  # pending parities whose unknowns changed
-    probes = [[(ds, sub) for comp in components
-               for ds, sub, _ in comp.templates[j][1]]
+    mul = field.mul
+    # per parity row: the offsets of every component's terms
+    probes = [sum([comp.probes[j] for comp in components], ())
               for j in range(n_parities)]
-    shift = 0  # each cluster's start minus the first's
+    nones = [None] * n_subs
 
-    def enqueue(var: Var, value: Value, prov, skey: Tuple[int, int]) -> None:
-        nonlocal unknown
-        row = window[var[0] - base]
-        if row[var[1]] is None:
-            row[var[1]] = value
-            unknown -= 1
-            queue.append((var, value, prov, skey))
-
-    def absorb(var: Var, value: Value, now: int, prov,
-               source: Tuple[int, int]) -> None:
-        """Propagate one newly recovered sub-symbol through all bookkeeping.
-
-        The value is substituted into every system holding it but
-        ``source``, the one that solved it, where it would only cancel
-        out; in any other system it is a consistency check."""
-        slots = var[0] + shift  # the sub-symbol in every cluster of the shape
-        times[slots, var[1]] = now + shift
-        recovered[slots, var[1]] = value
-        ci, row, pslot = prov
-        events.append(TraceEvent(var[0], var[1], now, ci, row, pslot))
-        for pp, ci in watchers.pop(var, []):
-            if pp.released:
-                continue  # its equation is already in a system
-            coeff = pp.unknowns[ci].pop(var)
-            pp.const = pp.const ^ field.mul(coeff, value)
-            if not pp.unknowns[ci]:
-                ready.append(pp)
-        for skey in sys_vars.pop(var, set()):
-            if skey == source:
-                continue
-            newly = systems[skey].add_equation({var: 1}, value)
-            for v2, val2 in newly.items():
-                enqueue(v2, val2, (skey[0], -1, -1), skey)
-
-    def try_release(pp: _PendingParity) -> None:
-        if pp.released:
-            return
-        live = [ci for ci in range(ncomp) if pp.unknowns[ci]]
-        if len(live) != 1:
-            return
-        ci = live[0]
-        pp.released = True
-        comp = components[ci]
-        skey = (ci, comp.expansion * pp.t + comp.templates[pp.j][0])
-        sysm = systems.get(skey)
-        if sysm is None:
-            sysm = systems[skey] = IncrementalSystem(field)
-        eq = pp.unknowns[ci]  # absorb leaves a released parity alone
-        for v in eq:
-            sys_vars.setdefault(v, set()).add(skey)
-        prov = (ci, pp.j,  # emission slot on the own clock, see TraceEvent
-                comp.expansion * pp.t + pp.j // comp.codec.b - comp.shift)
-        newly = sysm.add_equation(eq, pp.const)
-        for v2, val2 in newly.items():
-            enqueue(v2, val2, prov, skey)
-
-    def drain(now: int) -> None:
-        while queue or ready:
-            while queue:
-                var, value, prov, skey = queue.popleft()
-                absorb(var, value, now, prov, skey)
-            while ready:
-                try_release(ready.popleft())
-
-    def decode_shape(key: bytes, firsts: List[int]) -> List[TraceEvent]:
+    def decode_shape(key: bytes, firsts: List[int]) -> List[tuple]:
         """Decode clusters of one shape at once, one column each, in the
         coordinates of the first; returns the first's trace."""
-        nonlocal window, base, unknown, shift, events
         first = firsts[0]
         base, end = first - reach, first + len(key)
         vector = len(firsts) > 1
         if vector:
-            # (row, symbol, column) window at the field's dtype, zeros
-            # before slot 0
+            # (row, column, symbol) window at the field's dtype, zeros
+            # before slot 0, then one vector (a view) per window entry
             at = np.add.outer(np.arange(base, end), firsts) - first
             rows = symbols[np.maximum(at, 0)].astype(field.dtype, copy=False)
             rows[at < 0] = 0
-            window = [list(row) for row in rows.transpose(0, 2, 1)]
+            del at
+            rows = rows.transpose(0, 2, 1)
+            src = [entry for row in rows for entry in row[:n_subs]]
+            par = [entry for row in rows for entry in row[n_subs:]]
             shift = np.array(firsts) - first
         else:
             pad = max(0, -base)
-            window = [[0] * width] * pad + symbols[base + pad:end].tolist()
+            rows = symbols[base + pad:end]
+            src = [0] * (pad * n_subs) + rows[:, :n_subs].ravel().tolist()
+            par = [0] * (pad * n_parities) + rows[:, n_subs:].ravel().tolist()
             shift = 0
-        events, unknown = [], 0
-        for state in (watchers, systems, sys_vars, queue, ready):
-            state.clear()  # nothing held for another run applies here
+        del rows
+        events: List[tuple] = []  # TraceEvent fields
+        done: List[int] = []  # each event's variable, time and value
+        nows: List[int] = []
+        values: List[Value] = []
+        unknown = 0  # erased sub-symbols not yet recovered
+        systems: Dict[Tuple[int, int], IncrementalSystem] = {}
+        sys_vars: Dict[int, Dict[int, IncrementalSystem]] = {}  # var -> ci -> system
+        watchers: Dict[int, List[Tuple[_PendingParity, int]]] = {}  # var -> [(pp, ci)]
+        queue: deque = deque()  # (var, value, attribution, producing system)
+        ready: deque = deque()  # pending parities whose unknowns changed
         for t in range(first, end):
             i = t - base
+            lo = i * n_subs
             if key[t - first]:
                 times[t + shift] = -1
-                window[i] = [None] * n_subs
+                src[lo:lo + n_subs] = nones
                 unknown += n_subs
                 continue
             if not unknown:
                 continue
             for j in range(n_parities):
                 # fast path: a parity whose terms are all known adds nothing
-                for ds, sub in probes[j]:
-                    if window[i + ds][sub] is None:
+                for off in probes[j]:
+                    if src[lo + off] is None:
                         break
                 else:
                     continue
-                pp = _PendingParity(t, j, window[i][n_subs + j], ncomp)
+                pp = _PendingParity(t, j, par[i * n_parities + j])
+                const = pp.const
                 for ci, comp in enumerate(components):
-                    unknowns = pp.unknowns[ci]
-                    for ds, sub, coeff in comp.templates[j][1]:
-                        # causal templates: row i + ds is in the window
-                        value = window[i + ds][sub]
+                    unknowns: Dict[int, int] = {}
+                    for off, coeff in comp.flat_terms[j]:
+                        # causal templates: the variable is in the window
+                        v = lo + off
+                        value = src[v]
                         if value is None:
-                            unknowns[(t + ds, sub)] = coeff
-                            watchers.setdefault((t + ds, sub), []).append((pp, ci))
+                            unknowns[v] = coeff
+                            watchers.setdefault(v, []).append((pp, ci))
                         elif vector or value:  # a zero element adds nothing
-                            pp.const = pp.const ^ field.mul(coeff, value)
+                            const = const ^ mul(coeff, value)
+                    pp.unknowns.append(unknowns)
+                    if unknowns:
+                        pp.live += 1
+                pp.const = const
                 ready.append(pp)
             try:
-                drain(t)
+                while queue or ready:
+                    while queue:
+                        # a recovered value: substitute it wherever it is
+                        # unknown, but in the system that solved it, where
+                        # it would only cancel out; in any other system it
+                        # is a consistency check
+                        v, value, prov, source = queue.popleft()
+                        slot, sub = divmod(v, n_subs)
+                        events.append((base + slot, sub, t) + prov)
+                        done.append(v)
+                        nows.append(t)
+                        values.append(value)
+                        for pp, ci in watchers.pop(v, ()):
+                            if pp.released:
+                                continue  # its equation is already in a system
+                            unknowns = pp.unknowns[ci]
+                            coeff = unknowns.pop(v)
+                            if vector or value:
+                                pp.const = pp.const ^ mul(coeff, value)
+                            if not unknowns:
+                                pp.live -= 1
+                                ready.append(pp)
+                        held = sys_vars.pop(v, None)
+                        if held is None:
+                            continue
+                        for ci, system in held.items():
+                            if system is source:
+                                continue
+                            for v2, val2 in system.add_equation(
+                                    {v: 1}, value).items():
+                                if src[v2] is None:
+                                    src[v2] = val2
+                                    unknown -= 1
+                                    queue.append((v2, val2, (ci, -1, -1), system))
+                    while ready:
+                        # a parity left with one component's unknowns
+                        # enters that component's diagonal system
+                        pp = ready.popleft()
+                        if pp.released or pp.live != 1:
+                            continue
+                        pp.released = True
+                        for ci, eq in enumerate(pp.unknowns):
+                            if eq:
+                                break
+                        comp = components[ci]
+                        skey = (ci, comp.expansion * pp.t
+                                + comp.templates[pp.j][0])
+                        system = systems.get(skey)
+                        if system is None:
+                            system = systems[skey] = IncrementalSystem(field)
+                        for v in eq:
+                            sys_vars.setdefault(v, {})[ci] = system
+                        prov = (ci, pp.j,  # emission slot on the own clock
+                                comp.expansion * pp.t + pp.j // comp.codec.b
+                                - comp.shift)
+                        for v2, val2 in system.add_equation(eq, pp.const).items():
+                            if src[v2] is None:
+                                src[v2] = val2
+                                unknown -= 1
+                                queue.append((v2, val2, prov, system))
             except InconsistentSystemError as exc:
                 slot = t + firsts[exc.column] - first
                 raise InconsistentSystemError(
                     f"the parities of stream slot {slot} contradict the "
                     "earlier ones", exc.column, slot) from exc
-        window = []  # freed before the next run builds its own
+        if vector:
+            # every cluster of the shape: slot and time shift by each
+            # cluster's start
+            for v, now, value in zip(done, nows, values):
+                slots, sub = base + v // n_subs + shift, v % n_subs
+                times[slots, sub] = now + shift
+                recovered[slots, sub] = value
+        elif done:
+            at = np.array(done) + base * n_subs  # into the flat arrays
+            times.put(at, nows)
+            recovered.put(at, values)
         return events
 
     horizons = []  # see Trace

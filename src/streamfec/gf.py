@@ -76,12 +76,12 @@ class GF:
     def mul(self, a: int, b: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
         """a * b for an element a and an element or integer array b; an
         array is returned as is when a is 1, else gathered from
-        ``mul_row(a)``, so at the field's dtype."""
+        ``mul_row(a)`` by ``take``, so at the field's dtype."""
         if isinstance(b, int):
             if a == 0 or b == 0:
                 return 0
             return self._alog[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return b if a == 1 else self.mul_row(a)[b]
+        return b if a == 1 else self.mul_row(a).take(b)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -149,54 +149,76 @@ class IncrementalSystem:
         self._rows: Dict[Hashable, Tuple[Dict[Hashable, int], int]] = {}
 
     def add_equation(self, terms: Dict[Hashable, int], const: int) -> Dict[Hashable, int]:
-        f, mul = self.field, self.field.mul
-        row = dict(terms)
+        """Add ``sum(coeff * var for var, coeff in terms) = const`` and
+        return the variables it newly solves, with their values.
+
+        One pass over the terms drops zero coefficients, folds solved
+        variables into the constant and sets other rows' pivots aside;
+        the row keeps the rest in the terms' order.  Reducing it by each
+        pivot set aside, in the terms' order, appends the terms that
+        brings in.  The row's first term is its pivot; the row is scaled
+        so that the pivot's coefficient is 1, unless it is already, and
+        the pivot is eliminated from the older rows.  A row left with no
+        term solves its pivot: the older ones in row order, then the new
+        one.  Row coefficients are nonzero, so their products are read
+        from the log tables directly.
+        """
+        f, solved, rows = self.field, self.solved, self._rows
+        mul, log, alog, period = f.mul, f._log, f._alog, f.order - 1
+        row: Dict[Hashable, int] = {}
+        pivots = []
         c = const
-        # fold in already-solved variables
-        for v in list(row):
-            if v in self.solved:
-                c = c ^ mul(row.pop(v), self.solved[v])
-            elif row[v] == 0:
-                del row[v]
-        # reduce against existing pivot rows
-        for pv in list(row):
-            if pv in self._rows:
-                coef = row.pop(pv)
-                prow, pc = self._rows[pv]
-                for v2, c2 in prow.items():
-                    nv = row.get(v2, 0) ^ mul(coef, c2)
-                    if nv:
-                        row[v2] = nv
-                    else:
-                        row.pop(v2, None)
-                c = c ^ mul(coef, pc)
+        for v, cv in terms.items():
+            if cv:
+                if v in solved:
+                    c = c ^ mul(cv, solved[v])
+                elif v in rows:
+                    pivots.append((v, cv))
+                else:
+                    row[v] = cv
+        for pv, coef in pivots:
+            prow, pc = rows[pv]
+            lc = log[coef]
+            for v2, c2 in prow.items():
+                nv = row.get(v2, 0) ^ alog[(lc + log[c2]) % period]
+                if nv:
+                    row[v2] = nv
+                else:
+                    del row[v2]
+            c = c ^ mul(coef, pc)
         if not row:  # 0 = c: c must be 0 in every column
             bad = c.nonzero()[0] if isinstance(c, np.ndarray) else [0] if c else []
             if len(bad):
                 raise InconsistentSystemError("contradictory equation", int(bad[0]))
             return {}
         pivot = next(iter(row))
-        inv = f.inv(row.pop(pivot))
-        row = {v: mul(inv, cv) for v, cv in row.items()}
-        c = mul(inv, c)
+        lead = row.pop(pivot)
+        if lead != 1:
+            li = period - log[lead]  # log of the inverse
+            if row:
+                row = {v: alog[(li + log[cv]) % period]
+                       for v, cv in row.items()}
+            c = mul(alog[li], c)
         # eliminate the new pivot from older rows
-        for opv, (orow, oc) in list(self._rows.items()):
-            coef = orow.get(pivot)
+        emptied = []
+        for opv, (orow, oc) in rows.items():
+            coef = orow.pop(pivot, 0)
             if coef:
-                del orow[pivot]
+                lc = log[coef]
                 for v2, c2 in row.items():
-                    nv = orow.get(v2, 0) ^ mul(coef, c2)
+                    nv = orow.get(v2, 0) ^ alog[(lc + log[c2]) % period]
                     if nv:
                         orow[v2] = nv
                     else:
-                        orow.pop(v2, None)
-                self._rows[opv] = (orow, oc ^ mul(coef, c))
-        self._rows[pivot] = (row, c)
-        # harvest rows left with only their pivot; no other row holds it
+                        del orow[v2]
+                rows[opv] = (orow, oc ^ mul(coef, c))
+                if not orow:
+                    emptied.append(opv)
         newly: Dict[Hashable, int] = {}
-        for pv, (prow, pc) in list(self._rows.items()):
-            if not prow:
-                del self._rows[pv]
-                self.solved[pv] = pc
-                newly[pv] = pc
+        for pv in emptied:
+            solved[pv] = newly[pv] = rows.pop(pv)[1]
+        if row:
+            rows[pivot] = (row, c)
+        else:
+            solved[pivot] = newly[pivot] = c
         return newly

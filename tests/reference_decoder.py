@@ -11,6 +11,11 @@ trace).  A contradiction raises ``InconsistentSystemError`` whose
 Gaussian elimination over everything the receiver has seen, giving the
 earliest slot at which each erased sub-symbol is pinned by *any* linear
 decoder.
+
+Both eliminate with ``ReferenceSystem``, the library's
+``IncrementalSystem`` written plainly: each pass over the row is a pass
+of its own, and every product goes through ``field.mul``.  So the
+decoder comparisons do not rest on the elimination they check.
 """
 
 from collections import deque
@@ -18,7 +23,71 @@ from collections import deque
 import numpy as np
 
 from streamfec.decoder import TraceEvent
-from streamfec.gf import IncrementalSystem, InconsistentSystemError
+from streamfec.gf import InconsistentSystemError
+
+
+class ReferenceSystem:
+    """Online Gaussian elimination, as ``IncrementalSystem``: the same
+    pivots, rows, ``solved`` and returned dicts, in the same order, and
+    the same ``InconsistentSystemError.column``."""
+
+    def __init__(self, field):
+        self.field = field
+        self.solved = {}
+        self._rows = {}  # pivot var -> (row dict var->coeff, const)
+
+    def add_equation(self, terms, const):
+        f, mul = self.field, self.field.mul
+        row = dict(terms)
+        c = const
+        # fold in already-solved variables
+        for v in list(row):
+            if v in self.solved:
+                c = c ^ mul(row.pop(v), self.solved[v])
+            elif row[v] == 0:
+                del row[v]
+        # reduce against existing pivot rows
+        for pv in list(row):
+            if pv in self._rows:
+                coef = row.pop(pv)
+                prow, pc = self._rows[pv]
+                for v2, c2 in prow.items():
+                    nv = row.get(v2, 0) ^ mul(coef, c2)
+                    if nv:
+                        row[v2] = nv
+                    else:
+                        row.pop(v2, None)
+                c = c ^ mul(coef, pc)
+        if not row:  # 0 = c: c must be 0 in every column
+            bad = c.nonzero()[0] if isinstance(c, np.ndarray) else [0] if c else []
+            if len(bad):
+                raise InconsistentSystemError("contradictory equation", int(bad[0]))
+            return {}
+        pivot = next(iter(row))
+        inv = f.inv(row.pop(pivot))
+        row = {v: mul(inv, cv) for v, cv in row.items()}
+        c = mul(inv, c)
+        # eliminate the new pivot from older rows
+        for opv, (orow, oc) in list(self._rows.items()):
+            coef = orow.get(pivot)
+            if coef:
+                del orow[pivot]
+                for v2, c2 in row.items():
+                    nv = orow.get(v2, 0) ^ mul(coef, c2)
+                    if nv:
+                        orow[v2] = nv
+                    else:
+                        orow.pop(v2, None)
+                self._rows[opv] = (orow, oc ^ mul(coef, c))
+        self._rows[pivot] = (row, c)
+        # harvest rows left with only their pivot; no other row holds it
+        newly = {}
+        for pv, (prow, pc) in list(self._rows.items()):
+            if not prow:
+                del self._rows[pv]
+                self.solved[pv] = pc
+                newly[pv] = pc
+        return newly
 
 
 class PendingParity:
@@ -86,7 +155,7 @@ def reference_decode(components, field, n_subs, n_parities, symbols, erased):
         pp.released = True
         comp = components[ci]
         skey = (ci, comp.expansion * pp.t + comp.templates[pp.j][0])
-        sysm = systems.setdefault(skey, IncrementalSystem(field))
+        sysm = systems.setdefault(skey, ReferenceSystem(field))
         eq = pp.unknowns[ci]
         for v in eq:
             sys_vars.setdefault(v, set()).add(skey)
@@ -157,7 +226,7 @@ def ml_decode_times(codec, erased):
     times = np.arange(len(erased))[:, None].repeat(n_subs, axis=1)
     times[erased] = -1
     unknown = set()
-    system = IncrementalSystem(codec.field)
+    system = ReferenceSystem(codec.field)
     for t, lost in enumerate(erased.tolist()):
         if lost:
             unknown.update((t, k) for k in range(n_subs))

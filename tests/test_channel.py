@@ -1,7 +1,9 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from streamfec import channel
 from streamfec.channel import (apply, burst_length_counts,
@@ -59,6 +61,69 @@ def test_parse_rejects_malformed_line():
 def test_parse_allows_comments():
     p = parse_pattern("# header\n3:2  # trailing\n", 10)
     assert erased_slots(p) == [3, 4]
+
+
+@st.composite
+def pattern_texts(draw):
+    """(text, horizon): runs that overlap, zero-length ones anywhere,
+    blanks around them, comments with runs in them and blank lines, each
+    line ending at a newline.  One text in four has a run outside the
+    horizon, one in four a line that only the line by line parse reads
+    ("5 : 2", "+3:1", "-3:0") or none reads (a negative length, "1 2:3",
+    "x"), and one in four other line breaks (CR LF, CR)."""
+    horizon = draw(st.integers(0, 40))
+    now_and_then = st.sampled_from([False, False, False, True])
+    blank = st.sampled_from(["", "", " ", "\t", "  "])
+    comment = st.sampled_from(["", "", "# 5:2", "#", "  # 0:99 x"])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["run", "run", "run", "blank", "comment"]))
+        if kind == "run":
+            length = draw(st.integers(0, min(6, horizon)))
+            start = draw(st.integers(0, horizon - length) if length
+                         else st.integers(-3, horizon + 3))
+            line = draw(blank) + f"{start}:{length}" + draw(blank) \
+                + draw(comment)
+        elif kind == "blank":
+            line = draw(blank)
+        else:
+            line = draw(blank) + "# 1:1 " + draw(blank)
+        lines.append(line)
+    if draw(now_and_then):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     f"{draw(st.integers(-2, horizon + 2))}:"
+                     f"{draw(st.integers(1, 3))}")
+    if draw(now_and_then):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["5 : 2", "+3:1", "-3:0", "0:-1", "1 2:3", "x", "3:", "1:2:3",
+             "0_1:1"])))
+    end = draw(st.sampled_from(["\r\n", "\r"])) if draw(now_and_then) \
+        else "\n"
+    return end.join(lines) + draw(st.sampled_from(["", end])), horizon
+
+
+@given(case=pattern_texts())
+def test_bulk_parse_equals_line_by_line(case):
+    """``parse_pattern`` gives the line by line parse's mask, or raises
+    its error with the same message."""
+    text, horizon = case
+    results = []
+    for parse in (parse_pattern, channel._parse_lines):
+        try:
+            results.append(parse(text, horizon).tolist())
+        except ValueError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1], text
+
+
+def test_plain_runs_take_the_bulk_parse():
+    """Plain runs, comments, blanks around them and blank lines are
+    parsed in bulk; anything else goes line by line."""
+    assert re.search(channel._ODD_LINE,
+                     "# runs\n3:2  # one\n\n\t0:40 \n7:0") is None
+    for text in ("5 : 2\n", "+3:1\n", "0:-1\n", "3:2\r\n", "1:2 4:1\n",
+                 "# x\r3:2\n"):
+        assert re.search(channel._ODD_LINE, text), text
 
 
 def test_single_burst():

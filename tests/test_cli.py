@@ -102,11 +102,14 @@ def full_parser_main(argv):
 def test_one_command_parser_prints_what_the_full_parser_does(capsys,
                                                               monkeypatch,
                                                               tmp_path):
-    """``main`` builds only the named command's subparser; help, an
-    unknown command, no command, bad options and a --config value that
-    argparse refuses, or takes for a path, print the same text on the
-    same stream with the same exit code as the full parser."""
+    """``main`` parses a named command with that command's parser
+    alone; help, an unknown command, no command, bad options, arguments
+    the command's parser leaves over, with a config file or without,
+    and a --config value that argparse refuses, or takes for a path (a
+    command's name among them), print the same text on the same stream
+    with the same exit code as the full parser."""
     monkeypatch.chdir(tmp_path)  # no file named like an option
+    (tmp_path / "c.cfg").write_text("b1=1\nt1=2\n")
     every = "{verify,simulate,encode,decode,bounds}"
     usage, ok, io_error = cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_IO
     cases = [(["-h"], ok, "out", "usage: streamfec [-h] [--config CONFIG]"),
@@ -114,6 +117,14 @@ def test_one_command_parser_prints_what_the_full_parser_does(capsys,
              (["frobnicate"], usage, "err", "invalid choice: 'frobnicate'"),
              (["--bogus"], usage, "err", "unrecognized arguments: --bogus"),
              (["verify", "--bogus"], usage, "err", every),
+             (["verify", "--b1", "1", "--bogus", "x"], usage, "err",
+              "streamfec: error: unrecognized arguments: --bogus x"),
+             (["--config", "c.cfg", "verify", "--bogus"], usage, "err",
+              "streamfec: error: unrecognized arguments: --bogus"),
+             (["--config", "c.cfg", "verify", "-h"], ok, "out",
+              "usage: streamfec verify [-h]"),
+             (["--config", "verify", "verify"], io_error, "err",
+              "No such file or directory: 'verify'"),
              (["decode", "--user"], usage, "err",
               "streamfec decode: error: argument --user: expected one argument"),
              (["bounds", "--b1", "x"], usage, "err", "invalid int value: 'x'"),

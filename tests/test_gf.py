@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from streamfec.gf import (CANONICAL_POLY, GF, IncrementalSystem,
                           InconsistentSystemError, default_field)
+
+from reference_decoder import ReferenceSystem
 
 
 def exhaustive(gf):
@@ -286,3 +289,83 @@ def test_vector_constants_solve_each_column_alone():
                 assert values.tolist() == [w[var] for w in want]
                 solved += 1
     assert contradictions > 20 and solved > 100, (contradictions, solved)
+
+
+def system_state(system):
+    """A system's solved values and rows, in order, as plain lists."""
+    def plain(c):
+        return c.tolist() if isinstance(c, np.ndarray) else c
+    return ([(v, plain(c)) for v, c in system.solved.items()],
+            [(pv, list(row.items()), plain(c))
+             for pv, (row, c) in system._rows.items()])
+
+
+def outcome(system, terms, const):
+    """What ``add_equation`` returns, in order, or the contradicting
+    column it raises."""
+    try:
+        newly = system.add_equation(terms, const)
+    except InconsistentSystemError as exc:
+        return "contradiction", exc.column
+    return [(v, c.tolist() if isinstance(c, np.ndarray) else c)
+            for v, c in newly.items()]
+
+
+@given(data=st.data(), degree=st.integers(1, 4),
+       columns=st.sampled_from([None, None, 1, 3]))
+def test_add_equation_matches_reference_elimination(data, degree, columns):
+    """On any stream of equations, ``IncrementalSystem`` returns what the
+    plain reference elimination returns (variables, order and values),
+    raises at the same equation naming the same column, and keeps the
+    same solved values and rows, in order.  The stream mixes equations
+    on random variables, one-variable ones (a known value, agreeing
+    with a solved one or not) and equations on several rows' pivots,
+    whose reduction brings in those rows' terms.  Constants are elements
+    (``columns`` None) or vectors at the field's dtype."""
+    g = GF(degree)
+    element = st.integers(0, g.order - 1)
+    nonzero = st.integers(1, g.order - 1)
+    system, reference = IncrementalSystem(g), ReferenceSystem(g)
+    n_vars = data.draw(st.integers(1, 10))
+    variable = st.integers(0, n_vars - 1)
+    for _ in range(data.draw(st.integers(1, 16))):
+        kind = data.draw(st.sampled_from(["terms", "terms", "known", "pivots",
+                                          "pivots"]))
+        if columns is None:
+            const = data.draw(element)
+        else:
+            const = np.array(data.draw(st.lists(
+                element, min_size=columns, max_size=columns)), dtype=g.dtype)
+        if kind == "known":
+            var = data.draw(variable)
+            terms = {var: 1}
+            if var in reference.solved and data.draw(st.booleans()):
+                const = reference.solved[var]  # a substitution that agrees
+        elif kind == "pivots" and reference._rows:
+            # dict order is the draw order: the terms' order decides the
+            # order of the reduction and so of the row
+            terms = data.draw(st.dictionaries(
+                st.sampled_from(list(reference._rows)), nonzero, min_size=1))
+            terms.update(data.draw(st.dictionaries(variable, element,
+                                                   max_size=1)))
+        else:
+            terms = data.draw(st.dictionaries(variable, element, min_size=1,
+                                              max_size=5))
+        assert outcome(system, terms, const) \
+            == outcome(reference, terms, const), terms
+        assert system_state(system) == system_state(reference)
+
+
+def test_reduction_appends_each_pivots_terms_in_the_terms_order():
+    """An equation on two rows' pivots becomes the sum of their rows,
+    whose terms come in the order of the pivots in the equation, so its
+    first term, the new pivot, is the first pivot's row's term."""
+    g = GF(2)
+    for order in ([0, 1], [1, 0]):
+        system, reference = IncrementalSystem(g), ReferenceSystem(g)
+        for both in (system, reference):
+            both.add_equation({0: 1, 3: 2}, 1)
+            both.add_equation({1: 1, 4: 3}, 2)
+            both.add_equation({v: 1 for v in order}, 0)
+        assert system_state(system) == system_state(reference)
+        assert list(system._rows)[-1] == (3 if order[0] == 0 else 4)
