@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
 error, 4 inconsistent channel stream (the received symbols contradict
 each other, so no codeword of the codec produced them).  A ``--config``
-file supplies key=value defaults (keys named like the long flags, with
-underscores, or like their dests); explicit flags override it, and a key
-that names no option of the command is ignored.
+file, named before the command, supplies key=value defaults (keys named
+like the long flags, with underscores, or like their dests); explicit
+flags override it, a key that names no option of the command is ignored,
+and it is read only after argparse has accepted the command line.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def _read_config(path: str) -> Dict[str, str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser, with every command's parser as a subparser
-    (``subcommands``, by name).  ``_parse`` builds it only where its own
-    output is wanted (see there)."""
+    (``subcommands``, by name).  ``_parse`` builds it unless the first
+    argument names a command."""
     p = argparse.ArgumentParser(prog="streamfec")
     p.add_argument("--config", help="key=value defaults file")
     sub = p.add_subparsers(dest="command")
@@ -403,34 +404,9 @@ _PARSERS = {"verify": (_verify_parser, cmd_verify),
             "bounds": (_bounds_parser, cmd_bounds)}
 
 
-def _scan(argv: Sequence[str]):
-    """(--config path or None, command or None, the command's position,
-    separate --config values) as the top-level parser reads the
-    arguments before the command: ``--config PATH``, ``--config=PATH`` or
-    an abbreviation of ``--config``, then the command if the next
-    argument names one.  argparse refuses "--" and a separate value that
-    it takes for an option ("-h", but not "-5"); the caller asks the
-    top-level parser which values those are (``_parse``)."""
-    path, at, alone = None, 0, []
-    while at < len(argv):
-        flag, eq, value = argv[at].partition("=")
-        if not (len(flag) > 2 and "--config".startswith(flag)):
-            return (path, argv[at] if argv[at] in _PARSERS else None, at,
-                    alone)
-        if not eq:
-            if at + 1 == len(argv):
-                raise UsageError("--config needs a path")
-            at, value = at + 1, argv[at + 1]
-            alone.append(value)
-        path, at = value, at + 1
-    return path, None, at, alone
-
-
 def _set_config(parser: argparse.ArgumentParser, cfg: Dict[str, str]) -> None:
     """The config's values as defaults of the parser's options; keys name
     an option by long flag or by dest."""
-    if not cfg:
-        return
     dests = {}
     for dest, flag in _flags(parser).items():
         dests[dest] = dests[flag[2:].replace("-", "_")] = dest
@@ -441,33 +417,26 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments as the top-level parser reads them, with the
     config's values as defaults of the command's options.
 
-    A named command's arguments are parsed by that command's parser
-    alone, built on its own (``_alone``).  The top-level parser is built
-    only where its own output is wanted: help, no or an unknown command,
-    a separate --config value that may be an option, and the error
-    naming arguments that the command's parser left over, which it
-    reports under its usage.  So every help, usage and error text is the
-    top-level parser's."""
-    path, command, at, alone = _scan(argv)
-    full = None
-    if command is None or any(value[:1] == "-" for value in alone):
-        full = _build_parser()
-        if any(value == "--" or full._parse_optional(value) is not None
-               for value in alone):
-            path = None  # argparse refuses it as a value: the parse reports it
-        elif command is not None:
-            full = None  # a path after all
-    cfg = {} if path is None else _read_config(path)
-    if full is not None:
-        for sp in full.subcommands.values():
-            _set_config(sp, cfg)
-        return full.parse_args(argv)
-    parser = _PARSERS[command][0](_alone)
-    _set_config(parser, cfg)
-    args, extras = parser.parse_known_args(argv[at + 1:])
-    if extras:
-        _build_parser().error("unrecognized arguments: " + " ".join(extras))
-    args.command, args.config = command, path
+    A first argument that names a command leaves no room for a top-level
+    option, so that command's parser, built on its own (``_alone``),
+    parses the rest; the top-level parser reports what it leaves over,
+    under its usage.  Anything else is parsed by the top-level parser,
+    so argparse handles --config, help and usage errors before the
+    config is read; with a config and a command, the command's parser
+    takes the config's values and the arguments are parsed again."""
+    if argv and argv[0] in _PARSERS:
+        args, extras = _PARSERS[argv[0]][0](_alone).parse_known_args(argv[1:])
+        if extras:
+            _build_parser().error("unrecognized arguments: " + " ".join(extras))
+        args.command, args.config = argv[0], None
+        return args
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        cfg = _read_config(args.config)
+        if args.command is not None:
+            _set_config(parser.subcommands[args.command], cfg)
+            args = parser.parse_args(argv)
     return args
 
 

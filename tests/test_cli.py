@@ -102,12 +102,13 @@ def full_parser_main(argv):
 def test_one_command_parser_prints_what_the_full_parser_does(capsys,
                                                               monkeypatch,
                                                               tmp_path):
-    """``main`` parses a named command with that command's parser
-    alone; help, an unknown command, no command, bad options, arguments
-    the command's parser leaves over, with a config file or without,
-    and a --config value that argparse refuses, or takes for a path (a
-    command's name among them), print the same text on the same stream
-    with the same exit code as the full parser."""
+    """``main`` parses a command line that starts with a command with
+    that command's parser alone; help, an unknown command, no command,
+    bad options, arguments the command's parser leaves over, with a
+    config file or without, a missing config file, and a --config value
+    that argparse refuses, or takes for a path (a command's name among
+    them), print the same text on the same stream with the same exit
+    code as the full parser."""
     monkeypatch.chdir(tmp_path)  # no file named like an option
     (tmp_path / "c.cfg").write_text("b1=1\nt1=2\n")
     every = "{verify,simulate,encode,decode,bounds}"
@@ -123,6 +124,15 @@ def test_one_command_parser_prints_what_the_full_parser_does(capsys,
               "streamfec: error: unrecognized arguments: --bogus"),
              (["--config", "c.cfg", "verify", "-h"], ok, "out",
               "usage: streamfec verify [-h]"),
+             # usage errors and help come before the config is read
+             (["--config", "missing.cfg", "verify", "-h"], ok, "out",
+              "usage: streamfec verify [-h]"),
+             (["--config", "missing.cfg", "verify", "--bogus"], usage, "err",
+              "streamfec: error: unrecognized arguments: --bogus"),
+             (["--config", "missing.cfg", "frobnicate"], usage, "err",
+              "invalid choice: 'frobnicate'"),
+             (["--config"], usage, "err",
+              "argument --config: expected one argument"),
              (["--config", "verify", "verify"], io_error, "err",
               "No such file or directory: 'verify'"),
              (["decode", "--user"], usage, "err",
@@ -429,7 +439,37 @@ def test_config_file_bad_line(tmp_path):
 
 def test_config_without_path_is_usage_error(capsys):
     assert cli.main(["--config"]) == cli.EXIT_USAGE
-    assert "--config needs a path" in capsys.readouterr().err
+    assert "argument --config: expected one argument" \
+        in capsys.readouterr().err
+
+
+def test_command_first_builds_no_top_level_parser(tmp_path, monkeypatch):
+    """A command line that starts with a command is parsed by that
+    command's parser alone: the top-level parser, with every command's
+    subparser, is not built."""
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    src_bin = tmp_path / "source.bin"
+    enc_bin = tmp_path / "stream.bin"
+    src_bin.write_bytes(wire.pack_stream(
+        np.zeros((20, codec.subs_per_slot), dtype=int), codec.field))
+    assert run(["encode", "--descriptor", str(desc), "--in", str(src_bin),
+                "--out", str(enc_bin)])[0] == cli.EXIT_OK
+
+    def no_parser():
+        raise AssertionError("top-level parser built")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    for argv, text in [
+            (["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2"], "PASS"),
+            (["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+              "--bmax-list", "1", "--segments", "3", "--segment-len", "10"],
+             "1,desco,2,0.0,30,0,0"),
+            (["decode", "--descriptor", str(desc), "--in", str(enc_bin),
+              "--out", str(tmp_path / "decoded.bin")], "decoded 20 slots")]:
+        code, out = run(argv)
+        assert code == cli.EXIT_OK and text in out, argv
 
 
 def test_index_error_in_a_command_propagates(monkeypatch):
