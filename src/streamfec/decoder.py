@@ -46,8 +46,8 @@ shape.  One run of the staged logic then decodes all of a shape's
 clusters in that grouping horizon at once, in stream order, each value
 a vector at the field's dtype with one column per cluster (XOR adds,
 ``field.mul`` multiplies; plain ints for a single cluster), and the
-others get the first's times shifted by their start.  The trace keeps only each
-shape's first events and shifts them for every cluster when it is read
+others get the first's times shifted by their start.  The trace keeps
+each shape's events relative to a cluster's first slot, added when read
 (``Trace``).  The shape's window, its rows from ``reach`` slots before
 the first erasure, is the one record of what is known.  It is two flat
 lists: the source values, row by row, and the received parities.  A
@@ -105,16 +105,16 @@ class Trace(Sequence[TraceEvent]):
     """The ``TraceEvent`` of each recovered erased sub-symbol, cluster by
     cluster in stream order, built when read.
 
-    Every cluster of a shape decodes as the shape's first cluster in its
-    grouping horizon (``_HORIZON`` clusters) does, shifted by d, the
-    difference of their first slots: slot and time move by d, a parity's
-    emission slot by expansion * d, and a substitution's -1 stays.  So
-    each grouping horizon is kept as its clusters' first slots (int64),
-    their shape ids (numbered in order of first appearance) and each
-    shape's first-cluster events, as plain tuples of the ``TraceEvent``
-    fields, and the length is counted without building an event.
-    Indexing builds the events up to the index; a trace equals any
-    sequence of the same events in the same order.
+    Every cluster of a shape decodes alike relative to its first slot
+    f: slot and time are f past the shape's, a parity's emission slot
+    expansion * f past it, and a substitution's -1 stays.  So each
+    grouping horizon (``_HORIZON`` clusters) is kept as its clusters'
+    first slots (int64), their shape ids (numbered in order of first
+    appearance) and each shape's events relative to f = 0, as plain
+    tuples of the ``TraceEvent`` fields, and the length is counted
+    without building an event.  Indexing builds the events up to the
+    index; a trace equals any sequence of the same events in the same
+    order.
     """
 
     def __init__(self, horizons: List[Tuple[np.ndarray, np.ndarray,
@@ -135,15 +135,10 @@ class Trace(Sequence[TraceEvent]):
     def __iter__(self) -> Iterator[TraceEvent]:
         n = self._expansion
         for firsts, ids, events in self._horizons:
-            origins = firsts[np.unique(ids, return_index=True)[1]].tolist()
-            for first, k in zip(firsts.tolist(), ids.tolist()):
-                d = first - origins[k]
-                if not d:
-                    yield from map(TraceEvent._make, events[k])
-                    continue
+            for f, k in zip(firsts.tolist(), ids.tolist()):
                 for slot, sub, time, ci, row, pslot in events[k]:
-                    yield TraceEvent(slot + d, sub, time + d, ci, row,
-                                     pslot + n * d if row >= 0 else -1)
+                    yield TraceEvent(slot + f, sub, time + f, ci, row,
+                                     pslot + n * f if row >= 0 else -1)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -367,7 +362,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
 
     def decode_shape(key: bytes, firsts: List[int]) -> List[tuple]:
         """Decode clusters of one shape at once, one column each, in the
-        coordinates of the first; returns the first's trace."""
+        coordinates of the first; returns the trace relative to a
+        cluster's first slot (see ``Trace``)."""
         first = firsts[0]
         base, end = first - reach, first + len(key)
         vector = len(firsts) > 1
@@ -443,7 +439,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                         # is a consistency check
                         v, value, prov, source = queue.popleft()
                         slot, sub = divmod(v, n_subs)
-                        events.append((base + slot, sub, t) + prov)
+                        events.append((slot - reach, sub, t - first) + prov)
                         done.append(v)
                         nows.append(t)
                         values.append(value)
@@ -457,10 +453,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                             if not unknowns:
                                 pp.live -= 1
                                 ready.append(pp)
-                        held = sys_vars.pop(v, None)
-                        if held is None:
-                            continue
-                        for ci, system in held.items():
+                        for ci, system in sys_vars.pop(v).items():
                             if system is source:
                                 continue
                             for v2, val2 in system.add_equation(
@@ -488,18 +481,17 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                         for v in eq:
                             sys_vars.setdefault(v, {})[ci] = system
                         prov = (ci, pp.j,  # emission slot on the own clock
-                                comp.expansion * pp.t + pp.j // comp.codec.b
-                                - comp.shift)
+                                comp.expansion * (pp.t - first)
+                                + pp.j // comp.codec.b - comp.shift)
                         for v2, val2 in system.add_equation(eq, pp.const).items():
                             if src[v2] is None:
                                 src[v2] = val2
                                 unknown -= 1
                                 queue.append((v2, val2, prov, system))
             except InconsistentSystemError as exc:
-                slot = t + firsts[exc.column] - first
                 raise InconsistentSystemError(
-                    f"the parities of stream slot {slot} contradict the "
-                    "earlier ones", exc.column, slot) from exc
+                    f"the parities of stream slot {t} contradict the "
+                    "earlier ones", slot=t) from exc
         if vector:
             # every cluster of the shape: slot and time shift by each
             # cluster's start
@@ -515,28 +507,20 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
 
     horizons = []  # see Trace
     clusters = _clusters(erased, reach)
-    n = _HORIZON
-    while n == _HORIZON:  # a short grouping horizon is the last
+    while chunk := list(islice(clusters, _HORIZON)):
         shapes: Dict[bytes, int] = {}  # shape -> id, in order of appearance
-        firsts = np.empty(_HORIZON, dtype=np.int64)
-        ids = np.empty(_HORIZON, dtype=np.uint16)
-        n = 0
-        for first, key in islice(clusters, _HORIZON):
-            firsts[n], ids[n] = first, shapes.setdefault(key, len(shapes))
-            n += 1
-        firsts, ids = firsts[:n], ids[:n]
-        firsts_events = []  # each shape's, in the coordinates of its first
+        firsts = np.array([first for first, _ in chunk], dtype=np.int64)
+        ids = np.array([shapes.setdefault(key, len(shapes))
+                        for _, key in chunk], dtype=np.uint16)
         try:
-            for k, key in enumerate(shapes):
-                firsts_events.append(
-                    decode_shape(key, firsts[ids == k].tolist()))
+            events = [decode_shape(key, firsts[ids == k].tolist())
+                      for k, key in enumerate(shapes)]
         except InconsistentSystemError:
-            # a run raises at the first column to contradict at its time t,
-            # but an earlier cluster may contradict only at a later t: the
-            # clusters one by one in stream order name the earliest
-            keys = list(shapes)
-            for first, k in zip(firsts.tolist(), ids.tolist()):
-                decode_shape(keys[k], [first])
+            # a run raises at its time t, but an earlier cluster may
+            # contradict only at a later t: the clusters one by one in
+            # stream order name the earliest
+            for first, key in chunk:
+                decode_shape(key, [first])
             raise
-        horizons.append((firsts, ids, firsts_events))
+        horizons.append((firsts, ids, events))
     return recovered, times, Trace(horizons, components[0].expansion)

@@ -42,14 +42,12 @@ CANONICAL_POLY = {
 
 class InconsistentSystemError(RuntimeError):
     """A linear system contradicts itself: a corrupted stream or a codec
-    bug.  ``column`` is the first contradicting column of vector constants
-    (0 for elements); ``slot`` is the stream slot whose parities showed
-    it, when the decoder raises it."""
+    bug.  ``slot`` is the stream slot whose parities showed it, when the
+    decoder raises it."""
 
-    def __init__(self, message: str, column: int = 0,
-                 slot: Optional[int] = None):
+    def __init__(self, message: str, slot: Optional[int] = None):
         super().__init__(message)
-        self.column, self.slot = column, slot
+        self.slot = slot
 
 
 class GF:
@@ -135,7 +133,7 @@ class IncrementalSystem:
     Constants, and so values, are elements or integer vectors with one
     column per system solved at once; ``field.mul`` multiplies either by
     an element and no constant changes in place.  A contradiction in any
-    column raises InconsistentSystemError.
+    column raises InconsistentSystemError, which names no column.
 
     Invariant: rows are fully reduced, so no row holds a solved variable,
     another row's pivot or no term but its pivot.  A row left with no term
@@ -187,9 +185,8 @@ class IncrementalSystem:
                     del row[v2]
             c = c ^ mul(coef, pc)
         if not row:  # 0 = c: c must be 0 in every column
-            bad = c.nonzero()[0] if isinstance(c, np.ndarray) else [0] if c else []
-            if len(bad):
-                raise InconsistentSystemError("contradictory equation", int(bad[0]))
+            if c.any() if isinstance(c, np.ndarray) else c:
+                raise InconsistentSystemError("contradictory equation")
             return {}
         pivot = next(iter(row))
         lead = row.pop(pivot)

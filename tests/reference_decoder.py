@@ -29,7 +29,7 @@ from streamfec.gf import InconsistentSystemError
 class ReferenceSystem:
     """Online Gaussian elimination, as ``IncrementalSystem``: the same
     pivots, rows, ``solved`` and returned dicts, in the same order, and
-    the same ``InconsistentSystemError.column``."""
+    an ``InconsistentSystemError`` at the same equation."""
 
     def __init__(self, field):
         self.field = field
@@ -59,9 +59,8 @@ class ReferenceSystem:
                         row.pop(v2, None)
                 c = c ^ mul(coef, pc)
         if not row:  # 0 = c: c must be 0 in every column
-            bad = c.nonzero()[0] if isinstance(c, np.ndarray) else [0] if c else []
-            if len(bad):
-                raise InconsistentSystemError("contradictory equation", int(bad[0]))
+            if np.any(c):
+                raise InconsistentSystemError("contradictory equation")
             return {}
         pivot = next(iter(row))
         inv = f.inv(row.pop(pivot))

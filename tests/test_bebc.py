@@ -180,6 +180,25 @@ def test_field_too_small_errors():
         make_burst_parity(8, 3, GF(3))  # 8 < 11
 
 
+def test_make_burst_parity_refusals():
+    with pytest.raises(ValueError, match=r"need 1 <= b <= t"):
+        make_burst_parity(2, 3)
+    # (10 - 5) * 5 = 25 bits: 2^25 candidates
+    with pytest.raises(ValueError, match="exhaustive binary search too large"):
+        make_burst_parity(10, 5, GF(1))
+
+
+@pytest.mark.parametrize("rows, t, b, message", [
+    ((), 2, 0, r"need 1 <= b <= t"),
+    ((), 2, 3, r"need 1 <= b <= t"),
+    (((1,),), 3, 1, "H must have t-b rows"),
+    (((1,), (1, 0)), 3, 1, "H must have b columns"),
+])
+def test_parity_matrix_refuses_wrong_shape(rows, t, b, message):
+    with pytest.raises(ValueError, match=message):
+        BurstParityMatrix(rows, t, b, GF2)
+
+
 # ---------------------------------------------------------
 # Verification
 # ---------------------------------------------------------

@@ -262,6 +262,19 @@ def test_simulate_empty_list_is_usage_error(flag, value, capsys):
     assert capsys.readouterr().err == f"error: {flag} is empty\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (SIM + ["--users", "3"], "unknown user 3"),
+    (SIM + ["--segments", "0"], "segments must be >= 1"),
+    (SIM + ["--schemes", "ia", "--b1", "2", "--t1", "5", "--alpha-num", "3",
+             "--alpha-den", "2"],
+     "ia scheme requires an integer alpha"),
+])
+def test_simulate_refusals_are_usage_errors(argv, message, capsys):
+    code, text = run(argv)
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--bmax-list", "1,x"),
                                          ("--users", "x"), ("--users", "1.5")])
 def test_simulate_non_integer_list_is_usage_error(flag, value, capsys):
@@ -428,6 +441,13 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys):
     code, text = config_run(tmp_path, "verify", "b1=abc\nt1=2\nalpha-num=2\n")
     assert code == cli.EXIT_USAGE and text == ""
     assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = "b1=1\nt1=2\nalpha-num=2\n"
+    assert config_run(tmp_path, "verify",
+                      "# verify defaults\n\n   \n  # b2 = 2\n" + cfg) \
+        == config_run(tmp_path, "verify", cfg)
 
 
 def test_config_file_bad_line(tmp_path):
@@ -786,6 +806,9 @@ def test_encode_parity_entry_outside_field_is_usage_error(tmp_path, capsys):
      "descriptor key b1 holds 'x', not an integer"),
     ("b1=2\nt1=5\na=2\nfield=3\nh=6-7,5-zz,1-3\n",
      "descriptor key h holds 'zz', not an integer"),
+    # (2,5,2) has a 3 x 2 parity matrix
+    ("b1=2\nt1=5\na=2\nfield=3\nh=1-2\n", "H must have t-b rows"),
+    ("b1=2\nt1=5\na=2\nfield=3\nh=1,2,3\n", "H must have b columns"),
 ])
 def test_bad_descriptor_is_usage_error(tmp_path, capsys, text, message):
     desc = tmp_path / "codec.txt"

@@ -301,6 +301,14 @@ def test_descriptor_with_explicit_field():
     assert clone.field.degree == 4
 
 
+def test_descriptor_skips_comment_and_blank_lines():
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
+    clone = parse_descriptor("# DE-SCo (2,5,2)\n\n" + descriptor(codec)
+                             + "  # end\n")
+    assert clone.params == codec.params
+    assert clone.components[0].codec.h == codec.components[0].codec.h
+
+
 def test_parse_descriptor_errors():
     with pytest.raises(ValueError):
         parse_descriptor("b1=1\nt1=2\n")  # missing keys

@@ -186,28 +186,74 @@ def assert_same_decode(got, want):
     assert got[2] == want[2]
 
 
-@pytest.mark.parametrize("name", ["desco", "desco-rational"])
-def test_shape_grouped_decode_across_grouping_horizons(name):
+HORIZON = decoder._HORIZON
+
+
+@pytest.mark.parametrize("name, n_clusters", [
+    pytest.param("desco", 2 * HORIZON + 193, id="desco"),
+    pytest.param("desco-rational", 2 * HORIZON + 193, id="desco-rational"),
+    pytest.param("desco", 2 * HORIZON, id="desco-two-full-horizons"),
+    pytest.param("desco-rational", 2 * HORIZON,
+                 id="desco-rational-two-full-horizons"),
+    pytest.param("desco", 0, id="desco-no-erasure"),
+    pytest.param("desco-rational", 0, id="desco-rational-no-erasure"),
+])
+def test_shape_grouped_decode_across_grouping_horizons(name, n_clusters):
     """One shape repeats more than a grouping horizon holds, interleaved
     with a second, so both take one run per grouping horizon, on each
     side of two horizon boundaries; a third shape, the last cluster, is
-    clipped at the stream's end.  The decode equals the per-cluster
-    reference's, the trace's length and order included."""
+    clipped at the stream's end.  The stream holds 2 * _HORIZON + 193
+    clusters, exactly 2 * _HORIZON (the last grouping horizon is full)
+    or none.  The decode equals the per-cluster reference's, the trace's
+    length and order included."""
     codec = CODECS[name]
     reach = codec.reach_slots
     period = 2 * reach + 4  # > reach clean slots after each cluster
-    n_clusters = 2 * decoder._HORIZON + 192
-    erased = np.zeros(n_clusters * period + 1, dtype=bool)
-    for i in range(n_clusters):
+    erased = np.zeros(max(n_clusters - 1, 1) * period + 1, dtype=bool)
+    for i in range(n_clusters - 1):
         # every 5th cluster is a 2-slot burst, the others 1 slot
         erased[i * period:i * period + 1 + (i % 5 == 2)] = True
-    erased[-2:] = True
+    if n_clusters:
+        erased[-2:] = True
+    assert len(list(decoder._clusters(erased, reach))) == n_clusters
     rng = np.random.default_rng(11)
     source = rng.integers(0, codec.field.order,
                           (len(erased), codec.subs_per_slot))
     args = (codec.components, codec.field, codec.subs_per_slot,
             codec.parities_per_slot, codec.encode_stream(source), erased)
     assert_same_decode(staged_decode(*args), reference_decode(*args))
+
+
+def test_trace_indexes_as_its_list(monkeypatch):
+    """A trace read by index, negative ones included, or by slice gives
+    what the list of its events gives; an index past the end raises
+    IndexError, and a trace is unequal to what is not a sequence.  The
+    decode spans two grouping horizons, shrunk to 4 clusters so that
+    reading every index, each of which builds the events before it,
+    stays quick; shapes repeat within each."""
+    monkeypatch.setattr(decoder, "_HORIZON", 4)
+    codec = CODECS["desco-rational"]
+    period = 2 * codec.reach_slots + 4
+    erased = np.zeros(7 * period, dtype=bool)
+    for i in range(7):
+        erased[i * period:i * period + 1 + (i % 3 == 1)] = True
+    rng = np.random.default_rng(5)
+    source = rng.integers(0, codec.field.order,
+                          (len(erased), codec.subs_per_slot))
+    args = (codec.components, codec.field, codec.subs_per_slot,
+            codec.parities_per_slot, codec.encode_stream(source), erased)
+    trace = staged_decode(*args)[2]
+    events = list(trace)
+    assert events == reference_decode(*args)[2]
+    assert len(events) > 40
+    for i in range(-len(events), len(events)):
+        assert trace[i] == events[i], i
+    for part in (slice(None), slice(3, -5), slice(-9, None),
+                 slice(None, None, -2)):
+        assert trace[part] == events[part], part
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    assert (trace == 5) is False
 
 
 def test_contradiction_names_the_earliest_cluster():

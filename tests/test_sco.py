@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from streamfec.bebc import make_burst_parity
 from streamfec.channel import apply, single_burst
 from streamfec.desco import sco_build
 from streamfec.gf import GF
@@ -34,6 +35,17 @@ def test_capacity_values():
     assert capacity(2, 3) == Fraction(3, 5)
     assert capacity(1, 2) == Fraction(2, 3)
     assert capacity(3, 2) == 0
+
+
+def test_capacity_refuses_negative_parameters():
+    with pytest.raises(ValueError, match="b and t must be non-negative"):
+        capacity(-1, 2)
+
+
+def test_codec_refuses_a_parity_matrix_of_other_parameters():
+    h = make_burst_parity(3, 1)
+    with pytest.raises(ValueError, match="parity matrix does not match params"):
+        ScoCodec(ScoParams(1, 2), h)
 
 
 def test_rate_is_b_over_t_plus_b():

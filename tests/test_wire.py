@@ -48,5 +48,10 @@ def test_unpack_bad_element_names_offset():
         unpack_stream(b"\x00\x09", g, 2)
 
 
+def test_unpack_refuses_a_width_below_one():
+    with pytest.raises(ValueError, match="symbol_width must be positive"):
+        unpack_stream(b"", GF(8), 0)
+
+
 def test_unpack_empty():
     assert unpack_stream(b"", GF(8), 3).shape == (0, 3)
