@@ -13,15 +13,18 @@ In the segmented model each segment's burst comes from its own generator,
 definition of a segment's burst.  ``burst_length_counts`` and
 ``segmented_bursts`` evaluate that definition in batch: a numpy kernel
 computes the first 64-bit output of many segments' generators at once
-(seeding, one PCG64 step, numpy's bounded draw), so the counts, the
-bursts and the loss curve built from them equal one
-``draw_segment_burst`` call per segment and b_max.  The rare draw that
-numpy would reject and redraw, and any range above 2**32, is made by
-``draw_segment_burst`` itself.  Seeds must be >= 0.
+(SeedSequence hashing on uint32 words, the PCG64 steps on uint64), and
+numpy's bounded draw turns it into a length and a start, so the counts,
+the bursts and the loss curve built from them equal one
+``draw_segment_burst`` call per segment and b_max.  The counts take
+every b_max's lengths from one histogram of the words.  The rare draw
+that numpy would reject and redraw, and any range above 2**32, is made
+by ``draw_segment_burst`` itself.  Seeds must be >= 0.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, Iterable, List, Tuple
 
@@ -131,36 +134,43 @@ def draw_segment_burst(seed: int, segment: int, segment_len: int,
 
 
 # The kernel below evaluates ``draw_segment_burst`` for a chunk of
-# segments at once, in uint64 array arithmetic that follows numpy's
-# SeedSequence (numpy/random/bit_generator.pyx), PCG64 (pcg64.h) and
-# bounded integers (distributions.c).  Every constant is an np.uint64, so
-# promotion is the same under legacy rules and under NEP 50.
+# segments at once, in array arithmetic that follows numpy's SeedSequence
+# (numpy/random/bit_generator.pyx), PCG64 (pcg64.h) and bounded integers
+# (distributions.c).  SeedSequence hashes 32-bit words, so it runs on
+# uint32 arrays, whose products and differences wrap mod 2**32 as its
+# own do; only PCG64's 128-bit state is assembled in uint64.  Every
+# constant is a typed np.uint32 or np.uint64, so promotion is the same
+# under legacy rules and under NEP 50.
 _CHUNK = 4096  # segments per pass; a power of two, so no chunk crosses 2**32
 _U = np.uint64
+_W = np.uint32
 _LOW32 = _U(0xFFFFFFFF)
 _TWO32 = _U(1 << 32)
 _CLAMP = 1 << 33  # a range above 2**32 is clamped here: still never accepted
+_BINS = 4096  # bins of a shared length histogram, as many as a chunk's words
 _HASH_A = (0x43B0D7E5, 0x931E8875)  # SeedSequence INIT_A, MULT_A
 _HASH_B = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
-_MIX_L, _MIX_R = _U(0xCA01F9DD), _U(0x4973F715)
+_MIX_L, _MIX_R = _W(0xCA01F9DD), _W(0x4973F715)
+_SIXTEEN = _W(16)
 _POOL_SIZE = 4
 _PCG_HI, _PCG_LO = _U(0x2360ED051FC65DA4), _U(0x4385DF649FCCF645)
 
 
 def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hashmix; each call advances the shared hash constant."""
+    """SeedSequence's hashmix on uint32 words; each call advances the
+    shared hash constant."""
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ _U(hash_const)
+        value = value ^ _W(hash_const)
         hash_const = hash_const * mult & 0xFFFFFFFF
-        value = value * _U(hash_const) & _LOW32
-        return value ^ (value >> _U(16))
+        value *= _W(hash_const)
+        return value ^ (value >> _SIXTEEN)
     return hashmix
 
 
 def _mix(x, y):
-    r = (x * _MIX_L - y * _MIX_R) & _LOW32
-    return r ^ (r >> _U(16))
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _SIXTEEN)
 
 
 def _words(value: int) -> List[int]:
@@ -192,12 +202,15 @@ def _first_outputs(seed: int, lo: int, hi: int) -> np.ndarray:
     The segments must share their count of 32-bit words.
     """
     segs = np.arange(lo, hi, dtype=_U)
-    words = [np.full(len(segs), w, dtype=_U) for w in _words(seed)]
-    words += [segs >> _U(s) & _LOW32
+    # the seed's words, and the pool's zero padding, are the same for
+    # every segment: one-element arrays, hashed once and broadcast where
+    # they meet a segment's words
+    words = [np.full(1, w, dtype=_W) for w in _words(seed)]
+    words += [(segs >> _U(s)).astype(_W)  # the cast keeps the low word
               for s in range(0, 32 * len(_words(lo)), 32)]
     # SeedSequence: mix the entropy words into the pool
     hashmix = _hasher(*_HASH_A)
-    zero = np.zeros(len(segs), dtype=_U)
+    zero = np.zeros(1, dtype=_W)
     pool = [hashmix(words[i] if i < len(words) else zero)
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
@@ -207,11 +220,13 @@ def _first_outputs(seed: int, lo: int, hi: int) -> np.ndarray:
     for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64), cycling the pool
+    # generate_state(4, uint64), cycling the pool: word 2k is the low
+    # half of uint64 k, word 2k + 1 its high half
     hashmix = _hasher(*_HASH_B)
-    state = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << _U(32)
-                                        for i in range(0, 8, 2))
+    state = np.empty((4, len(segs), 2), dtype="<u4")
+    for i in range(8):
+        state[i // 2, :, i % 2] = hashmix(pool[i % _POOL_SIZE])
+    seed_hi, seed_lo, seq_hi, seq_lo = state.view("<u8")[..., 0]
     # PCG64 srandom: inc = 2 * seq + 1; state = inc + seed, then one step
     inc_hi = seq_hi << _U(1) | seq_lo >> _U(63)
     inc_lo = seq_lo << _U(1) | _U(1)
@@ -245,6 +260,30 @@ def _segment_outputs(seed: int, segments: int):
         yield lo, _first_outputs(seed, lo, min(lo + _CHUNK, segments))
 
 
+def _histogram_groups(b_max_list: Iterable[int]
+                      ) -> List[Tuple[int, List[int]]]:
+    """The b_max values grouped under common multiples of their ranges
+    n = b_max + 1: (bins, b_max values), bins a multiple of each range,
+    at most ``_BINS`` unless one range is larger alone."""
+    groups: List[Tuple[int, List[int]]] = []
+    for b_max in sorted(b_max_list, reverse=True):
+        for k, (bins, group) in enumerate(groups):
+            if math.lcm(bins, b_max + 1) <= _BINS:
+                groups[k] = (math.lcm(bins, b_max + 1), group + [b_max])
+                break
+        else:
+            groups.append((b_max + 1, [b_max]))
+    return groups
+
+
+def _bin_firsts(products: np.ndarray, bins: int) -> np.ndarray:
+    """Indices of the words w whose ``products`` w * bins have a low half
+    below bins: the first word of each of the bins equal slices of
+    [0, 2**32).  Every word that numpy rejects for a range n dividing
+    bins is one: the low half of w * n is below 2**32 % n < n."""
+    return np.flatnonzero((products & _LOW32) < _U(bins))
+
+
 def burst_length_counts(seed: int, segments: int,
                         b_max_list: Iterable[int]) -> Dict[int, List[int]]:
     """Per distinct b_max, how many of the segments draw each burst length.
@@ -252,24 +291,47 @@ def burst_length_counts(seed: int, segments: int,
     ``counts[b_max][length]`` is the number of segments ``seg`` in
     ``range(segments)`` whose ``draw_segment_burst(seed, seg, _, b_max)``
     has that length.  The lengths are evaluated in batch: the length is
-    the first draw of the segment's generator, taken from the low half of
-    its first output, which the kernel computes once per segment for
-    every b_max; a draw numpy would reject and redraw is made by
-    ``draw_segment_burst`` itself.  A repeated b_max is counted once.
-    Raises ValueError on a negative b_max or seed.
+    the first draw of the segment's generator, numpy's bounded draw from
+    the low half of its first output, which the kernel computes once per
+    segment.  That draw maps the word's slice of [0, 2**32), one of
+    b_max + 1 equal slices, to its length, so one histogram of each
+    chunk's words over a common multiple of the ranges counts the
+    lengths of every b_max whose range divides it
+    (``_histogram_groups``).  The first word of a bin (``_bin_firsts``),
+    rarely met, is drawn by ``_bounded`` on its own, since only such a
+    word can be one that numpy rejects and redraws;
+    ``draw_segment_burst`` itself makes that redraw, and every draw of a
+    range above 2**32.  A repeated b_max is counted once.  Raises
+    ValueError on a negative b_max or seed.
     """
     distinct = sorted(set(b_max_list))
     if distinct and distinct[0] < 0:
         raise ValueError(f"b_max must be >= 0, got {distinct[0]}")
     counts = {b_max: np.zeros(b_max + 1, dtype=np.int64) for b_max in distinct}
+    groups = _histogram_groups(distinct)
     for lo, out in _segment_outputs(seed, segments):
-        for b_max in distinct:
-            lengths, ok = _bounded(out & _LOW32, _U(min(b_max, _CLAMP) + 1))
-            for i in np.flatnonzero(~ok):
-                # any segment_len >= b_max: the start does not move the length
-                lengths[i] = draw_segment_burst(seed, lo + i, b_max, b_max)[1]
-            counts[b_max] += np.bincount(lengths.astype(np.int64),
-                                         minlength=b_max + 1)
+        low = out & _LOW32
+        for bins, group in groups:
+            firsts = np.arange(len(low))  # numpy's 64-bit draw: all redrawn
+            if bins <= 1 << 32:
+                products = low * _U(bins)
+                at = (products >> _U(32)).view(np.int64)  # each word's bin
+                firsts = _bin_firsts(products, bins)
+                hist = np.bincount(at, minlength=bins)
+                hist -= np.bincount(at[firsts], minlength=bins)
+                for b_max in group:
+                    counts[b_max] += hist.reshape(b_max + 1, -1).sum(axis=1)
+            for b_max in group if len(firsts) else ():
+                values, ok = _bounded(low[firsts],
+                                      _U(min(b_max, _CLAMP) + 1))
+                for i, length, accepted in zip(firsts.tolist(),
+                                               values.tolist(), ok.tolist()):
+                    if not accepted:
+                        # any segment_len >= b_max: the start does not
+                        # move the length
+                        length = draw_segment_burst(seed, lo + i, b_max,
+                                                    b_max)[1]
+                    counts[b_max][length] += 1
     return {b_max: c.tolist() for b_max, c in counts.items()}
 
 

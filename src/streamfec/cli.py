@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import channel, oracle, wire
-from .desco import (CombinedCodec, DeScoCodec, DeScoParams, burst_loss_count,
+from .desco import (CombinedCodec, DeScoCodec, DeScoParams, burst_loss_counts,
                     ia_sco_build, optimal_delay, parse_descriptor,
                     rate_upper_bound, sweep_max_delay)
 from .gf import InconsistentSystemError
@@ -161,8 +161,9 @@ def _simulate_parser(make) -> argparse.ArgumentParser:
 def simulate_records(args) -> List[Dict[str, object]]:
     """Loss records per (b_max, scheme, user) over seeded segment bursts.
 
-    Losses per segment are ``burst_loss_count`` of one isolated burst of
-    the drawn length, every user's from one decode per (scheme, length);
+    Losses per segment are those of one isolated burst of the drawn
+    length: ``burst_loss_counts`` gives every length that some segment
+    drew, for every user, from one decode per scheme.
     ``channel.burst_length_counts`` gives the lengths for every b_max,
     evaluated in batch and equal to one ``channel.draw_segment_burst``
     per segment and b_max.  Rows follow ``--bmax-list`` in its order, a
@@ -203,31 +204,30 @@ def simulate_records(args) -> List[Dict[str, object]]:
         if params.b != 1:
             raise UsageError("ia scheme requires an integer alpha")
         codecs["ia"] = ia_sco_build(params.b1, params.t1, params.a)
-    loss_cache: Dict[tuple, Sequence[int]] = {}  # user u's at entry u - 1
-
-    def losses_for(scheme: str, length: int) -> Sequence[int]:
-        key = (scheme, length)
-        if key not in loss_cache:
-            if scheme == "rlc":
-                loss_cache[key] = [
-                    oracle.rlc_burst_losses(params.rate, length, d)
-                    for d in (params.t1, params.user2_deadline)]
-            else:
-                loss_cache[key] = burst_loss_count(codecs[scheme], length)
-        return loss_cache[key]
-
     # burst lengths per segment are scheme-independent for fairness
     length_counts = channel.burst_length_counts(args.seed, args.segments,
                                                 bmax_list)
+    # the lengths some segment drew; a zero-length burst loses nothing
+    drawn = sorted({length for counts in length_counts.values()
+                    for length, count in enumerate(counts)
+                    if length and count})
+    # user u's losses at entry u - 1, per scheme and length
+    losses: Dict[str, Dict[int, Sequence[int]]] = {
+        scheme: burst_loss_counts(codec, drawn)
+        for scheme, codec in codecs.items()}
+    if "rlc" in schemes:
+        losses["rlc"] = {
+            length: [oracle.rlc_burst_losses(params.rate, length, d)
+                     for d in (params.t1, params.user2_deadline)]
+            for length in drawn}
     records: List[Dict[str, object]] = []
     for b_max in bmax_list:
         counts = length_counts[b_max]
         total = args.segments * args.segment_len
         for scheme in schemes:
             for user in users:
-                # a zero-length burst loses nothing
-                lost = sum(counts[length] * losses_for(scheme, length)[user - 1]
-                           for length in range(1, b_max + 1))
+                lost = sum(counts[length] * losses[scheme][length][user - 1]
+                           for length in drawn if length <= b_max)
                 records.append({
                     "b_max": b_max, "scheme": scheme, "user": user,
                     "loss_probability": lost / total,

@@ -34,8 +34,10 @@ received stream decodes alike wherever it starts: the templates are the
 same at every slot, and a term before slot 0 is a known zero just as a
 received slot's sub-symbol is known, so a burst at any start s >= 0 has
 the recovery times of the same burst at start 0, shifted by s.
-``desco``'s ``sweep_max_delay`` and ``burst_loss_count`` decode the
-burst at start 0 in place of every start, once for every user.
+``desco``'s ``sweep_max_delay`` decodes the burst at start 0 in place
+of every start, once for every user, and ``burst_loss_counts`` decodes
+bursts of many lengths on one stream, each far enough past the one
+before it to decode alone.
 
 So does a cluster, whose shape is its erasure mask up to ``reach``
 slots past its last erasure, clipped at the horizon.  What is known,
@@ -68,6 +70,7 @@ one in-place XOR, and the stream it returns is packed without a cast.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,10 +114,11 @@ class Trace(Sequence[TraceEvent]):
     grouping horizon (``_HORIZON`` clusters) is kept as its clusters'
     first slots (int64), their shape ids (numbered in order of first
     appearance) and each shape's events relative to f = 0, as plain
-    tuples of the ``TraceEvent`` fields, and the length is counted
-    without building an event.  Indexing builds the events up to the
-    index; a trace equals any sequence of the same events in the same
-    order.
+    tuples of the ``TraceEvent`` fields.  The length is counted, and an
+    index found, from each horizon's running count of events at the end
+    of each cluster, without building an event: indexing builds the one
+    event it returns.  A trace equals any sequence of the same events in
+    the same order.
     """
 
     def __init__(self, horizons: List[Tuple[np.ndarray, np.ndarray,
@@ -124,28 +128,44 @@ class Trace(Sequence[TraceEvent]):
         self._expansion = expansion
 
     @cached_property
-    def _len(self) -> int:
-        return sum(
-            int(np.array([len(ev) for ev in events], dtype=np.int64)[ids].sum())
-            for _, ids, events in self._horizons)
+    def _ends(self) -> List[np.ndarray]:
+        """Per grouping horizon, the trace's event count at the end of
+        each of its clusters."""
+        ends, total = [], 0
+        for _, ids, events in self._horizons:
+            sizes = np.array([len(ev) for ev in events], dtype=np.int64)
+            ends.append(np.cumsum(sizes[ids]) + total)
+            total = int(ends[-1][-1])
+        return ends
 
     def __len__(self) -> int:
-        return self._len
+        return int(self._ends[-1][-1]) if self._ends else 0
+
+    def _event(self, fields: tuple, first: int) -> TraceEvent:
+        slot, sub, time, ci, row, pslot = fields
+        return TraceEvent(slot + first, sub, time + first, ci, row,
+                          pslot + self._expansion * first if row >= 0 else -1)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        n = self._expansion
         for firsts, ids, events in self._horizons:
             for f, k in zip(firsts.tolist(), ids.tolist()):
-                for slot, sub, time, ci, row, pslot in events[k]:
-                    yield TraceEvent(slot + f, sub, time + f, ci, row,
-                                     pslot + n * f if row >= 0 else -1)
+                for fields in events[k]:
+                    yield self._event(fields, f)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
-        if not -self._len <= index < self._len:
+        n = len(self)
+        if not -n <= index < n:
             raise IndexError("trace index out of range")
-        return next(islice(self, index % self._len, None))
+        index %= n
+        h = bisect_right(self._ends, index, key=lambda ends: ends[-1])
+        firsts, ids, events = self._horizons[h]
+        ends = self._ends[h]
+        k = int(np.searchsorted(ends, index, side="right"))  # the cluster
+        fields = events[ids[k]]
+        return self._event(fields[index - int(ends[k]) + len(fields)],
+                           int(firsts[k]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):

@@ -25,9 +25,11 @@ every n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -248,15 +250,67 @@ def burst_decode_log(codec: CombinedCodec, start: int, length: int,
     return codec.decode(zeros, single_burst(start, length, horizon))[1]
 
 
+# most stream slots of one decode of ``burst_loss_counts``, so that its
+# memory does not grow with the number of lengths asked for; a burst
+# that does not fit with another is decoded alone
+_BATCH_SLOTS = 4096
+
+
+def _batches(lengths: Sequence[int], gap: int) -> Iterator[List[int]]:
+    """The lengths in order, as runs of bursts that, each followed by
+    ``gap`` slots, fit in ``_BATCH_SLOTS``."""
+    batch: List[int] = []
+    slots = 0
+    for length in lengths:
+        if batch and slots + length + gap > _BATCH_SLOTS:
+            yield batch
+            batch, slots = [], 0
+        batch.append(length)
+        slots += length + gap
+    if batch:
+        yield batch
+
+
+def burst_loss_counts(codec: CombinedCodec,
+                      lengths: Iterable[int]) -> Dict[int, Tuple[int, ...]]:
+    """Deadline misses of one isolated burst of each length, user u's at
+    entry u - 1.
+
+    The bursts are laid out on one all-zero stream, each followed by
+    max(``reach_slots``, latest deadline + 2) received slots, and the
+    stream is decoded once for every user.  A burst that many slots
+    after the one before it starts a cluster of its own, with received
+    slots all through its window, so it decodes as it does alone (see
+    the ``decoder`` module); its misses fall due before the next burst,
+    and a slot recovered after its deadline is a miss whether it is
+    recovered later or never.  So each burst's misses, as
+    ``StreamLog.misses`` lists them, are those of the burst alone.  The
+    stream is cut into decodes of at most ``_BATCH_SLOTS`` slots.
+    """
+    gap = max(codec.reach_slots, max(codec.deadlines) + 2)
+    losses: Dict[int, Tuple[int, ...]] = {}
+    for batch in _batches(sorted(set(lengths)), gap):
+        # burst k erases [starts[k], starts[k] + batch[k]); the last
+        # entry is the horizon
+        starts = list(accumulate([length + gap for length in batch],
+                                 initial=0))
+        erased = np.zeros(starts[-1], dtype=bool)
+        for start, length in zip(starts, batch):
+            erased[start:start + length] = True
+        zeros = np.zeros((starts[-1], codec.symbol_width), dtype=np.int64)
+        log = codec.decode(zeros, erased)[1]
+        misses = [[0] * len(codec.deadlines) for _ in batch]
+        for user, deadline in enumerate(codec.deadlines):
+            for slot in log.misses(deadline):
+                misses[bisect_right(starts, slot) - 1][user] += 1
+        losses.update(zip(batch, map(tuple, misses)))
+    return losses
+
+
 def burst_loss_count(codec: CombinedCodec, length: int) -> Tuple[int, ...]:
     """Deadline misses of one isolated burst of the given length, user u's
-    at entry u - 1, all from one decode.
-
-    The burst starts at slot 0; a burst decodes alike at every start (see
-    the ``decoder`` module), so it stands for any other start.
-    """
-    log = burst_decode_log(codec, 0, length)
-    return tuple(len(log.misses(d)) for d in codec.deadlines)
+    at entry u - 1: ``burst_loss_counts`` of that one length."""
+    return burst_loss_counts(codec, [length])[length]
 
 
 def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,

@@ -223,16 +223,56 @@ def test_apply_masks_erased_slots():
         apply(p, symbols[:2])
 
 
-@pytest.mark.parametrize("seed", [0, 7, 1009])
+def drawn_counts(seed, segments, b_max):
+    """Burst length counts from one draw_segment_burst per segment."""
+    expect = [0] * (b_max + 1)
+    for seg in range(segments):
+        expect[draw_segment_burst(seed, seg, b_max + 1, b_max)[1]] += 1
+    return expect
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1009, 2**32 + 5])
 def test_burst_length_counts_match_draws(seed):
-    segments = 300
+    # across a chunk boundary; 2**32 + 5 is a two-word seed
+    segments = channel._CHUNK + 50
     counts = burst_length_counts(seed, segments, range(9))
     assert sorted(counts) == list(range(9))
     for b_max in range(9):
-        expect = [0] * (b_max + 1)
-        for seg in range(segments):
-            expect[draw_segment_burst(seed, seg, 20, b_max)[1]] += 1
-        assert counts[b_max] == expect, b_max
+        assert counts[b_max] == drawn_counts(seed, segments, b_max), b_max
+
+
+def test_burst_length_counts_share_histograms_up_to_a_bound():
+    """Ranges whose common multiple passes _BINS take histograms of their
+    own, and a range above _BINS one alone; the counts still equal the
+    draws."""
+    b_max_list = [0, 4, 10, 11, 12, channel._BINS + 7]
+    groups = channel._histogram_groups(b_max_list)
+    assert sorted(b for _, group in groups for b in group) == b_max_list
+    assert len(groups) > 2
+    for bins, group in groups:
+        assert all(bins % (b_max + 1) == 0 for b_max in group)
+        assert bins <= channel._BINS or len(group) == 1
+    counts = burst_length_counts(7, 300, b_max_list)
+    for b_max in b_max_list:
+        assert counts[b_max] == drawn_counts(7, 300, b_max), b_max
+
+
+def test_rejected_words_are_bin_firsts():
+    """Every first word that numpy rejects for a range n dividing bins,
+    those with w * n mod 2**32 below 2**32 % n, is one of _bin_firsts,
+    and the words after it are not."""
+    bins = 2520  # the common multiple of the ranges 1..9
+    rejected = [((length << 32) + low) // n for n in range(1, 10)
+                for length in range(n) for low in range((1 << 32) % n)
+                if ((length << 32) + low) % n == 0]
+    assert len(rejected) > 5
+    words = np.array(rejected + [w + 1 for w in rejected], dtype=np.uint64)
+    firsts = channel._bin_firsts(words * np.uint64(bins), bins)
+    assert firsts.tolist() == list(range(len(rejected)))
+    for w in rejected:
+        n = next(n for n in range(1, 10) if w * n % 2**32 < 2**32 % n)
+        _, ok = channel._bounded(np.array([w], dtype=np.uint64), np.uint64(n))
+        assert not ok[0], (w, n)
 
 
 def test_burst_length_counts_repeats_and_validation():
@@ -286,7 +326,12 @@ def test_kernel_bounded_draw_and_forced_rejection():
 
 
 def test_kernel_rejected_lengths_are_drawn_by_the_definition(monkeypatch):
+    """Every word drawn on its own, and every third of those rejected
+    with a wrong value: the counts and the bursts still equal the draws,
+    so a rejected word is drawn again by the definition, not counted."""
     bounded = channel._bounded
+    redrawn = []
+    draw = channel.draw_segment_burst
 
     def reject_every_third(word, high):
         values, ok = bounded(word, high)
@@ -294,9 +339,17 @@ def test_kernel_rejected_lengths_are_drawn_by_the_definition(monkeypatch):
         values[::3] = 0
         return values, ok
 
+    def counting_draw(*args):
+        redrawn.append(args)
+        return draw(*args)
+
     expect = burst_length_counts(7, 300, range(9))
     monkeypatch.setattr(channel, "_bounded", reject_every_third)
+    monkeypatch.setattr(channel, "_bin_firsts",
+                        lambda products, bins: np.arange(len(products)))
+    monkeypatch.setattr(channel, "draw_segment_burst", counting_draw)
     assert burst_length_counts(7, 300, range(9)) == expect
+    assert len(redrawn) == 9 * 100
     assert runs_of(segmented_bursts(20, 8, 300, 7)) == drawn_runs(7, 300, 20, 8)
 
 

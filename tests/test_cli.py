@@ -302,8 +302,9 @@ def test_simulate_loss_curve_matches_bench_golden():
 
 
 def test_simulate_decodes_each_burst_length_once(monkeypatch):
-    """One decode per (scheme, length) serves both users: desco and ia at
-    lengths 1..8 are 16 decodes (one per user made it 32)."""
+    """One decode per scheme serves every burst length and both users:
+    desco and ia are 2 decodes (one per length made it 16, one per
+    length and user 32)."""
     calls = []
     staged_decode = desco.staged_decode
 
@@ -314,7 +315,7 @@ def test_simulate_decodes_each_burst_length_once(monkeypatch):
     monkeypatch.setattr(desco, "staged_decode", counting)
     code, _ = run(LOSS_CURVE)
     assert code == cli.EXIT_OK
-    assert len(calls) == 16
+    assert len(calls) == 2
 
 
 def test_simulate_builds_no_seed_sequence(monkeypatch):

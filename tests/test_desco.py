@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from streamfec import desco
 from streamfec.channel import apply, single_burst
 from streamfec.decoder import Component
 from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
-                             burst_decode_log, burst_loss_count, descriptor,
+                             burst_decode_log, burst_loss_count,
+                             burst_loss_counts, descriptor,
                              ia_sco_build, optimal_delay, parse_descriptor,
                              rate_upper_bound, sco_build, sweep_max_delay)
 from streamfec.gf import GF
@@ -245,6 +247,39 @@ def test_burst_loss_count_profile_12_alpha2():
     got = [burst_loss_count(codec, length) for length in range(6)]
     assert [u2 for _, u2 in got] == [0, 0, 0, 3, 4, 5]
     assert [u1 for u1, _ in got[:4]] == [0, 0, 2, 3]
+
+
+@pytest.mark.parametrize("codec, b2", [
+    pytest.param(DeScoCodec(DeScoParams(1, 2, 2)), 2, id="desco-1-2-2"),
+    pytest.param(DeScoCodec(DeScoParams(2, 5, 2)), 4, id="desco-2-5-2"),
+    pytest.param(DeScoCodec(DeScoParams(3, 8, 3)), 9, id="desco-3-8-3"),
+    pytest.param(DeScoCodec(DeScoParams(2, 3, 3, 2)), 3, id="desco-2-3-3/2"),
+    pytest.param(ia_sco_build(1, 2, 2), 2, id="ia-1-2-2"),
+])
+def test_batched_burst_losses_equal_one_decode_per_length(codec, b2,
+                                                          monkeypatch):
+    """``burst_loss_counts`` gives each length the misses, per user, of
+    one ``burst_decode_log`` decode of that burst alone; so it does with
+    a slot budget that closes a batch before the bursts run out."""
+    lengths = range(1, 2 * b2 + 3)
+    expect = {length: tuple(len(burst_decode_log(codec, 0, length).misses(d))
+                            for d in codec.deadlines)
+              for length in lengths}
+    assert burst_loss_counts(codec, lengths) == expect
+
+    horizons = []
+    staged_decode = desco.staged_decode
+
+    def recording(*args):
+        horizons.append(len(args[4]))
+        return staged_decode(*args)
+
+    gap = max(codec.reach_slots, max(codec.deadlines) + 2)
+    budget = sum(length + gap for length in lengths) // 2
+    monkeypatch.setattr(desco, "_BATCH_SLOTS", budget)
+    monkeypatch.setattr(desco, "staged_decode", recording)
+    assert burst_loss_counts(codec, reversed(lengths)) == expect
+    assert len(horizons) >= 2 and max(horizons) <= budget, horizons
 
 
 # ---------------------------------------------------------

@@ -228,9 +228,8 @@ def test_trace_indexes_as_its_list(monkeypatch):
     """A trace read by index, negative ones included, or by slice gives
     what the list of its events gives; an index past the end raises
     IndexError, and a trace is unequal to what is not a sequence.  The
-    decode spans two grouping horizons, shrunk to 4 clusters so that
-    reading every index, each of which builds the events before it,
-    stays quick; shapes repeat within each."""
+    decode spans two grouping horizons, shrunk to 4 clusters; shapes
+    repeat within each."""
     monkeypatch.setattr(decoder, "_HORIZON", 4)
     codec = CODECS["desco-rational"]
     period = 2 * codec.reach_slots + 4
@@ -254,6 +253,39 @@ def test_trace_indexes_as_its_list(monkeypatch):
     with pytest.raises(IndexError):
         trace[len(trace)]
     assert (trace == 5) is False
+
+
+def test_trace_index_builds_one_event(monkeypatch):
+    """Reading every index of a trace builds each event about once: an
+    index finds its grouping horizon and cluster from counts of events,
+    not by building the events before it.  The decode spans 33 grouping
+    horizons, shrunk to 4 clusters, with clusters of two shapes and one
+    at the stream's end."""
+    monkeypatch.setattr(decoder, "_HORIZON", 4)
+    codec = CODECS["desco"]
+    period = 2 * codec.reach_slots + 4
+    erased = np.zeros(130 * period, dtype=bool)
+    for i in range(130):
+        erased[i * period:i * period + 1 + (i % 3 == 1)] = True
+    erased[-1] = True
+    args = (codec.components, codec.field, codec.subs_per_slot,
+            codec.parities_per_slot,
+            np.zeros((len(erased), codec.symbol_width), dtype=np.int64),
+            erased)
+    trace = staged_decode(*args)[2]
+    events = list(trace)
+    assert len(events) >= 300
+
+    built = []
+
+    class CountingEvent(decoder.TraceEvent):
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(decoder, "TraceEvent", CountingEvent)
+    assert [trace[i] for i in range(len(trace))] == events
+    assert len(built) <= 2 * len(events)
 
 
 def test_contradiction_names_the_earliest_cluster():
