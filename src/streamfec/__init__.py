@@ -12,7 +12,7 @@ from .channel import apply, parse_pattern, segmented_bursts, single_burst
 from .decoder import Component, StreamLog, TraceEvent, staged_decode
 from .desco import (CombinedCodec, DeScoCodec, DeScoParams, descriptor,
                     ia_sco_build, optimal_delay, parse_descriptor,
-                    rate_upper_bound, sco_build, sweep_max_delay)
+                    rate_upper_bound, sco_build)
 from .gf import GF, IncrementalSystem, InconsistentSystemError, default_field
 from .oracle import rlc_burst_losses, rlc_decode_times
 from .sco import (ScoCodec, ScoParams, capacity, memory_bound,

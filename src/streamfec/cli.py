@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import channel, oracle, wire
-from .desco import (CombinedCodec, DeScoCodec, DeScoParams, burst_loss_counts,
+from .desco import (CombinedCodec, DeScoCodec, DeScoParams, burst_outcomes,
                     ia_sco_build, optimal_delay, parse_descriptor,
-                    rate_upper_bound, sweep_max_delay)
+                    rate_upper_bound)
 from .gf import InconsistentSystemError
 from .sco import capacity
 
@@ -109,9 +109,10 @@ def _verify_parser(make) -> argparse.ArgumentParser:
         "verify", help="burst delay sweep over every start in a window",
         description="Worst recovery delay and misses of one burst (b1 for "
         "user 1, b2 for user 2) over every start in 0..window-burst.  Exact "
-        "from one decode per user: the codes are causal and time-invariant "
-        "and the stream before slot 0 counts as known zeros, so a burst at "
-        "any start decodes like the one at start 0, shifted.")
+        "from one decode of both bursts, far enough apart to decode alone: "
+        "the codes are causal and time-invariant and the stream before "
+        "slot 0 counts as known zeros, so a burst at any start decodes like "
+        "the one at start 0, shifted.")
     _codec_flags(sp)
     sp.add_argument("--window", type=int,
                     help="default 10*(t1+b1); at least b2")
@@ -127,8 +128,10 @@ def cmd_verify(args, out) -> int:
     if window < p.b2:
         # a shorter window holds no start of the user-2 burst
         raise UsageError(f"--window must be at least b2 = {p.b2}: {window}")
-    u1, m1 = sweep_max_delay(codec, p.b1, 1, window)
-    u2, m2 = sweep_max_delay(codec, p.b2, 2, window)
+    # a burst decodes alike at every start: its misses count once per start
+    outcomes = burst_outcomes(codec, [p.b1, p.b2])
+    u1, m1 = outcomes[p.b1][0], (window - p.b1 + 1) * outcomes[p.b1][1][0]
+    u2, m2 = outcomes[p.b2][0], (window - p.b2 + 1) * outcomes[p.b2][1][1]
     ok = (u1 == p.t1 and u2 == p.user2_deadline and m1 == 0 and m2 == 0)
     verdict = "PASS" if ok else "FAIL"
     print(f"codec (b1={p.b1}, t1={p.t1}, alpha={p.a}/{p.b}) "
@@ -162,8 +165,9 @@ def simulate_records(args) -> List[Dict[str, object]]:
     """Loss records per (b_max, scheme, user) over seeded segment bursts.
 
     Losses per segment are those of one isolated burst of the drawn
-    length: ``burst_loss_counts`` gives every length that some segment
-    drew, for every user, from one decode per scheme.
+    length: ``burst_outcomes``, which ``verify`` reads too, gives the
+    misses of every length that some segment drew, for every user, from
+    one decode per scheme.
     ``channel.burst_length_counts`` gives the lengths for every b_max,
     evaluated in batch and equal to one ``channel.draw_segment_burst``
     per segment and b_max.  Rows follow ``--bmax-list`` in its order, a
@@ -213,7 +217,8 @@ def simulate_records(args) -> List[Dict[str, object]]:
                     if length and count})
     # user u's losses at entry u - 1, per scheme and length
     losses: Dict[str, Dict[int, Sequence[int]]] = {
-        scheme: burst_loss_counts(codec, drawn)
+        scheme: {length: misses for length, (_, misses)
+                 in burst_outcomes(codec, drawn).items()}
         for scheme, codec in codecs.items()}
     if "rlc" in schemes:
         losses["rlc"] = {

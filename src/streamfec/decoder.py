@@ -34,10 +34,10 @@ received stream decodes alike wherever it starts: the templates are the
 same at every slot, and a term before slot 0 is a known zero just as a
 received slot's sub-symbol is known, so a burst at any start s >= 0 has
 the recovery times of the same burst at start 0, shifted by s.
-``desco``'s ``sweep_max_delay`` decodes the burst at start 0 in place
-of every start, once for every user, and ``burst_loss_counts`` decodes
-bursts of many lengths on one stream, each far enough past the one
-before it to decode alone.
+``desco``'s ``burst_decode_log`` rests on both: it lays bursts of many
+lengths on one stream, each far enough past the one before it to
+decode alone, so one decode gives every user each burst's outcome at
+every start.
 
 So does a cluster, whose shape is its erasure mask up to ``reach``
 slots past its last erasure, clipped at the horizon.  What is known,

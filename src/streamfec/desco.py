@@ -28,13 +28,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bebc import BurstParityMatrix, verify_burst_correcting
-from .channel import single_burst
 from .decoder import Component, StreamLog, encode_symbols, staged_decode
 from .gf import GF, default_field
 from .sco import MAIN, OFF, ScoCodec, ScoParams, memory_bound, require_ints
@@ -111,12 +109,8 @@ class DeScoParams:
         return self.expansion * (self.t1 + self.b1)
 
     @property
-    def t2_star(self) -> Fraction:
-        return self.alpha * self.t1 + self.b1
-
-    @property
     def user2_deadline(self) -> int:
-        return math.ceil(self.t2_star)
+        return optimal_delay(self.b1, self.t1, self.alpha)
 
     @property
     def rate(self) -> Fraction:
@@ -236,103 +230,68 @@ def ia_sco_build(b1: int, t1: int, alpha: int,
                          (t1, alpha * t1 + t1))
 
 
-# -- burst sweeps ---------------------------------------------------------
+# -- isolated bursts ----------------------------------------------------
 
-
-def burst_decode_log(codec: CombinedCodec, start: int, length: int,
-                     horizon: Optional[int] = None) -> StreamLog:
-    """Decode an all-zero stream with one burst; recovery is structural,
-    so the log applies to any source content."""
-    if horizon is None:
-        # slots after the last deadline cannot change any miss verdict
-        horizon = start + length + max(codec.deadlines) + 2
-    zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
-    return codec.decode(zeros, single_burst(start, length, horizon))[1]
-
-
-# most stream slots of one decode of ``burst_loss_counts``, so that its
-# memory does not grow with the number of lengths asked for; a burst
-# that does not fit with another is decoded alone
+# most stream slots of one ``burst_decode_log`` decode, so that its memory
+# does not grow with the number of lengths asked for; a burst that does
+# not fit with another is decoded alone
 _BATCH_SLOTS = 4096
 
 
-def _batches(lengths: Sequence[int], gap: int) -> Iterator[List[int]]:
-    """The lengths in order, as runs of bursts that, each followed by
-    ``gap`` slots, fit in ``_BATCH_SLOTS``."""
-    batch: List[int] = []
-    slots = 0
-    for length in lengths:
-        if batch and slots + length + gap > _BATCH_SLOTS:
-            yield batch
-            batch, slots = [], 0
-        batch.append(length)
-        slots += length + gap
-    if batch:
-        yield batch
+def burst_decode_log(codec: CombinedCodec,
+                     lengths: Sequence[int]) -> Tuple[List[int], StreamLog]:
+    """(starts, log): the first len(starts) lengths, laid as bursts on one
+    all-zero stream and decoded once for every user.  Burst k erases
+    slots starts[k] .. starts[k] + lengths[k] - 1.  Recovery is
+    structural, so the log applies to any source content.
 
-
-def burst_loss_counts(codec: CombinedCodec,
-                      lengths: Iterable[int]) -> Dict[int, Tuple[int, ...]]:
-    """Deadline misses of one isolated burst of each length, user u's at
-    entry u - 1.
-
-    The bursts are laid out on one all-zero stream, each followed by
-    max(``reach_slots``, latest deadline + 2) received slots, and the
-    stream is decoded once for every user.  A burst that many slots
-    after the one before it starts a cluster of its own, with received
-    slots all through its window, so it decodes as it does alone (see
-    the ``decoder`` module); its misses fall due before the next burst,
-    and a slot recovered after its deadline is a miss whether it is
-    recovered later or never.  So each burst's misses, as
-    ``StreamLog.misses`` lists them, are those of the burst alone.  The
-    stream is cut into decodes of at most ``_BATCH_SLOTS`` slots.
+    Each burst is followed by max(``reach_slots``, latest deadline + 2)
+    received slots, and as many lengths are laid as fit, so followed, in
+    ``_BATCH_SLOTS`` slots, the first always.  A burst that
+    many slots after the one before it starts a cluster of its own, with
+    received slots all through its window, so it decodes as it does
+    alone, and alike at any start (see the ``decoder`` module).  Its
+    misses fall due before the next burst, and a slot recovered after
+    its deadline is a miss whether it is recovered later or never.
     """
     gap = max(codec.reach_slots, max(codec.deadlines) + 2)
-    losses: Dict[int, Tuple[int, ...]] = {}
-    for batch in _batches(sorted(set(lengths)), gap):
-        # burst k erases [starts[k], starts[k] + batch[k]); the last
-        # entry is the horizon
-        starts = list(accumulate([length + gap for length in batch],
-                                 initial=0))
-        erased = np.zeros(starts[-1], dtype=bool)
-        for start, length in zip(starts, batch):
-            erased[start:start + length] = True
-        zeros = np.zeros((starts[-1], codec.symbol_width), dtype=np.int64)
-        log = codec.decode(zeros, erased)[1]
+    edges = [0]
+    for length in lengths:
+        if len(edges) > 1 and edges[-1] + length + gap > _BATCH_SLOTS:
+            break
+        edges.append(edges[-1] + length + gap)
+    horizon = edges.pop()
+    erased = np.zeros(horizon, dtype=bool)
+    for start, length in zip(edges, lengths):
+        erased[start:start + length] = True
+    zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
+    return edges, codec.decode(zeros, erased)[1]
+
+
+def burst_outcomes(codec: CombinedCodec, lengths: Iterable[int]
+                   ) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
+    """{length: (worst delay, misses)} of one isolated burst of each
+    length: the longest recovery delay of a slot it erases (0 if none is
+    recovered after its own slot), and user u's deadline misses at entry
+    u - 1.  A burst decodes alike at every start, so these hold for the
+    burst at any start.  The lengths are decoded in ascending order, as
+    many to a ``burst_decode_log`` call as it lays.
+    """
+    outcomes: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+    pending = sorted(set(lengths))
+    while pending:
+        starts, log = burst_decode_log(codec, pending)
+        batch, pending = pending[:len(starts)], pending[len(starts):]
+        delays = log.slot_times - np.arange(log.horizon)
         misses = [[0] * len(codec.deadlines) for _ in batch]
         for user, deadline in enumerate(codec.deadlines):
             for slot in log.misses(deadline):
                 misses[bisect_right(starts, slot) - 1][user] += 1
-        losses.update(zip(batch, map(tuple, misses)))
-    return losses
-
-
-def burst_loss_count(codec: CombinedCodec, length: int) -> Tuple[int, ...]:
-    """Deadline misses of one isolated burst of the given length, user u's
-    at entry u - 1: ``burst_loss_counts`` of that one length."""
-    return burst_loss_counts(codec, [length])[length]
-
-
-def sweep_max_delay(codec: CombinedCodec, burst_len: int, user: int,
-                    window: int) -> Tuple[int, int]:
-    """(max recovery delay, miss count) over every burst start in a window.
-
-    Exact with one decode.  A burst decodes alike at every start >= 0
-    (see the ``decoder`` module), and ``burst_decode_log``'s horizon
-    moves with the start, so the burst at start 0 has the delays of
-    every start, and its misses count once per start in
-    0 .. window - burst_len.  ValueError if the window holds no start or
-    the user is not the codec's.  The window has no default; ``verify``'s
-    is 10*(t1+b1).
-    """
-    deadline = codec.deadline(user)
-    if window < burst_len:
-        raise ValueError(f"window {window} is shorter than the burst "
-                         f"length {burst_len}")
-    log = burst_decode_log(codec, 0, burst_len)
-    times = log.slot_times[:burst_len]  # -1 for a slot with no delay
-    worst = int((times - np.arange(burst_len))[times >= 0].max(initial=0))
-    return worst, (window - burst_len + 1) * len(log.misses(deadline))
+        for start, length, counts in zip(starts, batch, misses):
+            # an unrecovered slot's delay is negative
+            worst = delays[start:start + length].max(initial=0)
+            outcomes[length] = (int(worst), tuple(counts))
+    return outcomes
 
 
 # -- codec descriptor ---------------------------------------------------

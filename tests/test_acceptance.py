@@ -15,9 +15,8 @@ import numpy as np
 
 from streamfec import cli
 from streamfec.channel import apply, single_burst
-from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
-                             ia_sco_build, rate_upper_bound, sco_build,
-                             sweep_max_delay)
+from streamfec.desco import (DeScoCodec, DeScoParams, ia_sco_build,
+                             rate_upper_bound, sco_build)
 from streamfec.gf import GF
 from streamfec.oracle import rlc_burst_losses
 from streamfec.sco import ScoParams, vertical_interleave
@@ -25,6 +24,7 @@ from streamfec.sco import ScoParams, vertical_interleave
 from reference_bounds import (HIGH_DELAY, periodic_pattern,
                               rlc_partial_threshold, rlc_perfect_threshold)
 from reference_decoder import ml_decode_times
+from zero_bursts import sweep, zero_burst_log
 
 GF2 = GF(1)
 rng = random.Random(20240820)
@@ -117,9 +117,9 @@ def test_achievability_grid():
         p = DeScoParams(b1, t1, a, b)
         codec = DeScoCodec(p)
         window = 10 * (t1 + b1)
-        w1, m1 = sweep_max_delay(codec, b1, user=1, window=window)
+        w1, m1 = sweep(codec, b1, user=1, window=window)
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
-        w2, m2 = sweep_max_delay(codec, p.b2, user=2, window=window)
+        w2, m2 = sweep(codec, p.b2, user=2, window=window)
         assert (w2, m2) == (p.user2_deadline, 0), (b1, t1, a, b)
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"grid sweep took {elapsed:.1f}s"
@@ -128,11 +128,12 @@ def test_achievability_grid():
 
 
 def full_sweep(codec, burst_len, user, window):
-    """Reference for ``sweep_max_delay``: one decode at every start."""
+    """Reference for ``sweep``, so for ``burst_outcomes``: one decode at
+    every start."""
     deadline = codec.deadline(user)
     worst = misses = 0
     for start in range(window - burst_len + 1):
-        log = burst_decode_log(codec, start, burst_len)
+        log = zero_burst_log(codec, start, burst_len)
         misses += len(log.misses(deadline))
         for slot in range(start, start + burst_len):
             t = int(log.slot_times[slot])
@@ -148,7 +149,7 @@ def test_cut_sweep_equals_full_sweep():
         codec = DeScoCodec(p)
         window = 10 * (t1 + b1)
         for length, user in ((b1, 1), (p.b2, 2)):
-            assert sweep_max_delay(codec, length, user, window) \
+            assert sweep(codec, length, user, window) \
                 == full_sweep(codec, length, user, window), (p, user)
     # over-length bursts (misses > 0, so the interior decode's misses are
     # multiplied) and windows shorter than reach_slots
@@ -160,7 +161,7 @@ def test_cut_sweep_equals_full_sweep():
             for window in (codec.reach_slots - 1, codec.reach_slots + length,
                            4 * codec.reach_slots):
                 for user in (1, 2):
-                    got = sweep_max_delay(codec, length, user, window)
+                    got = sweep(codec, length, user, window)
                     assert got == full_sweep(codec, length, user, window), \
                         (codec.deadlines, length, window, user)
                     missed += got[1] > 0

@@ -318,6 +318,30 @@ def test_simulate_decodes_each_burst_length_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_verify_and_simulate_share_one_burst_decode(monkeypatch):
+    """Both commands decode their isolated bursts in
+    ``desco.burst_decode_log``: a verify command in 1 call, its b1 and
+    b2 bursts on one stream, and the loss-curve run in 1 per decoded
+    scheme, desco and ia."""
+    calls = []
+    burst_decode_log = desco.burst_decode_log
+
+    def counting(codec, lengths):
+        calls.append(list(lengths))
+        return burst_decode_log(codec, lengths)
+
+    monkeypatch.setattr(desco, "burst_decode_log", counting)
+    for b1, t1, a, b in [(3, 8, 3, 1), (4, 10, 5, 2), (2, 3, 3, 2)]:
+        code, text = run(["verify", "--b1", str(b1), "--t1", str(t1),
+                          "--alpha-num", str(a), "--alpha-den", str(b)])
+        assert code == cli.EXIT_OK and text.endswith("PASS\n"), text
+    assert calls == [[3, 9], [4, 10], [2, 3]]
+    calls.clear()
+    code, _ = run(LOSS_CURVE)
+    assert code == cli.EXIT_OK
+    assert len(calls) == 2 and calls[0] == calls[1], calls
+
+
 def test_simulate_builds_no_seed_sequence(monkeypatch):
     built = []
     seed_sequence = np.random.SeedSequence

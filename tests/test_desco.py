@@ -8,12 +8,13 @@ from streamfec import desco
 from streamfec.channel import apply, single_burst
 from streamfec.decoder import Component
 from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
-                             burst_decode_log, burst_loss_count,
-                             burst_loss_counts, descriptor,
+                             burst_outcomes, descriptor,
                              ia_sco_build, optimal_delay, parse_descriptor,
-                             rate_upper_bound, sco_build, sweep_max_delay)
+                             rate_upper_bound, sco_build)
 from streamfec.gf import GF
 from streamfec.sco import ScoParams, capacity
+
+from zero_bursts import sweep, zero_burst_log
 
 rng = random.Random(20240818)
 
@@ -62,8 +63,8 @@ def test_params_properties():
     assert p.b2 == 3
     assert p.expansion == 2
     assert p.delta == 14
-    assert p.t2_star == Fraction(19, 2)
-    assert p.user2_deadline == 10
+    # ceil(alpha*t1 + b1) = ceil(19/2)
+    assert p.user2_deadline == optimal_delay(p.b1, p.t1, p.alpha) == 10
     assert p.rate == Fraction(5, 7)
 
 
@@ -207,7 +208,7 @@ def test_12_alpha2_double_burst_recovery_times():
 
 def test_user2_miss_when_burst_exceeds_b2():
     codec = DeScoCodec(DeScoParams(1, 2, 2))
-    log = burst_decode_log(codec, 20, 3)
+    log = zero_burst_log(codec, 20, 3)
     assert log.misses(codec.deadline(2)) != []
 
 
@@ -218,17 +219,10 @@ def test_delay_grid():
         p = DeScoParams(b1, t1, a, b)
         codec = DeScoCodec(p)
         window = 4 * (t1 + p.user2_deadline)
-        w1, m1 = sweep_max_delay(codec, b1, user=1, window=window)
+        w1, m1 = sweep(codec, b1, user=1, window=window)
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
-        w2, m2 = sweep_max_delay(codec, p.b2, user=2, window=window)
+        w2, m2 = sweep(codec, p.b2, user=2, window=window)
         assert (w2, m2) == (p.user2_deadline, 0), (b1, t1, a, b)
-
-
-def test_sweep_rejects_a_window_without_a_start():
-    codec = DeScoCodec(DeScoParams(1, 2, 2))
-    with pytest.raises(ValueError, match="shorter than the burst"):
-        sweep_max_delay(codec, 2, 2, 1)
-    assert sweep_max_delay(codec, 2, 2, 2) == (5, 0)  # one start fits
 
 
 def test_zero_stream_burst_is_structural():
@@ -236,7 +230,7 @@ def test_zero_stream_burst_is_structural():
     src = random_source(codec, 40)
     for length in (2, 4, 5):
         _, log_rand = decode_burst(codec, src, 15, length)
-        log_zero = burst_decode_log(codec, 15, length, horizon=40)
+        log_zero = zero_burst_log(codec, 15, length, horizon=40)
         deadline = codec.deadline(2)
         assert log_rand.misses(deadline) == log_zero.misses(deadline)
         assert np.array_equal(log_rand.sub_times, log_zero.sub_times)
@@ -244,7 +238,7 @@ def test_zero_stream_burst_is_structural():
 
 def test_burst_loss_count_profile_12_alpha2():
     codec = DeScoCodec(DeScoParams(1, 2, 2))
-    got = [burst_loss_count(codec, length) for length in range(6)]
+    got = [burst_outcomes(codec, [length])[length][1] for length in range(6)]
     assert [u2 for _, u2 in got] == [0, 0, 0, 3, 4, 5]
     assert [u1 for u1, _ in got[:4]] == [0, 0, 2, 3]
 
@@ -258,14 +252,19 @@ def test_burst_loss_count_profile_12_alpha2():
 ])
 def test_batched_burst_losses_equal_one_decode_per_length(codec, b2,
                                                           monkeypatch):
-    """``burst_loss_counts`` gives each length the misses, per user, of
-    one ``burst_decode_log`` decode of that burst alone; so it does with
-    a slot budget that closes a batch before the bursts run out."""
+    """``burst_outcomes`` gives each length the worst delay and the
+    misses, per user, of one decode of that burst alone at start 0; so
+    it does with a slot budget that closes a batch before the bursts run
+    out."""
     lengths = range(1, 2 * b2 + 3)
-    expect = {length: tuple(len(burst_decode_log(codec, 0, length).misses(d))
-                            for d in codec.deadlines)
-              for length in lengths}
-    assert burst_loss_counts(codec, lengths) == expect
+    expect = {}
+    for length in lengths:
+        log = zero_burst_log(codec, 0, length)
+        times = log.slot_times[:length]  # -1 for a slot never recovered
+        worst = int((times - np.arange(length))[times >= 0].max(initial=0))
+        expect[length] = (worst,
+                          tuple(len(log.misses(d)) for d in codec.deadlines))
+    assert burst_outcomes(codec, lengths) == expect
 
     horizons = []
     staged_decode = desco.staged_decode
@@ -278,7 +277,7 @@ def test_batched_burst_losses_equal_one_decode_per_length(codec, b2,
     budget = sum(length + gap for length in lengths) // 2
     monkeypatch.setattr(desco, "_BATCH_SLOTS", budget)
     monkeypatch.setattr(desco, "staged_decode", recording)
-    assert burst_loss_counts(codec, reversed(lengths)) == expect
+    assert burst_outcomes(codec, reversed(lengths)) == expect
     assert len(horizons) >= 2 and max(horizons) <= budget, horizons
 
 
@@ -290,8 +289,8 @@ def test_ia_baseline_has_larger_user2_delay():
     ia = ia_sco_build(2, 3, 2)
     de = DeScoCodec(DeScoParams(2, 3, 2))
     assert ia.user2_deadline == 9 and de.user2_deadline == 8
-    w_ia, m_ia = sweep_max_delay(ia, 4, user=2, window=60)
-    w_de, m_de = sweep_max_delay(de, 4, user=2, window=60)
+    w_ia, m_ia = sweep(ia, 4, user=2, window=60)
+    w_de, m_de = sweep(de, 4, user=2, window=60)
     assert (w_ia, m_ia) == (9, 0)
     assert (w_de, m_de) == (8, 0)
 
@@ -303,7 +302,7 @@ def test_ia_deadline_values():
 
 def test_ia_user1_still_meets_t1():
     ia = ia_sco_build(2, 3, 2)
-    w, m = sweep_max_delay(ia, 2, user=1, window=40)
+    w, m = sweep(ia, 2, user=1, window=40)
     assert (w, m) == (3, 0)
 
 
@@ -359,10 +358,8 @@ def test_decode_rejects_bad_user_and_width():
     codec = DeScoCodec(DeScoParams(1, 2, 2))
     stream = codec.encode_stream(random_source(codec, 5))
     erased = np.zeros(5, dtype=bool)
-    with pytest.raises(ValueError):
-        codec.deadline(3)
     with pytest.raises(ValueError, match=r"1\.\.2"):
-        sweep_max_delay(codec, 2, 3, 10)
+        codec.deadline(3)
     single = sco_build(ScoParams(1, 2))
     with pytest.raises(ValueError, match=r"1\.\.1"):
         single.deadline(2)

@@ -24,6 +24,7 @@ KEPT = {
     "TraceEvent": "the element type of the public trace, StreamLog.trace",
     "rlc_decode_times": "an exact loss curve, which simulate approximates",
     "segmented_bursts": "an exact loss curve, which simulate approximates",
+    "single_burst": "the one-burst erasure mask of the README's example",
 }
 
 

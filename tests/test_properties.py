@@ -13,13 +13,13 @@ from hypothesis import given, strategies as st
 from streamfec import channel, decoder
 from streamfec.channel import apply
 from streamfec.decoder import staged_decode
-from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
-                             ia_sco_build, sco_build)
+from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
 from streamfec.gf import GF, InconsistentSystemError
 from streamfec.sco import ScoParams
 from streamfec.wire import element_width, pack_stream, unpack_stream
 
 from reference_decoder import ml_decode_times, reference_decode
+from zero_bursts import zero_burst_log
 
 CODECS = {
     "single": sco_build(ScoParams(2, 3)),
@@ -404,8 +404,8 @@ def test_burst_decodes_alike_at_every_start_past_reach(name, data):
     first = codec.reach_slots
     start = data.draw(st.integers(0, first + 40))
     length = data.draw(st.integers(1, 8))
-    ref = burst_decode_log(codec, first, length)
-    log = burst_decode_log(codec, start, length)
+    ref = zero_burst_log(codec, first, length)
+    log = zero_burst_log(codec, start, length)
     span = ref.horizon - first
 
     def delays(log, at):
@@ -443,7 +443,7 @@ def test_bursts_reach_apart_decode_alone(name, data):
     joint = decode_bursts(codec, bursts, horizon)
     misses = {deadline: [] for deadline in codec.deadlines}
     for start, length in bursts:
-        alone = burst_decode_log(codec, 0, length, horizon - start)
+        alone = zero_burst_log(codec, 0, length, horizon - start)
         rows = joint.sub_times[start:start + length]
         assert np.array_equal(np.where(rows < 0, -1, rows - start),
                               alone.sub_times[:length]), (start, length)
@@ -478,7 +478,7 @@ def test_bursts_closer_than_reach_decode_jointly(gap):
     horizon = second + 1 + max(codec.deadlines) + 2
     log = decode_bursts(codec, [(0, 3), (second, 1)], horizon)
     assert log.sub_times.tolist() == CLOSE_BURST_TIMES[gap]
-    alone = burst_decode_log(codec, 0, 3, horizon)
+    alone = zero_burst_log(codec, 0, 3, horizon)
     assert log.misses(codec.deadline(2)) != alone.misses(codec.deadline(2))
 
 

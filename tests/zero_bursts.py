@@ -1,0 +1,29 @@
+"""One burst on an all-zero stream, decoded through ``codec.decode``.
+
+``desco.burst_decode_log`` lays its bursts at starts of its own choosing
+and ``desco.burst_outcomes`` reads them; tests that need a burst at
+another start or horizon, or a reference for those two, decode
+``channel.single_burst`` here instead.
+"""
+
+import numpy as np
+
+from streamfec.channel import single_burst
+from streamfec.desco import burst_outcomes
+
+
+def zero_burst_log(codec, start, length, horizon=None):
+    """Log of an all-zero stream with one burst; the default horizon
+    ends two slots past the latest deadline of the burst's last slot."""
+    if horizon is None:
+        horizon = start + length + max(codec.deadlines) + 2
+    zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
+    return codec.decode(zeros, single_burst(start, length, horizon))[1]
+
+
+def sweep(codec, length, user, window):
+    """(worst delay, misses) of a burst of the length at every start in
+    0 .. window - length, from ``burst_outcomes`` as ``verify`` reads it:
+    the burst's outcome at one start, its misses once per start."""
+    worst, misses = burst_outcomes(codec, [length])[length]
+    return worst, (window - length + 1) * misses[user - 1]
