@@ -4,7 +4,9 @@ of the rate-converse argument is a reference of the tests
 (``tests/reference_bounds.py``).
 
 A pattern is the (horizon,) bool mask of its erased slots, the mask the
-decoder takes; ``apply`` pads it with False to a longer stream.  Only
+decoder takes; ``apply`` pads it with False to a longer stream.  A
+pattern file holds one "start:length" run per line; ``parse_pattern``
+reads it in one pass, and the mask is the union of its runs.  Only
 ``segmented_bursts`` returns its bursts as (starts, lengths) arrays, one
 entry per segment, since its horizon can be too long for a mask.
 
@@ -25,40 +27,38 @@ by ``draw_segment_burst`` itself.  Seeds must be >= 0.
 from __future__ import annotations
 
 import math
-import re
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 
-# The start of a line that the bulk parse does not take.  It takes blanks
-# around at most one "start:length" run in ASCII digits, then at most a
-# "#" comment, each line ending at "\n" (no other line break of
-# ``str.splitlines``); a text with any other line is parsed line by line.
-# One lookahead per line: no memory that grows with the text.  The
-# patterns are compiled on first use (``re``'s cache), not on import.
-_ODD_LINE = (r"(?m)^(?![ \t]*(?:[0-9]{1,18}:[0-9]{1,18}[ \t]*)?"
-             r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?$)")
-_COMMENT = r"#[^\n]*"
-
-
 def parse_pattern(text: str, horizon: int) -> np.ndarray:
     """The (horizon,) bool mask of a pattern text: one "start:length" run
     of erased slots per line, "#" starting a comment.  Runs may overlap;
-    a non-empty run must lie inside the horizon.
-
-    A text of plain runs is parsed in bulk: one split into ints, array
-    checks of the runs, and the mask set at an index of the slots that
-    the runs erase.  Any other text, and a run outside the horizon, goes
-    through the line by line parse, which names the bad line."""
-    if re.search(_ODD_LINE, text) is None:
-        runs = np.array(re.sub(_COMMENT, "", text).replace(":", " ").split(),
-                        dtype=np.int64).reshape(-1, 2)
-        runs = runs[runs[:, 1] > 0]  # starts and lengths hold no sign
-        starts, ends = runs[:, 0], runs[:, 0] + runs[:, 1]
-        if (ends <= horizon).all():
-            return _union(starts, ends, horizon)
-    return _parse_lines(text, horizon)
+    a non-empty run must lie inside the horizon.  One pass over the
+    lines collects the non-empty runs, and ValueError names the first
+    bad line; the mask is their union."""
+    starts: List[int] = []
+    ends: List[int] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#")[0].strip()
+        if not line:
+            continue
+        try:
+            start_s, length_s = line.split(":")
+            start, length = int(start_s), int(length_s)
+        except ValueError as exc:
+            raise ValueError(f"bad pattern line {lineno}: {line!r}") from exc
+        if length < 0:
+            raise ValueError(f"bad pattern line {lineno}: negative {line!r}")
+        if length:
+            if not 0 <= start <= horizon - length:
+                raise ValueError(f"bad pattern line {lineno}: {line!r} "
+                                 f"outside horizon {horizon}")
+            starts.append(start)
+            ends.append(start + length)
+    return _union(np.array(starts, dtype=np.int64),
+                  np.array(ends, dtype=np.int64), horizon)
 
 
 def _union(starts: np.ndarray, ends: np.ndarray, horizon: int) -> np.ndarray:
@@ -75,28 +75,6 @@ def _union(starts: np.ndarray, ends: np.ndarray, horizon: int) -> np.ndarray:
     erased = np.zeros(horizon, dtype=bool)
     erased[np.repeat(lo - np.cumsum(counts) + counts, counts)
            + np.arange(counts.sum())] = True
-    return erased
-
-
-def _parse_lines(text: str, horizon: int) -> np.ndarray:
-    """``parse_pattern`` one line at a time; ValueError names the first
-    bad line."""
-    erased = np.zeros(horizon, dtype=bool)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#")[0].strip()
-        if not line:
-            continue
-        try:
-            start_s, length_s = line.split(":")
-            start, length = int(start_s), int(length_s)
-        except ValueError as exc:
-            raise ValueError(f"bad pattern line {lineno}: {line!r}") from exc
-        if length < 0:
-            raise ValueError(f"bad pattern line {lineno}: negative {line!r}")
-        if length and not 0 <= start <= horizon - length:
-            raise ValueError(f"bad pattern line {lineno}: {line!r} outside "
-                             f"horizon {horizon}")
-        erased[start:start + length] = True
     return erased
 
 

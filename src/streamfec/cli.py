@@ -7,6 +7,8 @@ file, named before the command, supplies key=value defaults (keys named
 like the long flags, with underscores, or like their dests); explicit
 flags override it, a key that names no option of the command is ignored,
 and it is read only after argparse has accepted the command line.
+Config, descriptor and pattern files are read as UTF-8; a file that is
+not is a usage error naming its flag and path.
 """
 
 from __future__ import annotations
@@ -42,17 +44,27 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(flag: str, path: str) -> str:
+    """The UTF-8 text of the file a flag names; text that is not UTF-8
+    is a usage error naming the flag and the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{flag} {path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_config(path: str) -> Dict[str, str]:
     cfg: Dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            cfg[k.strip().replace("-", "_")] = v.strip()
+    text = _read_text("--config", path)
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.split("#")[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        k, v = line.split("=", 1)
+        cfg[k.strip().replace("-", "_")] = v.strip()
     return cfg
 
 
@@ -132,13 +144,13 @@ def cmd_verify(args, out) -> int:
     outcomes = burst_outcomes(codec, [p.b1, p.b2])
     u1, m1 = outcomes[p.b1][0], (window - p.b1 + 1) * outcomes[p.b1][1][0]
     u2, m2 = outcomes[p.b2][0], (window - p.b2 + 1) * outcomes[p.b2][1][1]
-    ok = (u1 == p.t1 and u2 == p.user2_deadline and m1 == 0 and m2 == 0)
+    t2 = codec.deadline(2)
+    ok = (u1 == p.t1 and u2 == t2 and m1 == 0 and m2 == 0)
     verdict = "PASS" if ok else "FAIL"
     print(f"codec (b1={p.b1}, t1={p.t1}, alpha={p.a}/{p.b}) "
           f"rate {p.rate}", file=out)
     print(f"user-1 max delay {u1} (target {p.t1}), misses {m1}", file=out)
-    print(f"user-2 max delay {u2} (target {p.user2_deadline}), misses {m2}",
-          file=out)
+    print(f"user-2 max delay {u2} (target {t2}), misses {m2}", file=out)
     print(verdict, file=out)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -221,9 +233,10 @@ def simulate_records(args) -> List[Dict[str, object]]:
                  in burst_outcomes(codec, drawn).items()}
         for scheme, codec in codecs.items()}
     if "rlc" in schemes:
+        deadlines = (params.t1, params.user2_deadline)
         losses["rlc"] = {
             length: [oracle.rlc_burst_losses(params.rate, length, d)
-                     for d in (params.t1, params.user2_deadline)]
+                     for d in deadlines]
             for length in drawn}
     records: List[Dict[str, object]] = []
     for b_max in bmax_list:
@@ -265,8 +278,7 @@ def cmd_simulate(args, out) -> int:
 
 def _load_codec(args) -> DeScoCodec:
     _require(args, "descriptor")
-    with open(args.descriptor) as fh:
-        return parse_descriptor(fh.read())
+    return parse_descriptor(_read_text("--descriptor", args.descriptor))
 
 
 def _encode_parser(make) -> argparse.ArgumentParser:
@@ -348,8 +360,8 @@ def cmd_decode(args, out) -> int:
         symbols = wire.unpack_stream(fh.read(), codec.field, codec.symbol_width)
     erased = np.zeros(len(symbols), dtype=bool)
     if args.pattern:
-        with open(args.pattern) as fh:
-            pattern = channel.parse_pattern(fh.read(), len(symbols))
+        pattern = channel.parse_pattern(_read_text("--pattern", args.pattern),
+                                        len(symbols))
         erased = channel.apply(pattern, symbols)
     deadline = codec.deadline(args.user)
     recovered, log = codec.decode(symbols, erased)

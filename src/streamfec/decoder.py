@@ -49,17 +49,17 @@ clusters in that grouping horizon at once, in stream order, each value
 a vector at the field's dtype with one column per cluster (XOR adds,
 ``field.mul`` multiplies; plain ints for a single cluster), and the
 others get the first's times shifted by their start.  The trace keeps
-each shape's events relative to a cluster's first slot, added when read
-(``Trace``).  The shape's window, its rows from ``reach`` slots before
-the first erasure, is the one record of what is known.  It is two flat
-lists: the source values, row by row, and the received parities.  A
-variable is an integer, its flat window index row * n_subs + sub; an
-erased slot's entries hold None until they are recovered, then their
-values, and ``divmod`` gives an event's slot and sub back.  Each
-``Component`` compiles its templates once into such flat offsets,
-ds * n_subs + sub, so a parity at row i reads the variable
-i * n_subs + offset.  A grouping horizon bounds a run's columns, so
-decoder memory is flat in length.
+each shape's events relative to a cluster's first slot and adds it as
+the trace is walked, in stream order (``Trace``).  The shape's window,
+its rows from ``reach`` slots before the first erasure, is the one
+record of what is known.  It is two flat lists: the source values, row
+by row, and the received parities.  A variable is an integer, its flat
+window index row * n_subs + sub; an erased slot's entries hold None
+until they are recovered, then their values, and ``divmod`` gives an
+event's slot and sub back.  Each ``Component`` compiles its templates
+once into such flat offsets, ds * n_subs + sub, so a parity at row i
+reads the variable i * n_subs + offset.  A grouping horizon bounds a
+run's columns, so decoder memory is flat in length.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.  It
@@ -70,7 +70,6 @@ one in-place XOR, and the stream it returns is packed without a cast.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,9 +103,9 @@ class TraceEvent(NamedTuple):
     parity_slot: int     # emission slot on the component's own clock
 
 
-class Trace(Sequence[TraceEvent]):
+class Trace:
     """The ``TraceEvent`` of each recovered erased sub-symbol, cluster by
-    cluster in stream order, built when read.
+    cluster in stream order, built as it is iterated.
 
     Every cluster of a shape decodes alike relative to its first slot
     f: slot and time are f past the shape's, a parity's emission slot
@@ -114,11 +113,9 @@ class Trace(Sequence[TraceEvent]):
     grouping horizon (``_HORIZON`` clusters) is kept as its clusters'
     first slots (int64), their shape ids (numbered in order of first
     appearance) and each shape's events relative to f = 0, as plain
-    tuples of the ``TraceEvent`` fields.  The length is counted, and an
-    index found, from each horizon's running count of events at the end
-    of each cluster, without building an event: indexing builds the one
-    event it returns.  A trace equals any sequence of the same events in
-    the same order.
+    tuples of the ``TraceEvent`` fields.  The length is counted from the
+    shape ids and each shape's event count, without building an event.
+    A trace is read in stream order; ``list(trace)`` indexes it.
     """
 
     def __init__(self, horizons: List[Tuple[np.ndarray, np.ndarray,
@@ -127,51 +124,17 @@ class Trace(Sequence[TraceEvent]):
         self._horizons = horizons
         self._expansion = expansion
 
-    @cached_property
-    def _ends(self) -> List[np.ndarray]:
-        """Per grouping horizon, the trace's event count at the end of
-        each of its clusters."""
-        ends, total = [], 0
-        for _, ids, events in self._horizons:
-            sizes = np.array([len(ev) for ev in events], dtype=np.int64)
-            ends.append(np.cumsum(sizes[ids]) + total)
-            total = int(ends[-1][-1])
-        return ends
-
     def __len__(self) -> int:
-        return int(self._ends[-1][-1]) if self._ends else 0
-
-    def _event(self, fields: tuple, first: int) -> TraceEvent:
-        slot, sub, time, ci, row, pslot = fields
-        return TraceEvent(slot + first, sub, time + first, ci, row,
-                          pslot + self._expansion * first if row >= 0 else -1)
+        return sum(int(np.array([len(ev) for ev in events])[ids].sum())
+                   for _, ids, events in self._horizons)
 
     def __iter__(self) -> Iterator[TraceEvent]:
+        n = self._expansion
         for firsts, ids, events in self._horizons:
             for f, k in zip(firsts.tolist(), ids.tolist()):
-                for fields in events[k]:
-                    yield self._event(fields, f)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        n = len(self)
-        if not -n <= index < n:
-            raise IndexError("trace index out of range")
-        index %= n
-        h = bisect_right(self._ends, index, key=lambda ends: ends[-1])
-        firsts, ids, events = self._horizons[h]
-        ends = self._ends[h]
-        k = int(np.searchsorted(ends, index, side="right"))  # the cluster
-        fields = events[ids[k]]
-        return self._event(fields[index - int(ends[k]) + len(fields)],
-                           int(firsts[k]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
+                for slot, sub, time, ci, row, pslot in events[k]:
+                    yield TraceEvent(slot + f, sub, time + f, ci, row,
+                                     pslot + n * f if row >= 0 else -1)
 
 
 @dataclass
@@ -182,11 +145,12 @@ class StreamLog:
     is the stream slot at which the sub-symbol became known (its own slot
     when received) or -1 if it was never recovered; every user reads them.
     ``trace`` attributes each recovered erased sub-symbol to the parity
-    that pinned it, in stream order (a ``Trace``, built when read).
+    that pinned it: a ``Trace``, an iterable in stream order with a
+    length, whose events are built as it is iterated.
     """
 
     sub_times: np.ndarray
-    trace: Sequence[TraceEvent] = ()
+    trace: Trace
 
     @property
     def horizon(self) -> int:
@@ -354,7 +318,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     array of recovery slots, a received row holding its own slot and -1
     marking a sub-symbol never recovered (see ``StreamLog``); trace is
     the parity attribution of each recovered erased sub-symbol, cluster
-    by cluster in stream order, a ``Trace`` built when read.  Clusters
+    by cluster in stream order, a ``Trace`` built as it is iterated.  Clusters
     are grouped by shape ``_HORIZON`` at a time, and each shape runs once
     on all of its clusters there, in stream order (see the module
     docstring).  InconsistentSystemError names the stream slot whose

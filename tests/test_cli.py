@@ -777,6 +777,33 @@ def test_decode_negative_pattern_run_is_usage_error(tmp_path, capsys):
     assert "bad pattern line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--pattern", "--descriptor", "--config"])
+def test_non_utf8_file_names_flag_and_path(flag, tmp_path, capsys):
+    """A file that is not UTF-8 is a usage error that names its flag and
+    path, not only the byte that failed to decode."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff0:1\n")
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(wire.pack_stream(
+        codec.encode_stream(np.array([[1, 0]] * 10)), codec.field))
+    argv = ["decode", "--descriptor", str(bad if flag == "--descriptor"
+                                          else desc),
+            "--in", str(enc), "--out", str(tmp_path / "d")]
+    if flag == "--pattern":
+        argv += ["--pattern", str(bad)]
+    if flag == "--config":
+        argv = ["--config", str(bad)] + argv
+    code, text = run(argv)
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == (
+        f"error: {flag} {bad} is not UTF-8 text: 'utf-8' codec can't "
+        "decode byte 0xff in position 0: invalid start byte\n")
+    assert not (tmp_path / "d").exists()
+
+
 def test_decode_bad_user_is_usage_error(tmp_path, capsys):
     codec = DeScoCodec(DeScoParams(1, 2, 2))
     desc = tmp_path / "codec.txt"
