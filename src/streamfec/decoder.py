@@ -45,21 +45,22 @@ which parity enters which system when, and every coefficient follow
 from the shape: received values only enter the constants.  The decoder
 looks ahead over ``_HORIZON`` clusters at a time and groups them by
 shape.  One run of the staged logic then decodes all of a shape's
-clusters in that grouping horizon at once, in stream order, each value
-a vector at the field's dtype with one column per cluster (XOR adds,
-``field.mul`` multiplies; plain ints for a single cluster), and the
-others get the first's times shifted by their start.  The trace keeps
-each shape's events relative to a cluster's first slot and adds it as
-the trace is walked, in stream order (``Trace``).  The shape's window,
-its rows from ``reach`` slots before the first erasure, is the one
-record of what is known.  It is two flat lists: the source values, row
-by row, and the received parities.  A variable is an integer, its flat
-window index row * n_subs + sub; an erased slot's entries hold None
-until they are recovered, then their values, and ``divmod`` gives an
-event's slot and sub back.  Each ``Component`` compiles its templates
-once into such flat offsets, ds * n_subs + sub, so a parity at row i
-reads the variable i * n_subs + offset.  A grouping horizon bounds a
-run's columns, so decoder memory is flat in length.
+clusters in that grouping horizon at once, each value a vector at the
+field's dtype with one column per cluster (XOR adds, ``field.mul``
+multiplies; plain ints for a single cluster).  The run works in the
+shape's own coordinates, its clock counting slots from a cluster's
+first, and one placement step writes every cluster's values and times
+at its first slot; the trace keeps the events in shape coordinates and
+adds that slot as it is walked in stream order (``Trace``).  The
+shape's window, its rows from ``reach`` slots before the first erasure,
+is the one record of what is known.  It is two flat lists: the source
+values, row by row, and the received parities.  A variable is an
+integer, its flat window index row * n_subs + sub; an erased slot's
+entries hold None until they are recovered, then their values, and
+``divmod`` gives an event's slot and sub back.  Each ``Component``
+compiles its templates once into such flat offsets, ds * n_subs + sub,
+so a parity at row i reads the variable i * n_subs + offset.  A
+grouping horizon bounds a run's columns, so memory is flat in length.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.  It
@@ -195,8 +196,8 @@ class Component:
     (r + ds) // n and stream sub ((r + ds) % n)*t0 + k; its diagonal
     codeword is n*t plus the row's codeword offset.  Term positions
     relative to t are fixed per row, so they are precomputed once, as
-    ``templates`` and, for the decoder, as flat offsets: ``flat_terms``
-    (offset, coeff) and ``probes``, each row's offsets.
+    ``templates`` and, for the decoder, as ``flat_terms``, each row's
+    (flat offset, coeff) pairs.
     ``reach`` is how many stream slots before t the oldest term lies.  A
     term after its emission slot would break the decoder's causality
     invariant and raises ValueError.
@@ -230,8 +231,6 @@ class Component:
         self.flat_terms = [tuple((ds * n_subs + sub, coeff)
                                  for ds, sub, coeff in entries)
                            for _, entries in self.templates]
-        self.probes = [tuple(off for off, _ in terms)
-                       for terms in self.flat_terms]
 
 
 def encode_symbols(components: Sequence[Component], field: GF,
@@ -312,7 +311,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     ``symbols`` is the (horizon, n_subs + n_parities) integer array of
     channel symbols and ``erased`` the (horizon,) bool mask of the slots
     lost on the channel, whose rows are never read; ValueError names the
-    dtype and shape of any other mask.  Returns (recovered, times,
+    dtypes and shapes of anything else.  Returns (recovered, times,
     trace): recovered is the (horizon, n_subs) source array, 0 where a
     sub-symbol was never recovered; times is the (horizon, n_subs) int
     array of recovery slots, a received row holding its own slot and -1
@@ -324,66 +323,73 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     docstring).  InconsistentSystemError names the stream slot whose
     parities contradict the others, the earliest in stream order.
     """
-    horizon, width = len(symbols), n_subs + n_parities
-    if (symbols.shape[1:] != (width,) or np.shape(erased) != (horizon,)
-            or getattr(erased, "dtype", None) != bool):
+    width = n_subs + n_parities
+    horizon = len(symbols) if np.ndim(symbols) else 0
+    if (getattr(symbols, "dtype", np.dtype(object)).kind not in "iu"
+            or np.shape(symbols) != (horizon, width)
+            or getattr(erased, "dtype", None) != bool
+            or np.shape(erased) != (horizon,)):
+        got = [f"dtype {getattr(a, 'dtype', type(a).__name__)} and shape "
+               f"{np.shape(a)}" for a in (symbols, erased)]
         raise ValueError(
-            f"expected {width} symbols per slot and a ({horizon},) bool "
-            f"erasure mask, got symbols of shape {symbols.shape} and a mask "
-            f"of dtype {getattr(erased, 'dtype', type(erased).__name__)} "
-            f"and shape {np.shape(erased)}")
+            f"expected a ({horizon}, {width}) integer symbol array and a "
+            f"({horizon},) bool erasure mask, got symbols of {got[0]} and "
+            f"a mask of {got[1]}")
     reach = max(comp.reach for comp in components)
     recovered = symbols[:, :n_subs].copy()
-    recovered[erased] = 0
     # row t holds t, filled in place: no horizon-long temporary
     times = np.arange(horizon * n_subs).reshape(horizon, n_subs)
     times //= n_subs
+    recovered[erased] = 0
+    times[erased] = -1
     mul = field.mul
     # per parity row: the offsets of every component's terms
-    probes = [sum([comp.probes[j] for comp in components], ())
-              for j in range(n_parities)]
+    probes = [tuple(off for comp in components
+                    for off, _ in comp.flat_terms[j]) for j in range(n_parities)]
     nones = [None] * n_subs
 
-    def decode_shape(key: bytes, firsts: List[int]) -> List[tuple]:
-        """Decode clusters of one shape at once, one column each, in the
-        coordinates of the first; returns the trace relative to a
-        cluster's first slot (see ``Trace``)."""
-        first = firsts[0]
-        base, end = first - reach, first + len(key)
+    def decode_shape(key: bytes, firsts: np.ndarray) -> List[tuple]:
+        """Decode the clusters of one shape, first slots ``firsts``, at
+        once in the shape's coordinates: time t is t slots past a
+        cluster's first, window row t + reach.  Place every cluster's
+        values and times; return the events in those coordinates."""
         vector = len(firsts) > 1
         if vector:
             # (row, column, symbol) window at the field's dtype, zeros
             # before slot 0, then one vector (a view) per window entry
-            at = np.add.outer(np.arange(base, end), firsts) - first
+            at = np.add.outer(np.arange(-reach, len(key)), firsts)
             rows = symbols[np.maximum(at, 0)].astype(field.dtype, copy=False)
             rows[at < 0] = 0
             del at
             rows = rows.transpose(0, 2, 1)
             src = [entry for row in rows for entry in row[:n_subs]]
             par = [entry for row in rows for entry in row[n_subs:]]
-            shift = np.array(firsts) - first
         else:
-            pad = max(0, -base)
-            rows = symbols[base + pad:end]
+            first = int(firsts[0])
+            pad = max(0, reach - first)
+            rows = symbols[first - reach + pad:first + len(key)]
             src = [0] * (pad * n_subs) + rows[:, :n_subs].ravel().tolist()
             par = [0] * (pad * n_parities) + rows[:, n_subs:].ravel().tolist()
-            shift = 0
         del rows
         events: List[tuple] = []  # TraceEvent fields
-        done: List[int] = []  # each event's variable, time and value
-        nows: List[int] = []
-        values: List[Value] = []
+        values: List[Value] = []  # each event's value
         unknown = 0  # erased sub-symbols not yet recovered
         systems: Dict[Tuple[int, int], IncrementalSystem] = {}
         sys_vars: Dict[int, Dict[int, IncrementalSystem]] = {}  # var -> ci -> system
         watchers: Dict[int, List[Tuple[_PendingParity, int]]] = {}  # var -> [(pp, ci)]
         queue: deque = deque()  # (var, value, attribution, producing system)
         ready: deque = deque()  # pending parities whose unknowns changed
-        for t in range(first, end):
-            i = t - base
-            lo = i * n_subs
-            if key[t - first]:
-                times[t + shift] = -1
+
+        def solve(system, eq: Dict[int, int], const: Value, prov: tuple):
+            """Add an equation to a system and queue what it newly solves."""
+            for v, value in system.add_equation(eq, const).items():
+                if src[v] is None:
+                    src[v] = value
+                    queue.append((v, value, prov, system))
+
+        for t, lost in enumerate(key):
+            lo = (t + reach) * n_subs
+            if lost:
                 src[lo:lo + n_subs] = nones
                 unknown += n_subs
                 continue
@@ -396,7 +402,7 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                         break
                 else:
                     continue
-                pp = _PendingParity(t, j, par[i * n_parities + j])
+                pp = _PendingParity(t, j, par[(t + reach) * n_parities + j])
                 const = pp.const
                 for ci, comp in enumerate(components):
                     unknowns: Dict[int, int] = {}
@@ -422,10 +428,9 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                         # it would only cancel out; in any other system it
                         # is a consistency check
                         v, value, prov, source = queue.popleft()
+                        unknown -= 1
                         slot, sub = divmod(v, n_subs)
-                        events.append((slot - reach, sub, t - first) + prov)
-                        done.append(v)
-                        nows.append(t)
+                        events.append((slot - reach, sub, t) + prov)
                         values.append(value)
                         for pp, ci in watchers.pop(v, ()):
                             if pp.released:
@@ -438,14 +443,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                                 pp.live -= 1
                                 ready.append(pp)
                         for ci, system in sys_vars.pop(v).items():
-                            if system is source:
-                                continue
-                            for v2, val2 in system.add_equation(
-                                    {v: 1}, value).items():
-                                if src[v2] is None:
-                                    src[v2] = val2
-                                    unknown -= 1
-                                    queue.append((v2, val2, (ci, -1, -1), system))
+                            if system is not source:
+                                solve(system, {v: 1}, value, (ci, -1, -1))
                     while ready:
                         # a parity left with one component's unknowns
                         # enters that component's diagonal system
@@ -464,28 +463,19 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                             system = systems[skey] = IncrementalSystem(field)
                         for v in eq:
                             sys_vars.setdefault(v, {})[ci] = system
-                        prov = (ci, pp.j,  # emission slot on the own clock
-                                comp.expansion * (pp.t - first)
-                                + pp.j // comp.codec.b - comp.shift)
-                        for v2, val2 in system.add_equation(eq, pp.const).items():
-                            if src[v2] is None:
-                                src[v2] = val2
-                                unknown -= 1
-                                queue.append((v2, val2, prov, system))
+                        # attributed to parity j at its own-clock slot
+                        solve(system, eq, pp.const, (ci, pp.j, comp.expansion
+                              * pp.t + pp.j // comp.codec.b - comp.shift))
             except InconsistentSystemError as exc:
+                slot = int(firsts[0]) + t
                 raise InconsistentSystemError(
-                    f"the parities of stream slot {t} contradict the "
-                    "earlier ones", slot=t) from exc
-        if vector:
-            # every cluster of the shape: slot and time shift by each
-            # cluster's start
-            for v, now, value in zip(done, nows, values):
-                slots, sub = base + v // n_subs + shift, v % n_subs
-                times[slots, sub] = now + shift
-                recovered[slots, sub] = value
-        elif done:
-            at = np.array(done) + base * n_subs  # into the flat arrays
-            times.put(at, nows)
+                    f"the parities of stream slot {slot} contradict the "
+                    "earlier ones", slot=slot) from exc
+        if events:
+            # (event, cluster at slot f): f + slot, sub, known at f + time
+            at = np.add.outer([e[0] * n_subs + e[1] for e in events],
+                              firsts * n_subs)
+            times.put(at, np.add.outer([e[2] for e in events], firsts))
             recovered.put(at, values)
         return events
 
@@ -497,14 +487,14 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         ids = np.array([shapes.setdefault(key, len(shapes))
                         for _, key in chunk], dtype=np.uint16)
         try:
-            events = [decode_shape(key, firsts[ids == k].tolist())
+            events = [decode_shape(key, firsts[ids == k])
                       for k, key in enumerate(shapes)]
         except InconsistentSystemError:
             # a run raises at its time t, but an earlier cluster may
             # contradict only at a later t: the clusters one by one in
             # stream order name the earliest
-            for first, key in chunk:
-                decode_shape(key, [first])
+            for i, (_, key) in enumerate(chunk):
+                decode_shape(key, firsts[i:i + 1])
             raise
         horizons.append((firsts, ids, events))
     return recovered, times, Trace(horizons, components[0].expansion)

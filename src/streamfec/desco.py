@@ -172,10 +172,10 @@ class CombinedCodec:
     def decode(self, symbols: np.ndarray, erased: np.ndarray):
         """Decode a received stream once, for every user.
 
-        ``symbols`` is the (n_slots, symbol_width) received array and
-        ``erased`` the (n_slots,) bool mask of its lost rows, whose
-        contents are ignored; ValueError names the dtype and shape of any
-        other mask.  Returns (recovered, log): recovered is the
+        ``symbols`` is the (n_slots, symbol_width) integer array received
+        and ``erased`` the (n_slots,) bool mask of its lost rows, whose
+        contents are ignored; ValueError names the dtypes and shapes of
+        anything else.  Returns (recovered, log): recovered is the
         (n_slots, subs_per_slot) source array, 0 wherever
         ``log.sub_times`` is -1 (never recovered), and
         ``log.misses(self.deadline(u))`` lists user u's misses.
@@ -308,6 +308,8 @@ def descriptor(codec: DeScoCodec) -> str:
 
 
 def parse_descriptor(text: str) -> DeScoCodec:
+    """The codec a ``descriptor`` text names.  ValueError names a key
+    that is unknown, repeated, missing or not an integer."""
     kv: Dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -315,8 +317,12 @@ def parse_descriptor(text: str) -> DeScoCodec:
             continue
         if "=" not in line:
             raise ValueError(f"bad descriptor line: {line!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
+        k, v = map(str.strip, line.split("=", 1))
+        if k not in ("b1", "t1", "a", "b", "field", "h"):
+            raise ValueError(f"descriptor has an unknown key {k!r}")
+        if k in kv:
+            raise ValueError(f"descriptor key {k} is repeated")
+        kv[k] = v
 
     def num(key: str, value: str, base: int = 10) -> int:
         try:

@@ -861,6 +861,13 @@ def test_encode_parity_entry_outside_field_is_usage_error(tmp_path, capsys):
     # (2,5,2) has a 3 x 2 parity matrix
     ("b1=2\nt1=5\na=2\nfield=3\nh=1-2\n", "H must have t-b rows"),
     ("b1=2\nt1=5\na=2\nfield=3\nh=1,2,3\n", "H must have b columns"),
+    # parsed, the last copy over GF(2^5) or the unknown line ignored
+    ("b1=2\nt1=5\na=2\nfield=3\nfield=5\n",
+     "descriptor key field is repeated"),
+    ("b1=2\nt1=5\na=2\nfield=3\nalpha=3\n",
+     "descriptor has an unknown key 'alpha'"),
+    ("b1=2\nt1=5\na=2\nfield=3\ndelta=4\n",
+     "descriptor has an unknown key 'delta'"),
 ])
 def test_bad_descriptor_is_usage_error(tmp_path, capsys, text, message):
     desc = tmp_path / "codec.txt"

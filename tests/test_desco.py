@@ -381,3 +381,19 @@ def test_decode_refuses_a_mask_that_is_not_one_bool_per_slot(mask, dtype,
     with pytest.raises(ValueError) as exc:
         codec.decode(stream, mask)
     assert f"dtype {dtype} and shape {shape}" in str(exc.value)
+
+
+@pytest.mark.parametrize("convert, dtype, shape", [
+    (lambda s: s.astype(np.float64), "float64", (5, 3)),
+    (lambda s: s.astype(np.complex128), "complex128", (5, 3)),
+    (lambda s: s.tolist(), "list", (5, 3)),
+    (lambda s: s[0, 0], "uint8", ()),
+])
+def test_decode_refuses_symbols_that_are_not_an_integer_array(convert,
+                                                              dtype, shape):
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    stream = codec.encode_stream(random_source(codec, 5))
+    erased = np.array([False, True, False, False, False])
+    with pytest.raises(ValueError) as exc:
+        codec.decode(convert(stream), erased)
+    assert f"symbols of dtype {dtype} and shape {shape}" in str(exc.value)
