@@ -280,8 +280,10 @@ def burst_length_counts(seed: int, segments: int,
     word can be one that numpy rejects and redraws;
     ``draw_segment_burst`` itself makes that redraw, and every draw of a
     range above 2**32.  A repeated b_max is counted once.  Raises
-    ValueError on a negative b_max or seed.
+    ValueError on a negative b_max, seed or segment count.
     """
+    if segments < 0:
+        raise ValueError(f"segments must be >= 0, got {segments}")
     distinct = sorted(set(b_max_list))
     if distinct and distinct[0] < 0:
         raise ValueError(f"b_max must be >= 0, got {distinct[0]}")
@@ -327,6 +329,8 @@ def segmented_bursts(segment_len: int, b_max: int, segments: int,
     """
     if not 0 <= b_max < segment_len:
         raise ValueError("b_max must be >= 0 and smaller than segment_len")
+    if segments < 0:
+        raise ValueError(f"segments must be >= 0, got {segments}")
     starts = np.zeros(segments, dtype=np.int64)
     lengths = np.zeros(segments, dtype=np.int64)
     for lo, out in _segment_outputs(seed, segments):

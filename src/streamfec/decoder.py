@@ -14,6 +14,9 @@ times reflect the earliest slot at which the staged procedure can pin a
 sub-symbol.  Nothing here depends on the receiver: one decode serves
 every user, each counting misses against its own deadline.
 
+``staged_decode`` takes its input as ``wire.check_stream`` checks it,
+and the rows its mask erases are never read.
+
 Everything runs on the stream clock: a rational-ratio codec's expanded
 clock is folded into its ``Component`` templates, so a received slot is
 one stream slot and every time is a stream slot.
@@ -81,6 +84,7 @@ import numpy as np
 
 from .gf import GF, IncrementalSystem, InconsistentSystemError
 from .sco import ScoCodec
+from .wire import check_stream
 
 Value = Union[int, np.ndarray]  # an element, or one per cluster of a shape
 
@@ -310,35 +314,24 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
 
     ``symbols`` is the (horizon, n_subs + n_parities) integer array of
     channel symbols and ``erased`` the (horizon,) bool mask of the slots
-    lost on the channel, whose rows are never read; ValueError names the
-    dtypes and shapes of anything else.  Returns (recovered, times,
-    trace): recovered is the (horizon, n_subs) source array, 0 where a
-    sub-symbol was never recovered; times is the (horizon, n_subs) int
-    array of recovery slots, a received row holding its own slot and -1
-    marking a sub-symbol never recovered (see ``StreamLog``); trace is
-    the parity attribution of each recovered erased sub-symbol, cluster
-    by cluster in stream order, a ``Trace`` built as it is iterated.  Clusters
-    are grouped by shape ``_HORIZON`` at a time, and each shape runs once
-    on all of its clusters there, in stream order (see the module
+    lost on the channel, whose rows are never read; ``check_stream``
+    refuses anything else.  Returns (recovered, times, trace): recovered
+    is the (horizon, n_subs) source array, 0 where a sub-symbol was
+    never recovered; times is the (horizon, n_subs) int array of
+    recovery slots, a received row holding its own slot and -1 marking a
+    sub-symbol never recovered (see ``StreamLog``); trace is the parity
+    attribution of each recovered erased sub-symbol, cluster by cluster
+    in stream order, a ``Trace`` built as it is iterated.  Clusters are
+    grouped by shape ``_HORIZON`` at a time, and each shape runs once on
+    all of its clusters there, in stream order (see the module
     docstring).  InconsistentSystemError names the stream slot whose
     parities contradict the others, the earliest in stream order.
     """
-    width = n_subs + n_parities
-    horizon = len(symbols) if np.ndim(symbols) else 0
-    if (getattr(symbols, "dtype", np.dtype(object)).kind not in "iu"
-            or np.shape(symbols) != (horizon, width)
-            or getattr(erased, "dtype", None) != bool
-            or np.shape(erased) != (horizon,)):
-        got = [f"dtype {getattr(a, 'dtype', type(a).__name__)} and shape "
-               f"{np.shape(a)}" for a in (symbols, erased)]
-        raise ValueError(
-            f"expected a ({horizon}, {width}) integer symbol array and a "
-            f"({horizon},) bool erasure mask, got symbols of {got[0]} and "
-            f"a mask of {got[1]}")
+    check_stream(symbols, field, n_subs + n_parities, erased)
     reach = max(comp.reach for comp in components)
     recovered = symbols[:, :n_subs].copy()
     # row t holds t, filled in place: no horizon-long temporary
-    times = np.arange(horizon * n_subs).reshape(horizon, n_subs)
+    times = np.arange(len(symbols) * n_subs).reshape(-1, n_subs)
     times //= n_subs
     recovered[erased] = 0
     times[erased] = -1

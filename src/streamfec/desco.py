@@ -160,10 +160,9 @@ class CombinedCodec:
     # -- encoding -------------------------------------------------------
 
     def encode_stream(self, source: np.ndarray) -> np.ndarray:
-        """Channel symbols of an (n_slots, subs_per_slot) integer source
-        array: row t is source row t followed by slot t's combined
-        parities, at the field's dtype, the wire's element width.
-        ValueError on another width or an element outside the field."""
+        """Channel symbols of an (n_slots, subs_per_slot) source array,
+        checked by ``check_stream``: row t is source row t followed by slot
+        t's combined parities, at the field's dtype (the wire's width)."""
         check_stream(source, self.field, self.subs_per_slot)
         return encode_symbols(self.components, self.field, source)
 
@@ -173,11 +172,10 @@ class CombinedCodec:
         """Decode a received stream once, for every user.
 
         ``symbols`` is the (n_slots, symbol_width) integer array received
-        and ``erased`` the (n_slots,) bool mask of its lost rows, whose
-        contents are ignored; ValueError names the dtypes and shapes of
-        anything else.  Returns (recovered, log): recovered is the
-        (n_slots, subs_per_slot) source array, 0 wherever
-        ``log.sub_times`` is -1 (never recovered), and
+        and ``erased`` the (n_slots,) bool mask of its lost rows, never
+        read; ``check_stream`` refuses anything else.  Returns (recovered,
+        log): recovered is the (n_slots, subs_per_slot) source array, 0
+        wherever ``log.sub_times`` is -1 (never recovered), and
         ``log.misses(self.deadline(u))`` lists user u's misses.
         """
         recovered, times, trace = staged_decode(
@@ -204,10 +202,9 @@ class DeScoCodec(CombinedCodec):
                          (params.t1, params.user2_deadline))
 
 
-def sco_build(params: ScoParams,
-              h: Optional[BurstParityMatrix] = None) -> CombinedCodec:
+def sco_build(params: ScoParams) -> CombinedCodec:
     """Single-user streaming code: one component, deadline t * step."""
-    return CombinedCodec([Component(ScoCodec(params, h))],
+    return CombinedCodec([Component(ScoCodec(params))],
                          (memory_bound(params),))
 
 
@@ -253,10 +250,13 @@ def burst_decode_log(codec: CombinedCodec,
     alone, and alike at any start (see the ``decoder`` module).  Its
     misses fall due before the next burst, and a slot recovered after
     its deadline is a miss whether it is recovered later or never.
+    ValueError names a negative length.
     """
     gap = max(codec.reach_slots, max(codec.deadlines) + 2)
     edges = [0]
     for length in lengths:
+        if length < 0:
+            raise ValueError(f"burst length must be >= 0, got {length}")
         if len(edges) > 1 and edges[-1] + length + gap > _BATCH_SLOTS:
             break
         edges.append(edges[-1] + length + gap)

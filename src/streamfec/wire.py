@@ -1,10 +1,10 @@
 """Flat binary serialization of symbol streams.
 
-A stream is an (n_slots, width) numpy integer array.  Each field element
-occupies one byte (GF(2^m), m <= 8) or two bytes (m <= 16), big-endian;
-the wire form is the plain concatenation of the rows with no framing,
-read and written as one ``>u1``/``>u2`` array.  That is the field's
-``dtype`` (``GF.dtype``) in big-endian order, which ``encode_stream``
+A stream is an (n_slots, width) numpy integer array; encode, decode and
+pack check one by ``check_stream`` alone.  An element takes one byte
+(m <= 8) or two (m <= 16) of GF(2^m), big-endian; the wire form is the
+rows' plain concatenation, read and written as one ``>u1``/``>u2`` array,
+the field's ``dtype`` in big-endian order, which ``encode_stream``
 returns, so a GF(2^m <= 8) stream is written without a cast.
 """
 
@@ -22,22 +22,34 @@ def element_width(field: GF) -> int:
     return field.dtype.itemsize
 
 
-def check_stream(symbols: np.ndarray, field: GF,
-                 width: Optional[int] = None) -> None:
-    """ValueError unless ``symbols`` is a 2-D integer array of elements of
-    ``field``, with ``width`` columns if given.  Runs before any cast,
-    which would wrap."""
-    if (symbols.ndim != 2 or width not in (None, symbols.shape[1])
-            or symbols.dtype.kind not in "iu"):
-        raise ValueError(f"expected an integer (n, {width or 'width'}) array, "
-                         f"got {symbols.dtype} of shape {symbols.shape}")
-    bad = (symbols < 0) | (symbols >= field.order)
-    if bad.any():
-        raise ValueError(f"element {symbols[bad][0]} out of range for {field}")
+def check_stream(symbols: np.ndarray, field: GF, width: Optional[int] = None,
+                 erased: np.ndarray = ...) -> None:
+    """ValueError naming each one's dtype and shape unless ``symbols`` is a
+    2-D integer array (``width`` columns if given) and ``erased``, if given,
+    one bool per row; else naming the first element outside ``field`` in a
+    row not erased, as only those are read.  Call before a cast: it wraps."""
+    named = [("symbols", symbols)] + [("a mask", erased)] * (erased is not ...)
+    if (getattr(symbols, "dtype", np.dtype(object)).kind not in "iu"
+            or np.ndim(symbols) != 2 or width not in (None, symbols.shape[1])
+            or len(named) > 1 and (getattr(erased, "dtype", None) != bool
+                                   or np.shape(erased) != symbols.shape[:1])):
+        got = [f"{name} of dtype {getattr(a, 'dtype', type(a).__name__)} "
+               f"and shape {np.shape(a)}" for name, a in named]
+        raise ValueError(f"expected an integer (n, {width or 'width'}) array"
+                         f"{' and an (n,) bool mask' * (len(got) - 1)}, "
+                         f"got {' and '.join(got)}")
+    if (symbols.max(initial=0) >= field.order
+            or symbols.dtype.kind == "i" and symbols.min(initial=0) < 0):
+        bad = (symbols < 0) | (symbols >= field.order)
+        if len(named) > 1:
+            bad[erased] = False
+        for row, col in np.argwhere(bad)[:1].tolist():
+            raise ValueError(f"element {symbols[row, col]} at row {row}, "
+                             f"column {col} is not in {field}")
 
 
 def pack_stream(symbols: np.ndarray, field: GF) -> bytes:
-    """Wire bytes of an (n, width) stream; ValueError as ``check_stream``."""
+    """Wire bytes of an (n, width) stream, checked by ``check_stream``."""
     check_stream(symbols, field)
     return symbols.astype(f">u{element_width(field)}", copy=False).tobytes()
 

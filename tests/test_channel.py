@@ -200,6 +200,9 @@ def test_segmented_bursts_validation():
         segmented_bursts(segment_len=5, b_max=5, segments=1, seed=0)
     with pytest.raises(ValueError):
         segmented_bursts(segment_len=5, b_max=-1, segments=1, seed=0)
+    with pytest.raises(ValueError, match="segments must be >= 0, got -1"):
+        segmented_bursts(segment_len=5, b_max=2, segments=-1, seed=0)
+    assert [a.tolist() for a in segmented_bursts(5, 2, 0, 0)] == [[], []]
 
 
 def test_apply_masks_erased_slots():
@@ -271,6 +274,9 @@ def test_burst_length_counts_repeats_and_validation():
     assert burst_length_counts(3, 50, []) == {}
     with pytest.raises(ValueError):
         burst_length_counts(3, 50, [2, -1])
+    with pytest.raises(ValueError, match="segments must be >= 0, got -5"):
+        burst_length_counts(1, -5, [3])
+    assert burst_length_counts(1, 0, [3]) == {3: [0, 0, 0, 0]}
 
 
 KERNEL_SEEDS = [0, 7, 1009, 2**32 + 5, 2**100 + 7]

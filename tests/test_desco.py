@@ -13,6 +13,7 @@ from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
                              rate_upper_bound, sco_build)
 from streamfec.gf import GF
 from streamfec.sco import ScoParams, capacity
+from streamfec.wire import pack_stream
 
 from zero_bursts import sweep, zero_burst_log
 
@@ -241,6 +242,8 @@ def test_burst_loss_count_profile_12_alpha2():
     got = [burst_outcomes(codec, [length])[length][1] for length in range(6)]
     assert [u2 for _, u2 in got] == [0, 0, 0, 3, 4, 5]
     assert [u1 for u1, _ in got[:4]] == [0, 0, 2, 3]
+    with pytest.raises(ValueError, match="burst length must be >= 0, got -1"):
+        burst_outcomes(codec, [2, -1])
 
 
 @pytest.mark.parametrize("codec, b2", [
@@ -373,6 +376,7 @@ def test_decode_rejects_bad_user_and_width():
     (np.array([0.0, 1.0, 0.0, 0.0, 0.0]), "float64", (5,)),
     (np.zeros((5, 1), dtype=bool), "bool", (5, 1)),
     (np.zeros(4, dtype=bool), "bool", (4,)),
+    (None, "NoneType", ()),
 ])
 def test_decode_refuses_a_mask_that_is_not_one_bool_per_slot(mask, dtype,
                                                              shape):
@@ -391,9 +395,33 @@ def test_decode_refuses_a_mask_that_is_not_one_bool_per_slot(mask, dtype,
 ])
 def test_decode_refuses_symbols_that_are_not_an_integer_array(convert,
                                                               dtype, shape):
+    """Decode, and encode and pack through the same check: encode is
+    given a source-shaped array, its first two columns."""
     codec = DeScoCodec(DeScoParams(1, 2, 2))
     stream = codec.encode_stream(random_source(codec, 5))
     erased = np.array([False, True, False, False, False])
-    with pytest.raises(ValueError) as exc:
-        codec.decode(convert(stream), erased)
-    assert f"symbols of dtype {dtype} and shape {shape}" in str(exc.value)
+    for call, columns in [(lambda s: codec.decode(s, erased), 3),
+                          (codec.encode_stream, 2),
+                          (lambda s: pack_stream(s, codec.field), 3)]:
+        with pytest.raises(ValueError) as exc:
+            call(convert(stream[:, :columns]))
+        got = shape[:1] + (columns,) * (len(shape) - 1)
+        assert f"symbols of dtype {dtype} and shape {got}" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [-1, 4])  # GF(4) holds 0..3
+@pytest.mark.parametrize("slot", [12, 25], ids=["read", "unread"])
+def test_decode_names_a_received_element_outside_the_field(slot, value):
+    """Refused in a slot right after the burst, which the decoder reads,
+    and in one past the burst's reach, which it never reads; an erased
+    row may hold any value."""
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    rx = codec.encode_stream(np.zeros((30, 2), dtype=np.int64))
+    rx = rx.astype(np.int64)
+    erased = single_burst(10, 2, 30)
+    rx[10] = value
+    assert codec.decode(rx, erased)[1].misses(codec.deadline(2)) == []
+    rx[slot, 2] = value
+    with pytest.raises(ValueError,
+                       match=f"element {value} at row {slot}, column 2 "):
+        codec.decode(rx, erased)
