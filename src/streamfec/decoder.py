@@ -52,18 +52,21 @@ clusters in that grouping horizon at once, each value a vector at the
 field's dtype with one column per cluster (XOR adds, ``field.mul``
 multiplies; plain ints for a single cluster).  The run works in the
 shape's own coordinates, its clock counting slots from a cluster's
-first, and one placement step writes every cluster's values and times
-at its first slot; the trace keeps the events in shape coordinates and
-adds that slot as it is walked in stream order (``Trace``).  The
-shape's window, its rows from ``reach`` slots before the first erasure,
-is the one record of what is known.  It is two flat lists: the source
-values, row by row, and the received parities.  A variable is an
+first, and one placement step writes every cluster's times and values,
+read back from the window, at its first slot; the trace keeps the
+events in shape coordinates and adds that slot as it is walked in
+stream order (``Trace``).  The shape's window, its rows from ``reach``
+slots before the first erasure, is the one record of what is known,
+gathered by one index over its clusters.  It is two flat lists: the
+source values, row by row, and the received parities.  A variable is an
 integer, its flat window index row * n_subs + sub; an erased slot's
 entries hold None until they are recovered, then their values, and
 ``divmod`` gives an event's slot and sub back.  Each ``Component``
 compiles its templates once into such flat offsets, ds * n_subs + sub,
 so a parity at row i reads the variable i * n_subs + offset.  A
 grouping horizon bounds a run's columns, so memory is flat in length.
+A contradiction leaves its system as it was, so the run goes on,
+noting the slot of its earliest contradicting cluster (``syndrome``).
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.  It
@@ -324,8 +327,8 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     in stream order, a ``Trace`` built as it is iterated.  Clusters are
     grouped by shape ``_HORIZON`` at a time, and each shape runs once on
     all of its clusters there, in stream order (see the module
-    docstring).  InconsistentSystemError names the stream slot whose
-    parities contradict the others, the earliest in stream order.
+    docstring).  Once a grouping horizon is decoded, InconsistentSystemError
+    names its earliest stream slot whose parities contradict the others.
     """
     check_stream(symbols, field, n_subs + n_parities, erased)
     reach = max(comp.reach for comp in components)
@@ -347,25 +350,18 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         cluster's first, window row t + reach.  Place every cluster's
         values and times; return the events in those coordinates."""
         vector = len(firsts) > 1
-        if vector:
-            # (row, column, symbol) window at the field's dtype, zeros
-            # before slot 0, then one vector (a view) per window entry
-            at = np.add.outer(np.arange(-reach, len(key)), firsts)
-            rows = symbols[np.maximum(at, 0)].astype(field.dtype, copy=False)
+        # (row, symbol, column) window at the field's dtype, zeros before
+        # slot 0, then a vector (a view) per entry, or a plain int
+        at = np.arange(-reach, len(key))[:, None] + firsts
+        rows = symbols.take(at, 0, mode="clip").astype(field.dtype, copy=False)
+        if firsts[0] < reach:
             rows[at < 0] = 0
-            del at
-            rows = rows.transpose(0, 2, 1)
-            src = [entry for row in rows for entry in row[:n_subs]]
-            par = [entry for row in rows for entry in row[n_subs:]]
-        else:
-            first = int(firsts[0])
-            pad = max(0, reach - first)
-            rows = symbols[first - reach + pad:first + len(key)]
-            src = [0] * (pad * n_subs) + rows[:, :n_subs].ravel().tolist()
-            par = [0] * (pad * n_parities) + rows[:, n_subs:].ravel().tolist()
-        del rows
+        rows = rows.transpose(0, 2, 1)
+        cut = list if vector else lambda entries: entries.ravel().tolist()
+        src = cut(rows[:, :n_subs].reshape(-1, len(firsts)))
+        par = cut(rows[:, n_subs:].reshape(-1, len(firsts)))
+        del at, rows
         events: List[tuple] = []  # TraceEvent fields
-        values: List[Value] = []  # each event's value
         unknown = 0  # erased sub-symbols not yet recovered
         systems: Dict[Tuple[int, int], IncrementalSystem] = {}
         sys_vars: Dict[int, Dict[int, IncrementalSystem]] = {}  # var -> ci -> system
@@ -374,8 +370,15 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
         ready: deque = deque()  # pending parities whose unknowns changed
 
         def solve(system, eq: Dict[int, int], const: Value, prov: tuple):
-            """Add an equation to a system and queue what it newly solves."""
-            for v, value in system.add_equation(eq, const).items():
+            """Add an equation to a system and queue what it newly solves;
+            a contradiction adds nothing and notes its earliest slot."""
+            try:
+                newly = system.add_equation(eq, const)
+            except InconsistentSystemError as exc:
+                columns = np.flatnonzero(exc.syndrome)
+                contradictions.append(int(firsts[columns].min()) + t)
+                return
+            for v, value in newly.items():
                 if src[v] is None:
                     src[v] = value
                     queue.append((v, value, prov, system))
@@ -413,81 +416,73 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                         pp.live += 1
                 pp.const = const
                 ready.append(pp)
-            try:
-                while queue or ready:
-                    while queue:
-                        # a recovered value: substitute it wherever it is
-                        # unknown, but in the system that solved it, where
-                        # it would only cancel out; in any other system it
-                        # is a consistency check
-                        v, value, prov, source = queue.popleft()
-                        unknown -= 1
-                        slot, sub = divmod(v, n_subs)
-                        events.append((slot - reach, sub, t) + prov)
-                        values.append(value)
-                        for pp, ci in watchers.pop(v, ()):
-                            if pp.released:
-                                continue  # its equation is already in a system
-                            unknowns = pp.unknowns[ci]
-                            coeff = unknowns.pop(v)
-                            if vector or value:
-                                pp.const = pp.const ^ mul(coeff, value)
-                            if not unknowns:
-                                pp.live -= 1
-                                ready.append(pp)
-                        for ci, system in sys_vars.pop(v).items():
-                            if system is not source:
-                                solve(system, {v: 1}, value, (ci, -1, -1))
-                    while ready:
-                        # a parity left with one component's unknowns
-                        # enters that component's diagonal system
-                        pp = ready.popleft()
-                        if pp.released or pp.live != 1:
-                            continue
-                        pp.released = True
-                        for ci, eq in enumerate(pp.unknowns):
-                            if eq:
-                                break
-                        comp = components[ci]
-                        skey = (ci, comp.expansion * pp.t
-                                + comp.templates[pp.j][0])
-                        system = systems.get(skey)
-                        if system is None:
-                            system = systems[skey] = IncrementalSystem(field)
-                        for v in eq:
-                            sys_vars.setdefault(v, {})[ci] = system
-                        # attributed to parity j at its own-clock slot
-                        solve(system, eq, pp.const, (ci, pp.j, comp.expansion
-                              * pp.t + pp.j // comp.codec.b - comp.shift))
-            except InconsistentSystemError as exc:
-                slot = int(firsts[0]) + t
-                raise InconsistentSystemError(
-                    f"the parities of stream slot {slot} contradict the "
-                    "earlier ones", slot=slot) from exc
+            while queue or ready:
+                while queue:
+                    # a recovered value: substitute it wherever it is
+                    # unknown, but in the system that solved it, where
+                    # it would only cancel out; in any other system it
+                    # is a consistency check
+                    v, value, prov, source = queue.popleft()
+                    unknown -= 1
+                    slot, sub = divmod(v, n_subs)
+                    events.append((slot - reach, sub, t) + prov)
+                    for pp, ci in watchers.pop(v, ()):
+                        if pp.released:
+                            continue  # its equation is already in a system
+                        unknowns = pp.unknowns[ci]
+                        coeff = unknowns.pop(v)
+                        if vector or value:
+                            pp.const = pp.const ^ mul(coeff, value)
+                        if not unknowns:
+                            pp.live -= 1
+                            ready.append(pp)
+                    for ci, system in sys_vars.pop(v).items():
+                        if system is not source:
+                            solve(system, {v: 1}, value, (ci, -1, -1))
+                while ready:
+                    # a parity left with one component's unknowns
+                    # enters that component's diagonal system
+                    pp = ready.popleft()
+                    if pp.released or pp.live != 1:
+                        continue
+                    pp.released = True
+                    for ci, eq in enumerate(pp.unknowns):
+                        if eq:
+                            break
+                    comp = components[ci]
+                    skey = (ci, comp.expansion * pp.t
+                            + comp.templates[pp.j][0])
+                    system = systems.get(skey)
+                    if system is None:
+                        system = systems[skey] = IncrementalSystem(field)
+                    for v in eq:
+                        sys_vars.setdefault(v, {})[ci] = system
+                    # attributed to parity j at its own-clock slot
+                    solve(system, eq, pp.const, (ci, pp.j, comp.expansion
+                          * pp.t + pp.j // comp.codec.b - comp.shift))
         if events:
-            # (event, cluster at slot f): f + slot, sub, known at f + time
-            at = np.add.outer([e[0] * n_subs + e[1] for e in events],
-                              firsts * n_subs)
+            # (event, cluster at slot f): f + slot, sub, known at f + time,
+            # its value read back from the window
+            flat = [e[0] * n_subs + e[1] for e in events]
+            at = np.add.outer(flat, firsts * n_subs)
             times.put(at, np.add.outer([e[2] for e in events], firsts))
-            recovered.put(at, values)
+            recovered.put(at, [src[v + reach * n_subs] for v in flat])
         return events
 
     horizons = []  # see Trace
+    contradictions: List[int] = []  # slots, in one grouping horizon
     clusters = _clusters(erased, reach)
     while chunk := list(islice(clusters, _HORIZON)):
         shapes: Dict[bytes, int] = {}  # shape -> id, in order of appearance
         firsts = np.array([first for first, _ in chunk], dtype=np.int64)
         ids = np.array([shapes.setdefault(key, len(shapes))
                         for _, key in chunk], dtype=np.uint16)
-        try:
-            events = [decode_shape(key, firsts[ids == k])
-                      for k, key in enumerate(shapes)]
-        except InconsistentSystemError:
-            # a run raises at its time t, but an earlier cluster may
-            # contradict only at a later t: the clusters one by one in
-            # stream order name the earliest
-            for i, (_, key) in enumerate(chunk):
-                decode_shape(key, firsts[i:i + 1])
-            raise
+        events = [decode_shape(key, firsts[ids == k])
+                  for k, key in enumerate(shapes)]
+        if contradictions:
+            slot = min(contradictions)
+            raise InconsistentSystemError(
+                f"the parities of stream slot {slot} contradict the "
+                "earlier ones", slot=slot)
         horizons.append((firsts, ids, events))
     return recovered, times, Trace(horizons, components[0].expansion)

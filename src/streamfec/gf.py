@@ -43,11 +43,14 @@ CANONICAL_POLY = {
 class InconsistentSystemError(RuntimeError):
     """A linear system contradicts itself: a corrupted stream or a codec
     bug.  ``slot`` is the stream slot whose parities showed it, when the
-    decoder raises it."""
+    decoder raises it; ``syndrome`` the nonzero constant c of the row
+    ``0 = c``, when ``IncrementalSystem.add_equation`` raises it."""
 
-    def __init__(self, message: str, slot: Optional[int] = None):
+    def __init__(self, message: str, slot: Optional[int] = None,
+                 syndrome=None):
         super().__init__(message)
         self.slot = slot
+        self.syndrome = syndrome
 
 
 class GF:
@@ -133,7 +136,7 @@ class IncrementalSystem:
     Constants, and so values, are elements or integer vectors with one
     column per system solved at once; ``field.mul`` multiplies either by
     an element and no constant changes in place.  A contradiction in any
-    column raises InconsistentSystemError, which names no column.
+    column raises InconsistentSystemError, its ``syndrome`` the constant.
 
     Invariant: rows are fully reduced, so no row holds a solved variable,
     another row's pivot or no term but its pivot.  A row left with no term
@@ -159,7 +162,9 @@ class IncrementalSystem:
         the pivot is eliminated from the older rows.  A row left with no
         term solves its pivot: the older ones in row order, then the new
         one.  Row coefficients are nonzero, so their products are read
-        from the log tables directly.
+        from the log tables directly.  A row reduced to ``0 = c`` with c
+        nonzero raises InconsistentSystemError with c as its ``syndrome``
+        and leaves the system as it was.
         """
         f, solved, rows = self.field, self.solved, self._rows
         mul, log, alog, period = f.mul, f._log, f._alog, f.order - 1
@@ -186,7 +191,8 @@ class IncrementalSystem:
             c = c ^ mul(coef, pc)
         if not row:  # 0 = c: c must be 0 in every column
             if c.any() if isinstance(c, np.ndarray) else c:
-                raise InconsistentSystemError("contradictory equation")
+                raise InconsistentSystemError("contradictory equation",
+                                              syndrome=c)
             return {}
         pivot = next(iter(row))
         lead = row.pop(pivot)

@@ -1,6 +1,8 @@
 import csv
 import io
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -744,6 +746,74 @@ def test_decode_inconsistent_stream_exits_4(tmp_path, capsys):
         reference_decode(codec.components, codec.field, codec.subs_per_slot,
                          codec.parities_per_slot, stream, erased)
     assert f" stream slot {exc.value.slot} " in err
+
+
+@pytest.mark.parametrize("slot, code", [(0, cli.EXIT_OK),
+                                        (1, cli.EXIT_USAGE)],
+                         ids=["erased", "read"])
+def test_decode_refuses_a_bad_element_only_where_it_is_read(tmp_path, capsys,
+                                                             slot, code):
+    """0xff is outside GF(2^3).  In a slot the pattern erases it is never
+    read, and the stream decodes as if the slot held zeros; in a received
+    slot it is a usage error naming its slot and column."""
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
+    desc = tmp_path / "codec.txt"
+    desc.write_text(descriptor(codec))
+    data = bytearray(24 * codec.symbol_width)
+    data[slot * codec.symbol_width + 2] = 0xff
+    enc = tmp_path / "s.bin"
+    enc.write_bytes(data)
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("0:1\n4:2\n")
+    zeros = tmp_path / "zeros.bin"
+    zeros.write_bytes(bytes(len(data)))
+    dec, want = tmp_path / "d.bin", tmp_path / "want.bin"
+    argv = ["decode", "--descriptor", str(desc), "--pattern", str(pattern)]
+    got, text = run(argv + ["--in", str(enc), "--out", str(dec)])
+    assert got == code
+    if code == cli.EXIT_OK:
+        assert run(argv + ["--in", str(zeros), "--out", str(want)]) \
+            == (code, text)
+        assert dec.read_bytes() == want.read_bytes()
+    else:
+        assert text == "" and not dec.exists()
+        assert capsys.readouterr().err == (
+            "error: element 255 at row 1, column 2 is not in GF(2^3)\n")
+
+
+def test_cli_runs_as_a_process_of_its_own(tmp_path):
+    """``python -m streamfec.cli`` exits with ``main``'s status: 0 for a
+    pass, 2 for a usage error, 3 for a file it cannot read and 4 for a
+    stream whose parities contradict, named by its stream slot."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def process(*argv):
+        done = subprocess.run([sys.executable, "-m", "streamfec.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, _ = process("verify", "--b1", "1", "--t1", "2",
+                           "--alpha-num", "2")
+    assert code == 0 and out.splitlines()[-1] == "PASS"
+    code, _, err = process("verify", "--bogus")
+    assert code == 2 and "usage:" in err
+    code, _, err = process("encode", "--descriptor", "missing.txt",
+                           "--in", "missing.bin", "--out", "out.bin")
+    assert code == 3 and err.startswith("i/o error: ")
+    # the corrupted stream of the CI's installed-CLI step
+    (tmp_path / "desco.txt").write_text(
+        descriptor(DeScoCodec(DeScoParams(2, 5, 2))))
+    corrupt = bytearray(24 * 7)
+    corrupt[8] = 1
+    (tmp_path / "corrupt.bin").write_bytes(corrupt)
+    (tmp_path / "pattern.txt").write_text("0:1\n4:2\n")
+    code, _, err = process("decode", "--descriptor", "desco.txt",
+                           "--in", "corrupt.bin", "--pattern", "pattern.txt",
+                           "--out", "decoded.bin")
+    assert code == 4 and "the parities of stream slot 15 contradict" in err
 
 
 def test_decode_pattern_run_past_the_stream_is_usage_error(tmp_path, capsys):

@@ -380,11 +380,14 @@ def test_decode_rejects_bad_user_and_width():
 ])
 def test_decode_refuses_a_mask_that_is_not_one_bool_per_slot(mask, dtype,
                                                              shape):
+    """A non-array is named by its type alone, ``dtype`` here."""
     codec = DeScoCodec(DeScoParams(1, 2, 2))
     stream = codec.encode_stream(random_source(codec, 5))
     with pytest.raises(ValueError) as exc:
         codec.decode(stream, mask)
-    assert f"dtype {dtype} and shape {shape}" in str(exc.value)
+    named = (f"dtype {dtype} and shape {shape}" if hasattr(mask, "dtype")
+             else f"type {dtype}")
+    assert f"a mask of {named}" in str(exc.value)
 
 
 @pytest.mark.parametrize("convert, dtype, shape", [
@@ -392,21 +395,29 @@ def test_decode_refuses_a_mask_that_is_not_one_bool_per_slot(mask, dtype,
     (lambda s: s.astype(np.complex128), "complex128", (5, 3)),
     (lambda s: s.tolist(), "list", (5, 3)),
     (lambda s: s[0, 0], "uint8", ()),
+    # ragged: no shape to name
+    (lambda s: [s[0].tolist(), s[1, :1].tolist()], "list", None),
 ])
 def test_decode_refuses_symbols_that_are_not_an_integer_array(convert,
                                                               dtype, shape):
     """Decode, and encode and pack through the same check: encode is
-    given a source-shaped array, its first two columns."""
+    given a source-shaped array, its first two columns.  A non-array is
+    named by its type alone, ``dtype`` here."""
     codec = DeScoCodec(DeScoParams(1, 2, 2))
     stream = codec.encode_stream(random_source(codec, 5))
     erased = np.array([False, True, False, False, False])
     for call, columns in [(lambda s: codec.decode(s, erased), 3),
                           (codec.encode_stream, 2),
                           (lambda s: pack_stream(s, codec.field), 3)]:
+        arg = convert(stream[:, :columns])
         with pytest.raises(ValueError) as exc:
-            call(convert(stream[:, :columns]))
-        got = shape[:1] + (columns,) * (len(shape) - 1)
-        assert f"symbols of dtype {dtype} and shape {got}" in str(exc.value)
+            call(arg)
+        if hasattr(arg, "dtype"):
+            got = shape[:1] + (columns,) * (len(shape) - 1)
+            named = f"dtype {dtype} and shape {got}"
+        else:
+            named = f"type {dtype}"
+        assert f"symbols of {named}" in str(exc.value)
 
 
 @pytest.mark.parametrize("value", [-1, 4])  # GF(4) holds 0..3

@@ -309,6 +309,25 @@ def outcome(system, terms, const):
             for v, c in newly.items()]
 
 
+@pytest.mark.parametrize("syndrome", [3, np.array([0, 3, 1], dtype=np.uint8)],
+                         ids=["element", "vector"])
+def test_contradiction_leaves_the_system_and_names_its_syndrome(syndrome):
+    """A row reduced to ``0 = c``, c nonzero in some column, raises with c
+    as ``syndrome`` and leaves the solved values and rows as they were:
+    the decoder notes the contradicting columns and goes on."""
+    g = GF(2)
+    zero = syndrome * 0
+    sys = IncrementalSystem(g)
+    sys.add_equation({"a": 1}, zero ^ 1)
+    sys.add_equation({"b": 1, "c": 2}, zero ^ 2)
+    before = system_state(sys)
+    with pytest.raises(InconsistentSystemError) as exc:
+        # a + b + 2c = 1 + 2 in every consistent column
+        sys.add_equation({"a": 1, "b": 1, "c": 2}, syndrome ^ 3)
+    assert np.array_equal(exc.value.syndrome, syndrome)
+    assert system_state(sys) == before
+
+
 @given(data=st.data(), degree=st.integers(1, 4),
        columns=st.sampled_from([None, None, 1, 3]))
 def test_add_equation_matches_reference_elimination(data, degree, columns):

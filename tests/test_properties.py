@@ -16,7 +16,8 @@ from streamfec.decoder import staged_decode
 from streamfec.desco import DeScoCodec, DeScoParams, ia_sco_build, sco_build
 from streamfec.gf import GF, InconsistentSystemError
 from streamfec.sco import ScoParams
-from streamfec.wire import element_width, pack_stream, unpack_stream
+from streamfec.wire import (check_stream, element_width, pack_stream,
+                            unpack_stream)
 
 from reference_decoder import ml_decode_times, reference_decode
 from zero_bursts import zero_burst_log
@@ -572,10 +573,15 @@ def test_wire_rejects_out_of_range_elements(case, data):
     rows = [flat[s:s + width] for s in range(0, len(flat), width)]
     with pytest.raises(ValueError):
         pack_stream(np.array(rows), field)
-    # the same element read back from the wire names its byte offset
+    # the same element read back from the wire is refused by the one
+    # element rule, naming its row and column
     w = element_width(field)
     if 0 <= bad < 256 ** w:
         good = bytearray(pack_stream(np.array(slots), field))
         good[i * w:(i + 1) * w] = bad.to_bytes(w, "big")
-        with pytest.raises(ValueError, match=f"byte {i * w}:"):
-            unpack_stream(bytes(good), field, width)
+        unpacked = unpack_stream(bytes(good), field, width)
+        row, col = divmod(i, width)
+        with pytest.raises(ValueError) as exc:
+            check_stream(unpacked, field)
+        assert str(exc.value).startswith(
+            f"element {bad} at row {row}, column {col} ")

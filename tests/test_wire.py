@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from streamfec.gf import GF
-from streamfec.wire import element_width, pack_stream, unpack_stream
+from streamfec.wire import (check_stream, element_width, pack_stream,
+                            unpack_stream)
 
 
 def test_element_width():
@@ -42,10 +43,15 @@ def test_unpack_truncated_names_offset():
         unpack_stream(data[:3], g, 2)
 
 
-def test_unpack_bad_element_names_offset():
+def test_unpacked_bad_element_names_row_and_column():
+    """The wire frames bytes and reads no element: ``check_stream``, the
+    one element rule, refuses one outside the field by row and column."""
     g = GF(2)  # order 4, one byte per element
-    with pytest.raises(ValueError, match="byte 1"):
-        unpack_stream(b"\x00\x09", g, 2)
+    symbols = unpack_stream(b"\x00\x09", g, 2)
+    assert symbols.tolist() == [[0, 9]]
+    with pytest.raises(ValueError) as exc:
+        check_stream(symbols, g)
+    assert str(exc.value) == "element 9 at row 0, column 1 is not in GF(2^2)"
 
 
 def test_unpack_refuses_a_width_below_one():
