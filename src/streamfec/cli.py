@@ -121,10 +121,9 @@ def _verify_parser(make) -> argparse.ArgumentParser:
         "verify", help="burst delay sweep over every start in a window",
         description="Worst recovery delay and misses of one burst (b1 for "
         "user 1, b2 for user 2) over every start in 0..window-burst.  Exact "
-        "from one decode of both bursts, far enough apart to decode alone: "
-        "the codes are causal and time-invariant and the stream before "
-        "slot 0 counts as known zeros, so a burst at any start decodes like "
-        "the one at start 0, shifted.")
+        "from one run of each burst's erasure shape at start 0: the codes "
+        "are causal and time-invariant, so a burst at any start decodes "
+        "like that one, shifted.")
     _codec_flags(sp)
     sp.add_argument("--window", type=int,
                     help="default 10*(t1+b1); at least b2")
@@ -177,9 +176,8 @@ def simulate_records(args) -> List[Dict[str, object]]:
     """Loss records per (b_max, scheme, user) over seeded segment bursts.
 
     Losses per segment are those of one isolated burst of the drawn
-    length: ``burst_outcomes``, which ``verify`` reads too, gives the
-    misses of every length that some segment drew, for every user, from
-    one decode per scheme.
+    length: ``burst_outcomes``, which ``verify`` reads too, gives every
+    user's misses from one shape run per scheme and drawn length.
     ``channel.burst_length_counts`` gives the lengths for every b_max,
     evaluated in batch and equal to one ``channel.draw_segment_burst``
     per segment and b_max.  Rows follow ``--bmax-list`` in its order, a

@@ -37,36 +37,31 @@ received stream decodes alike wherever it starts: the templates are the
 same at every slot, and a term before slot 0 is a known zero just as a
 received slot's sub-symbol is known, so a burst at any start s >= 0 has
 the recovery times of the same burst at start 0, shifted by s.
-``desco``'s ``burst_decode_log`` rests on both: it lays bursts of many
-lengths on one stream, each far enough past the one before it to
-decode alone, so one decode gives every user each burst's outcome at
-every start.
 
 So does a cluster, whose shape is its erasure mask up to ``reach``
 slots past its last erasure, clipped at the horizon.  What is known,
 which parity enters which system when, and every coefficient follow
-from the shape: received values only enter the constants.  The decoder
-looks ahead over ``_HORIZON`` clusters at a time and groups them by
-shape.  One run of the staged logic then decodes all of a shape's
-clusters in that grouping horizon at once, each value a vector at the
-field's dtype with one column per cluster (XOR adds, ``field.mul``
-multiplies; plain ints for a single cluster).  The run works in the
-shape's own coordinates, its clock counting slots from a cluster's
-first, and one placement step writes every cluster's times and values,
-read back from the window, at its first slot; the trace keeps the
-events in shape coordinates and adds that slot as it is walked in
-stream order (``Trace``).  The shape's window, its rows from ``reach``
-slots before the first erasure, is the one record of what is known,
-gathered by one index over its clusters.  It is two flat lists: the
-source values, row by row, and the received parities.  A variable is an
-integer, its flat window index row * n_subs + sub; an erased slot's
-entries hold None until they are recovered, then their values, and
-``divmod`` gives an event's slot and sub back.  Each ``Component``
-compiles its templates once into such flat offsets, ds * n_subs + sub,
-so a parity at row i reads the variable i * n_subs + offset.  A
-grouping horizon bounds a run's columns, so memory is flat in length.
-A contradiction leaves its system as it was, so the run goes on,
-noting the slot of its earliest contradicting cluster (``syndrome``).
+from the shape: received values only enter the constants.
+``ShapeEngine`` runs the staged logic on a shape in its own
+coordinates, its clock counting slots from a cluster's first, over its
+window: its rows from ``reach`` slots before the first erasure, as two
+flat lists, the source values row by row and the received parities.
+A variable is an integer, its flat window index row * n_subs + sub; an
+erased slot's entries hold None until they are recovered, then their
+values, and ``divmod`` gives an event's slot and sub back.  Each
+``Component`` compiles its templates once into such flat offsets,
+ds * n_subs + sub, so a parity at row i reads the variable
+i * n_subs + offset.  A contradiction leaves its system as it was, so
+the run goes on, noting the slot of its earliest contradicting cluster
+(``syndrome``).  ``staged_decode`` groups ``_HORIZON`` clusters at a
+time by shape, gathers each shape's windows by one index, each value a
+vector at the field's dtype with a column per cluster (XOR adds,
+``field.mul`` multiplies; plain ints for one cluster), runs the engine
+once and places every cluster's times and values at its first slot;
+the trace adds that slot to the shape's events as it is walked
+(``Trace``).  The horizon bounds the columns, so memory is flat in
+length.  ``desco``'s ``burst_decode_log`` runs one burst's shape on
+zero windows, with no stream, for every user's outcome at every start.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
 source array, so encoder and decoder share one parity definition.  It
@@ -311,57 +306,33 @@ def _clusters(erased: np.ndarray, reach: int) -> Iterator[Tuple[int, bytes]]:
         yield first, erased[first:last + reach + 1].tobytes()
 
 
-def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
-                  n_parities: int, symbols: np.ndarray, erased: np.ndarray):
-    """Run the staged decoder over a received stream.
+class ShapeEngine:
+    """The staged logic over one cluster shape (see the module docstring),
+    given once the codec's tables: components, field, sub-symbols and
+    parities per slot, widest reach and each parity row's term offsets."""
 
-    ``symbols`` is the (horizon, n_subs + n_parities) integer array of
-    channel symbols and ``erased`` the (horizon,) bool mask of the slots
-    lost on the channel, whose rows are never read; ``check_stream``
-    refuses anything else.  Returns (recovered, times, trace): recovered
-    is the (horizon, n_subs) source array, 0 where a sub-symbol was
-    never recovered; times is the (horizon, n_subs) int array of
-    recovery slots, a received row holding its own slot and -1 marking a
-    sub-symbol never recovered (see ``StreamLog``); trace is the parity
-    attribution of each recovered erased sub-symbol, cluster by cluster
-    in stream order, a ``Trace`` built as it is iterated.  Clusters are
-    grouped by shape ``_HORIZON`` at a time, and each shape runs once on
-    all of its clusters there, in stream order (see the module
-    docstring).  Once a grouping horizon is decoded, InconsistentSystemError
-    names its earliest stream slot whose parities contradict the others.
-    """
-    check_stream(symbols, field, n_subs + n_parities, erased)
-    reach = max(comp.reach for comp in components)
-    recovered = symbols[:, :n_subs].copy()
-    # row t holds t, filled in place: no horizon-long temporary
-    times = np.arange(len(symbols) * n_subs).reshape(-1, n_subs)
-    times //= n_subs
-    recovered[erased] = 0
-    times[erased] = -1
-    mul = field.mul
-    # per parity row: the offsets of every component's terms
-    probes = [tuple(off for comp in components
-                    for off, _ in comp.flat_terms[j]) for j in range(n_parities)]
-    nones = [None] * n_subs
+    def __init__(self, components: Sequence[Component], field: GF,
+                 n_subs: int, n_parities: int):
+        self.reach = max(comp.reach for comp in components)
+        self.tables = (components, field, n_subs, n_parities, self.reach,
+                       [tuple(off for comp in components
+                              for off, _ in comp.flat_terms[j])
+                        for j in range(n_parities)])
 
-    def decode_shape(key: bytes, firsts: np.ndarray) -> List[tuple]:
-        """Decode the clusters of one shape, first slots ``firsts``, at
-        once in the shape's coordinates: time t is t slots past a
-        cluster's first, window row t + reach.  Place every cluster's
-        values and times; return the events in those coordinates."""
+    def run(self, key: bytes, src: list, par: list, firsts: np.ndarray
+            ) -> Tuple[List[tuple], List[int]]:
+        """Decode shape ``key``'s clusters, first slots ``firsts``, at once
+        over their window lists ``src`` and ``par``, of which ``src`` ends
+        up holding every recovered value.  Returns the ``TraceEvent``
+        fields of each recovery in shape coordinates (time t is t slots
+        past a cluster's first, window row t + reach) and the stream slot
+        of each contradiction noted."""
+        components, field, n_subs, n_parities, reach, probes = self.tables
+        mul = field.mul
         vector = len(firsts) > 1
-        # (row, symbol, column) window at the field's dtype, zeros before
-        # slot 0, then a vector (a view) per entry, or a plain int
-        at = np.arange(-reach, len(key))[:, None] + firsts
-        rows = symbols.take(at, 0, mode="clip").astype(field.dtype, copy=False)
-        if firsts[0] < reach:
-            rows[at < 0] = 0
-        rows = rows.transpose(0, 2, 1)
-        cut = list if vector else lambda entries: entries.ravel().tolist()
-        src = cut(rows[:, :n_subs].reshape(-1, len(firsts)))
-        par = cut(rows[:, n_subs:].reshape(-1, len(firsts)))
-        del at, rows
+        nones = [None] * n_subs
         events: List[tuple] = []  # TraceEvent fields
+        contradictions: List[int] = []
         unknown = 0  # erased sub-symbols not yet recovered
         systems: Dict[Tuple[int, int], IncrementalSystem] = {}
         sys_vars: Dict[int, Dict[int, IncrementalSystem]] = {}  # var -> ci -> system
@@ -460,25 +431,71 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
                     # attributed to parity j at its own-clock slot
                     solve(system, eq, pp.const, (ci, pp.j, comp.expansion
                           * pp.t + pp.j // comp.codec.b - comp.shift))
-        if events:
-            # (event, cluster at slot f): f + slot, sub, known at f + time,
-            # its value read back from the window
-            flat = [e[0] * n_subs + e[1] for e in events]
-            at = np.add.outer(flat, firsts * n_subs)
-            times.put(at, np.add.outer([e[2] for e in events], firsts))
-            recovered.put(at, [src[v + reach * n_subs] for v in flat])
-        return events
+        return events, contradictions
 
+
+def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
+                  n_parities: int, symbols: np.ndarray, erased: np.ndarray):
+    """Run the staged decoder over a received stream.
+
+    ``symbols`` is the (horizon, n_subs + n_parities) integer array of
+    channel symbols and ``erased`` the (horizon,) bool mask of the slots
+    lost on the channel, whose rows are never read; ``check_stream``
+    refuses anything else.  Returns (recovered, times, trace): recovered
+    is the (horizon, n_subs) source array, 0 where a sub-symbol was
+    never recovered; times is the (horizon, n_subs) int array of
+    recovery slots, a received row holding its own slot and -1 marking a
+    sub-symbol never recovered (see ``StreamLog``); trace is the parity
+    attribution of each recovered erased sub-symbol, cluster by cluster
+    in stream order, a ``Trace`` built as it is iterated.  Per grouping
+    horizon of ``_HORIZON`` clusters, each shape's windows are gathered,
+    run once through the ``ShapeEngine`` and placed (see the module
+    docstring); then InconsistentSystemError names the horizon's
+    earliest stream slot whose parities contradict the others.
+    """
+    check_stream(symbols, field, n_subs + n_parities, erased)
+    engine = ShapeEngine(components, field, n_subs, n_parities)
+    reach = engine.reach
+    recovered = symbols[:, :n_subs].copy()
+    # row t holds t, filled in place: no horizon-long temporary
+    times = np.arange(len(symbols) * n_subs).reshape(-1, n_subs)
+    times //= n_subs
+    recovered[erased] = 0
+    times[erased] = -1
     horizons = []  # see Trace
-    contradictions: List[int] = []  # slots, in one grouping horizon
     clusters = _clusters(erased, reach)
     while chunk := list(islice(clusters, _HORIZON)):
         shapes: Dict[bytes, int] = {}  # shape -> id, in order of appearance
         firsts = np.array([first for first, _ in chunk], dtype=np.int64)
         ids = np.array([shapes.setdefault(key, len(shapes))
                         for _, key in chunk], dtype=np.uint16)
-        events = [decode_shape(key, firsts[ids == k])
-                  for k, key in enumerate(shapes)]
+        events: List[List[tuple]] = []
+        contradictions: List[int] = []  # slots, in this grouping horizon
+        for k, key in enumerate(shapes):
+            at_firsts = firsts[ids == k]
+            # gather the (row, symbol, column) window at the field's dtype,
+            # zeros before slot 0: a vector (a view) per entry, or an int
+            at = np.arange(-reach, len(key))[:, None] + at_firsts
+            rows = symbols.take(at, 0, mode="clip").astype(field.dtype,
+                                                          copy=False)
+            if at_firsts[0] < reach:
+                rows[at < 0] = 0
+            rows = rows.transpose(0, 2, 1)
+            cut = list if len(at_firsts) > 1 else lambda e: e.ravel().tolist()
+            src = cut(rows[:, :n_subs].reshape(-1, len(at_firsts)))
+            par = cut(rows[:, n_subs:].reshape(-1, len(at_firsts)))
+            del at, rows
+            shape_events, noted = engine.run(key, src, par, at_firsts)
+            contradictions += noted
+            events.append(shape_events)
+            if shape_events:
+                # place (event, cluster at slot f): f + slot, sub, known
+                # at f + time, its value read back from the window
+                flat = [e[0] * n_subs + e[1] for e in shape_events]
+                at = np.add.outer(flat, at_firsts * n_subs)
+                times.put(at, np.add.outer([e[2] for e in shape_events],
+                                           at_firsts))
+                recovered.put(at, [src[v + reach * n_subs] for v in flat])
         if contradictions:
             slot = min(contradictions)
             raise InconsistentSystemError(

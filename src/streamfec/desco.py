@@ -10,8 +10,11 @@ its parity stream is delayed by t1 + b1 slots and added onto C1's, so
 the combined stream has exactly the width of a single-user stream.  The
 strong receiver decodes as if C2 were absent, while a weak receiver
 tolerating bursts up to b2 = alpha*b1 decodes with the minimum possible
-delay ceil(alpha*t1) + b1.  Both run one and the same decode here; a
-user's deadline (``CombinedCodec.deadline``) only decides its misses.
+delay T2 = ceil(alpha*t1) + b1.  Both run one and the same decode here;
+a user's deadline (``CombinedCodec.deadline``) only decides its misses.
+Bursts of at most b_u slots with G_u or more received slots between
+them meet user u's deadline, G1 = t1 and G2 = T2 - b1, and two of b_u
+one slot closer miss: the tests hold every code of their grid to it.
 
 Rational ratios alpha = a/b are handled by building the construction on
 a pseudo-expanded clock with n expanded slots per stream slot, n chosen
@@ -25,15 +28,15 @@ every n.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bebc import BurstParityMatrix, verify_burst_correcting
-from .decoder import Component, StreamLog, encode_symbols, staged_decode
+from .decoder import (Component, ShapeEngine, StreamLog, encode_symbols,
+                      staged_decode)
 from .gf import GF, default_field
 from .sco import MAIN, OFF, ScoCodec, ScoParams, memory_bound, require_ints
 from .wire import check_stream
@@ -229,43 +232,29 @@ def ia_sco_build(b1: int, t1: int, alpha: int,
 
 # -- isolated bursts ----------------------------------------------------
 
-# most stream slots of one ``burst_decode_log`` decode, so that its memory
-# does not grow with the number of lengths asked for; a burst that does
-# not fit with another is decoded alone
-_BATCH_SLOTS = 4096
 
-
-def burst_decode_log(codec: CombinedCodec,
-                     lengths: Sequence[int]) -> Tuple[List[int], StreamLog]:
-    """(starts, log): the first len(starts) lengths, laid as bursts on one
-    all-zero stream and decoded once for every user.  Burst k erases
-    slots starts[k] .. starts[k] + lengths[k] - 1.  Recovery is
-    structural, so the log applies to any source content.
-
-    Each burst is followed by max(``reach_slots``, latest deadline + 2)
-    received slots, and as many lengths are laid as fit, so followed, in
-    ``_BATCH_SLOTS`` slots, the first always.  A burst that
-    many slots after the one before it starts a cluster of its own, with
-    received slots all through its window, so it decodes as it does
-    alone, and alike at any start (see the ``decoder`` module).  Its
-    misses fall due before the next burst, and a slot recovered after
-    its deadline is a miss whether it is recovered later or never.
-    ValueError names a negative length.
+def burst_decode_log(codec: CombinedCodec, length: int) -> np.ndarray:
+    """(length, subs_per_slot) recovery times of one burst of ``length``
+    slots at slot 0, -1 for a sub-symbol never recovered: one
+    ``ShapeEngine`` run of "length erased, then ``reach_slots``
+    received" on zero windows.  Recovery is structural and alike at
+    every start (``decoder``), so the times hold for any content, plus s
+    at start s.  ValueError names a negative length.
     """
-    gap = max(codec.reach_slots, max(codec.deadlines) + 2)
-    edges = [0]
-    for length in lengths:
-        if length < 0:
-            raise ValueError(f"burst length must be >= 0, got {length}")
-        if len(edges) > 1 and edges[-1] + length + gap > _BATCH_SLOTS:
-            break
-        edges.append(edges[-1] + length + gap)
-    horizon = edges.pop()
-    erased = np.zeros(horizon, dtype=bool)
-    for start, length in zip(edges, lengths):
-        erased[start:start + length] = True
-    zeros = np.zeros((horizon, codec.symbol_width), dtype=np.int64)
-    return edges, codec.decode(zeros, erased)[1]
+    if length < 0:
+        raise ValueError(f"burst length must be >= 0, got {length}")
+    n_subs, n_par = codec.subs_per_slot, codec.parities_per_slot
+    times = np.full((length, n_subs), -1)
+    if length:
+        reach = codec.reach_slots
+        rows = 2 * reach + length  # reach rows before the shape's own
+        engine = ShapeEngine(codec.components, codec.field, n_subs, n_par)
+        events, _ = engine.run(b"\x01" * length + b"\x00" * reach,
+                               [0] * (rows * n_subs), [0] * (rows * n_par),
+                               np.zeros(1, dtype=np.int64))
+        for slot, sub, time, *_ in events:
+            times[slot, sub] = time
+    return times
 
 
 def burst_outcomes(codec: CombinedCodec, lengths: Iterable[int]
@@ -273,24 +262,19 @@ def burst_outcomes(codec: CombinedCodec, lengths: Iterable[int]
     """{length: (worst delay, misses)} of one isolated burst of each
     length: the longest recovery delay of a slot it erases (0 if none is
     recovered after its own slot), and user u's deadline misses at entry
-    u - 1.  A burst decodes alike at every start, so these hold for the
-    burst at any start.  The lengths are decoded in ascending order, as
-    many to a ``burst_decode_log`` call as it lays.
+    u - 1, the slots recovered late or never: one ``burst_decode_log``
+    per distinct length, which holds for the burst at any start.
     """
     outcomes: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    pending = sorted(set(lengths))
-    while pending:
-        starts, log = burst_decode_log(codec, pending)
-        batch, pending = pending[:len(starts)], pending[len(starts):]
-        delays = log.slot_times - np.arange(log.horizon)
-        misses = [[0] * len(codec.deadlines) for _ in batch]
-        for user, deadline in enumerate(codec.deadlines):
-            for slot in log.misses(deadline):
-                misses[bisect_right(starts, slot) - 1][user] += 1
-        for start, length, counts in zip(starts, batch, misses):
-            # an unrecovered slot's delay is negative
-            worst = delays[start:start + length].max(initial=0)
-            outcomes[length] = (int(worst), tuple(counts))
+    for length in sorted(set(lengths)):
+        # a slot is known with its last sub-symbol, never if one is not
+        delays = [max(row) - slot if min(row) >= 0 else math.inf
+                  for slot, row in enumerate(
+                      burst_decode_log(codec, length).tolist())]
+        outcomes[length] = (
+            max((d for d in delays if d < math.inf), default=0),
+            tuple(sum(d > deadline for d in delays)
+                  for deadline in codec.deadlines))
     return outcomes
 
 

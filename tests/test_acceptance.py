@@ -12,11 +12,13 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from streamfec import cli
 from streamfec.channel import apply, single_burst
-from streamfec.desco import (DeScoCodec, DeScoParams, ia_sco_build,
-                             rate_upper_bound, sco_build)
+from streamfec.desco import (DeScoCodec, DeScoParams, burst_decode_log,
+                             burst_outcomes, ia_sco_build, rate_upper_bound,
+                             sco_build)
 from streamfec.gf import GF
 from streamfec.oracle import rlc_burst_losses
 from streamfec.sco import ScoParams, vertical_interleave
@@ -121,10 +123,31 @@ def test_achievability_grid():
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
         w2, m2 = sweep(codec, p.b2, user=2, window=window)
         assert (w2, m2) == (p.user2_deadline, 0), (b1, t1, a, b)
+        # and no shorter burst misses either user's deadline
+        for length, (_, misses) in burst_outcomes(
+                codec, range(1, p.b2 + 1)).items():
+            assert misses[1] == 0, (b1, t1, a, b, length)
+            assert length > b1 or misses[0] == 0, (b1, t1, a, b, length)
     elapsed = time.monotonic() - started
     assert elapsed < 120, f"grid sweep took {elapsed:.1f}s"
     print(f"PASS achievability grid: {len(GRID)} parameter sets, "
-          f"delays (t1, ceil(alpha*t1)+b1) exact ({elapsed:.1f}s)")
+          f"delays (t1, ceil(alpha*t1)+b1) exact, no miss at any burst "
+          f"length up to b1 / b2 ({elapsed:.1f}s)")
+
+
+def test_burst_times_equal_full_decode():
+    """``burst_decode_log``'s one shape run gives the sub-symbol times of
+    a full decode of the burst on an all-zero stream, -1 included."""
+    codecs = [(DeScoCodec(DeScoParams(*g)), DeScoParams(*g).b2) for g in GRID]
+    codecs += [(ia_sco_build(1, 2, 2), 2), (ia_sco_build(2, 3, 2), 4)]
+    for codec, b2 in codecs:
+        for length in range(2 * b2 + 3):
+            want = zero_burst_log(codec, 0, length).sub_times[:length]
+            got = burst_decode_log(codec, length)
+            assert got.shape == want.shape and np.array_equal(got, want), \
+                (codec.deadlines, length)
+    print(f"PASS burst shape runs equal full decodes on {len(codecs)} "
+          f"codecs at lengths 0..2*b2+2")
 
 
 def full_sweep(codec, burst_len, user, window):
@@ -420,9 +443,14 @@ def test_periodic_pattern_decodable():
                 t = log.slot_times[slot]
                 assert t >= 0
                 assert t <= slot + p.user2_deadline
+        # user 1's channel: b1 erased, then t1 received, periodically
+        pattern = np.tile(np.arange(t1 + b1) < b1, 3)
+        rx = zero_symbols(codec, len(pattern) + t1 + 2)
+        _, log = codec.decode(rx, apply(pattern, rx))
+        assert log.misses(codec.deadline(1)) == [], (b1, t1, a, b)
     print(f"PASS periodic patterns: all {len(GRID)} sets decode the "
-          f"erasure-fraction-matched periodic channel with no misses "
-          f"({time.monotonic() - started:.1f}s)")
+          f"erasure-fraction-matched periodic channel of each user with "
+          f"no misses ({time.monotonic() - started:.1f}s)")
 
 
 # ---------------------------------------------------------------------
@@ -439,3 +467,76 @@ def test_simulation_determinism():
     assert out1.getvalue() == out2.getvalue()
     assert out1.getvalue().encode() == out2.getvalue().encode()
     print("PASS determinism: identical seed reproduces byte-identical CSV")
+
+
+# ---------------------------------------------------------------------
+# 11. Multi-burst guarantee: bursts of length <= b_u at least G_u apart
+#     meet user u's deadline, and G_u is tight
+# ---------------------------------------------------------------------
+
+def guard(p, user):
+    """(b_u, G_u): user u's burst length and the fewest received slots
+    between two of its bursts that keep its deadline, G1 = t1 and
+    G2 = T2 - b1.  G_u is the clean run of the converse's periodic
+    channel, so that channel sits at the rate bound."""
+    return (p.b1, p.t1) if user == 1 else (p.b2, p.user2_deadline - p.b1)
+
+
+def burst_log(codec, bursts):
+    """Log of an all-zero stream with (start, length) bursts, ending two
+    slots past the latest deadline of the last burst's last slot."""
+    start, length = bursts[-1]
+    horizon = start + length + max(codec.deadlines) + 2
+    erased = np.zeros(horizon, dtype=bool)
+    for start, length in bursts:
+        erased[start:start + length] = True
+    return codec.decode(zero_symbols(codec, horizon), erased)[1]
+
+
+def test_multi_burst_guard_is_tight():
+    started = time.monotonic()
+    for (b1, t1, a, b) in GRID:
+        p = DeScoParams(b1, t1, a, b)
+        codec = DeScoCodec(p)
+        for user in (1, 2):
+            length, gap_min = guard(p, user)
+            # past reach_slots the bursts decode alone
+            for gap in range(gap_min - 1, codec.reach_slots + 2):
+                log = burst_log(codec, [(0, length),
+                                        (length + gap, length)])
+                missed = log.misses(codec.deadline(user)) != []
+                assert missed == (gap < gap_min), (b1, t1, a, b, user, gap)
+    print(f"PASS multi-burst guard: on all {len(GRID)} sets two maximal "
+          f"bursts meet each user's deadline exactly from G_u clean slots "
+          f"apart ({time.monotonic() - started:.1f}s)")
+
+
+@st.composite
+def guarded_bursts(draw):
+    """(codec, user, bursts): 2 to 6 bursts of length 1..b_u, each at
+    least G_u received slots past the one before, on a ``GRID`` codec."""
+    p = DeScoParams(*draw(st.sampled_from(GRID)))
+    codec = DeScoCodec(p)
+    user = draw(st.sampled_from((1, 2)))
+    length, gap_min = guard(p, user)
+    start, bursts = draw(st.integers(0, codec.reach_slots)), []
+    for _ in range(draw(st.integers(2, 6))):
+        bursts.append((start, draw(st.integers(1, length))))
+        start += bursts[-1][1] + draw(
+            st.integers(gap_min, codec.reach_slots + 1))
+    return codec, user, bursts
+
+
+def test_guarded_bursts_meet_the_deadline():
+    started = time.monotonic()
+
+    @given(guarded_bursts())
+    def check(case):
+        codec, user, bursts = case
+        log = burst_log(codec, bursts)
+        assert log.misses(codec.deadline(user)) == [], bursts
+
+    check()
+    print(f"PASS multi-burst guard: random patterns of 2-6 bursts of at "
+          f"most b_u, G_u or more apart, meet user u's deadline "
+          f"({time.monotonic() - started:.1f}s)")

@@ -303,45 +303,58 @@ def test_simulate_loss_curve_matches_bench_golden():
     assert text == golden.read_text()
 
 
-def test_simulate_decodes_each_burst_length_once(monkeypatch):
-    """One decode per scheme serves every burst length and both users:
-    desco and ia are 2 decodes (one per length made it 16, one per
-    length and user 32)."""
-    calls = []
-    staged_decode = desco.staged_decode
+def count_burst_decodes(monkeypatch):
+    """Record each ``desco.staged_decode`` call, and each
+    ``desco.burst_decode_log`` call's codec deadlines and length."""
+    decodes, bursts = [], []
+    staged_decode, burst_decode_log = desco.staged_decode, desco.burst_decode_log
 
-    def counting(*args):
-        calls.append(args)
+    def counting_decode(*args):
+        decodes.append(args)
         return staged_decode(*args)
 
-    monkeypatch.setattr(desco, "staged_decode", counting)
+    def counting_burst(codec, length):
+        bursts.append((codec.deadlines, length))
+        return burst_decode_log(codec, length)
+
+    monkeypatch.setattr(desco, "staged_decode", counting_decode)
+    monkeypatch.setattr(desco, "burst_decode_log", counting_burst)
+    return decodes, bursts
+
+
+def test_simulate_decodes_each_burst_length_once(monkeypatch):
+    """The loss-curve run decodes no stream: it runs one shape per
+    distinct burst length and scheme, lengths 1..8 for desco and ia
+    (one stream decode per length and user made it 32)."""
+    decodes, bursts = count_burst_decodes(monkeypatch)
     code, _ = run(LOSS_CURVE)
     assert code == cli.EXIT_OK
-    assert len(calls) == 2
+    assert decodes == []
+    lengths = list(range(1, 9))
+    assert [length for _, length in bursts] == lengths + lengths, bursts
 
 
 def test_verify_and_simulate_share_one_burst_decode(monkeypatch):
-    """Both commands decode their isolated bursts in
-    ``desco.burst_decode_log``: a verify command in 1 call, its b1 and
-    b2 bursts on one stream, and the loss-curve run in 1 per decoded
-    scheme, desco and ia."""
-    calls = []
-    burst_decode_log = desco.burst_decode_log
-
-    def counting(codec, lengths):
-        calls.append(list(lengths))
-        return burst_decode_log(codec, lengths)
-
-    monkeypatch.setattr(desco, "burst_decode_log", counting)
+    """Both commands read their isolated bursts from
+    ``desco.burst_decode_log``, once per distinct length and codec, and
+    neither decodes a stream: a verify command runs its b1 and b2."""
+    decodes, bursts = count_burst_decodes(monkeypatch)
+    expect = []
     for b1, t1, a, b in [(3, 8, 3, 1), (4, 10, 5, 2), (2, 3, 3, 2)]:
         code, text = run(["verify", "--b1", str(b1), "--t1", str(t1),
                           "--alpha-num", str(a), "--alpha-den", str(b)])
         assert code == cli.EXIT_OK and text.endswith("PASS\n"), text
-    assert calls == [[3, 9], [4, 10], [2, 3]]
-    calls.clear()
+        p = DeScoParams(b1, t1, a, b)
+        expect += [((t1, p.user2_deadline), n) for n in (p.b1, p.b2)]
+    assert [n for _, n in expect] == [3, 9, 4, 10, 2, 3]
+    assert bursts == expect
+    bursts.clear()
     code, _ = run(LOSS_CURVE)
     assert code == cli.EXIT_OK
-    assert len(calls) == 2 and calls[0] == calls[1], calls
+    # desco (deadlines 2 and 5), then ia (2 and 6)
+    assert bursts == [((2, 5), n) for n in range(1, 9)] \
+        + [((2, 6), n) for n in range(1, 9)]
+    assert decodes == []
 
 
 def test_simulate_builds_no_seed_sequence(monkeypatch):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from streamfec import desco
 from streamfec.channel import apply, single_burst
 from streamfec.decoder import Component
 from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
@@ -253,12 +252,9 @@ def test_burst_loss_count_profile_12_alpha2():
     pytest.param(DeScoCodec(DeScoParams(2, 3, 3, 2)), 3, id="desco-2-3-3/2"),
     pytest.param(ia_sco_build(1, 2, 2), 2, id="ia-1-2-2"),
 ])
-def test_batched_burst_losses_equal_one_decode_per_length(codec, b2,
-                                                          monkeypatch):
+def test_batched_burst_losses_equal_one_decode_per_length(codec, b2):
     """``burst_outcomes`` gives each length the worst delay and the
-    misses, per user, of one decode of that burst alone at start 0; so
-    it does with a slot budget that closes a batch before the bursts run
-    out."""
+    misses, per user, of one decode of that burst alone at start 0."""
     lengths = range(1, 2 * b2 + 3)
     expect = {}
     for length in lengths:
@@ -268,20 +264,6 @@ def test_batched_burst_losses_equal_one_decode_per_length(codec, b2,
         expect[length] = (worst,
                           tuple(len(log.misses(d)) for d in codec.deadlines))
     assert burst_outcomes(codec, lengths) == expect
-
-    horizons = []
-    staged_decode = desco.staged_decode
-
-    def recording(*args):
-        horizons.append(len(args[4]))
-        return staged_decode(*args)
-
-    gap = max(codec.reach_slots, max(codec.deadlines) + 2)
-    budget = sum(length + gap for length in lengths) // 2
-    monkeypatch.setattr(desco, "_BATCH_SLOTS", budget)
-    monkeypatch.setattr(desco, "staged_decode", recording)
-    assert burst_outcomes(codec, reversed(lengths)) == expect
-    assert len(horizons) >= 2 and max(horizons) <= budget, horizons
 
 
 # ---------------------------------------------------------

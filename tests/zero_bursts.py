@@ -1,9 +1,10 @@
 """One burst on an all-zero stream, decoded through ``codec.decode``.
 
-``desco.burst_decode_log`` lays its bursts at starts of its own choosing
-and ``desco.burst_outcomes`` reads them; tests that need a burst at
-another start or horizon, or a reference for those two, decode
-``channel.single_burst`` here instead.
+``desco.burst_decode_log`` runs one burst's erasure shape at slot 0
+with no stream around it, and ``desco.burst_outcomes`` reads its times;
+tests that need a burst at another start or horizon, or a full stream
+decode as the reference for those two, decode ``channel.single_burst``
+here instead.
 """
 
 import numpy as np
