@@ -19,9 +19,13 @@ computes the first 64-bit output of many segments' generators at once
 numpy's bounded draw turns it into a length and a start, so the counts,
 the bursts and the loss curve built from them equal one
 ``draw_segment_burst`` call per segment and b_max.  The counts take
-every b_max's lengths from one histogram of the words.  The rare draw
-that numpy would reject and redraw, and any range above 2**32, is made
-by ``draw_segment_burst`` itself.  Seeds must be >= 0.
+every b_max's lengths from one histogram of the words when the common
+multiple of their ranges fits ``_BINS``, and from one histogram per
+b_max otherwise; a b_max >= 2**32, whose counts list could not be
+built, is refused.  Only ``segmented_bursts`` draws from a range above
+2**32, the starts of a segment that long; such a draw, and the rare one
+that numpy would reject and redraw, is made by ``draw_segment_burst``
+itself.  Seeds must be >= 0.
 """
 
 from __future__ import annotations
@@ -92,12 +96,6 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _segment_bits(seed: int, segment: int) -> np.random.PCG64:
-    """The bit generator that one segment's burst is drawn from."""
-    _check_seed(seed)
-    return np.random.PCG64(np.random.SeedSequence([seed, segment]))
-
-
 def draw_segment_burst(seed: int, segment: int, segment_len: int,
                        b_max: int) -> Tuple[int, int]:
     """(start, length) of the burst in one segment, reproducible from seed.
@@ -105,7 +103,9 @@ def draw_segment_burst(seed: int, segment: int, segment_len: int,
     Length is uniform on {0..b_max}; start uniform over the placements
     keeping the burst inside the segment (offset within the segment).
     """
-    rng = np.random.Generator(_segment_bits(seed, segment))
+    _check_seed(seed)
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([seed, segment])))
     length = int(rng.integers(0, b_max + 1))
     start = int(rng.integers(0, segment_len - length + 1)) if length else 0
     return start, length
@@ -175,7 +175,8 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 
 
 def _first_outputs(seed: int, lo: int, hi: int) -> np.ndarray:
-    """First 64-bit output of ``_segment_bits(seed, seg)`` for seg in lo..hi-1.
+    """First 64-bit output of the generator ``draw_segment_burst`` draws
+    segment seg's burst from, for seg in lo..hi-1.
 
     The segments must share their count of 32-bit words.
     """
@@ -222,8 +223,8 @@ def _bounded(word: np.ndarray, high) -> Tuple[np.ndarray, np.ndarray]:
     Lemire's method: the value is ``word * high >> 32``, and the draw is
     rejected (numpy would draw again) when the low half is below
     ``2**32 % high``.  ``high`` is a uint64 scalar or array >= 1.  Returns
-    (values, accepted); a high above 2**32 (numpy's 64-bit draw) is never
-    accepted.
+    (values, accepted); a high above 2**32 (numpy's 64-bit draw, met only
+    by ``segmented_bursts``) is never accepted.
     """
     fits = high <= _TWO32
     n = np.where(fits, high, _U(1)).astype(_U)
@@ -236,22 +237,6 @@ def _segment_outputs(seed: int, segments: int):
     _check_seed(seed)
     for lo in range(0, segments, _CHUNK):
         yield lo, _first_outputs(seed, lo, min(lo + _CHUNK, segments))
-
-
-def _histogram_groups(b_max_list: Iterable[int]
-                      ) -> List[Tuple[int, List[int]]]:
-    """The b_max values grouped under common multiples of their ranges
-    n = b_max + 1: (bins, b_max values), bins a multiple of each range,
-    at most ``_BINS`` unless one range is larger alone."""
-    groups: List[Tuple[int, List[int]]] = []
-    for b_max in sorted(b_max_list, reverse=True):
-        for k, (bins, group) in enumerate(groups):
-            if math.lcm(bins, b_max + 1) <= _BINS:
-                groups[k] = (math.lcm(bins, b_max + 1), group + [b_max])
-                break
-        else:
-            groups.append((b_max + 1, [b_max]))
-    return groups
 
 
 def _bin_firsts(products: np.ndarray, bins: int) -> np.ndarray:
@@ -272,38 +257,41 @@ def burst_length_counts(seed: int, segments: int,
     the first draw of the segment's generator, numpy's bounded draw from
     the low half of its first output, which the kernel computes once per
     segment.  That draw maps the word's slice of [0, 2**32), one of
-    b_max + 1 equal slices, to its length, so one histogram of each
-    chunk's words over a common multiple of the ranges counts the
-    lengths of every b_max whose range divides it
-    (``_histogram_groups``).  The first word of a bin (``_bin_firsts``),
-    rarely met, is drawn by ``_bounded`` on its own, since only such a
-    word can be one that numpy rejects and redraws;
-    ``draw_segment_burst`` itself makes that redraw, and every draw of a
-    range above 2**32.  A repeated b_max is counted once.  Raises
-    ValueError on a negative b_max, seed or segment count.
+    b_max + 1 equal slices, to its length, so a histogram of each
+    chunk's words over a multiple of a range counts that b_max's lengths.
+    One histogram over the least common multiple of all the ranges
+    serves every b_max when it has at most ``_BINS`` bins; otherwise each
+    b_max takes a histogram over its own range.  The first word of a bin
+    (``_bin_firsts``), rarely met, is drawn by ``_bounded`` on its own,
+    since only such a word can be one that numpy rejects and redraws;
+    ``draw_segment_burst`` itself makes that redraw.  A repeated b_max
+    is counted once.  Raises ValueError on a negative b_max, seed or
+    segment count, and on a b_max >= 2**32, whose counts list could
+    not be built.
     """
     if segments < 0:
         raise ValueError(f"segments must be >= 0, got {segments}")
     distinct = sorted(set(b_max_list))
     if distinct and distinct[0] < 0:
         raise ValueError(f"b_max must be >= 0, got {distinct[0]}")
+    if distinct and distinct[-1] >= 1 << 32:
+        raise ValueError(f"b_max must be < 2**32, got {distinct[-1]}")
     counts = {b_max: np.zeros(b_max + 1, dtype=np.int64) for b_max in distinct}
-    groups = _histogram_groups(distinct)
+    shared = math.lcm(*(b_max + 1 for b_max in distinct))
+    groups = ([(shared, distinct)] if shared <= _BINS
+              else [(b_max + 1, [b_max]) for b_max in distinct])
     for lo, out in _segment_outputs(seed, segments):
         low = out & _LOW32
         for bins, group in groups:
-            firsts = np.arange(len(low))  # numpy's 64-bit draw: all redrawn
-            if bins <= 1 << 32:
-                products = low * _U(bins)
-                at = (products >> _U(32)).view(np.int64)  # each word's bin
-                firsts = _bin_firsts(products, bins)
-                hist = np.bincount(at, minlength=bins)
-                hist -= np.bincount(at[firsts], minlength=bins)
-                for b_max in group:
-                    counts[b_max] += hist.reshape(b_max + 1, -1).sum(axis=1)
+            products = low * _U(bins)
+            at = (products >> _U(32)).view(np.int64)  # each word's bin
+            firsts = _bin_firsts(products, bins)
+            hist = np.bincount(at, minlength=bins)
+            hist -= np.bincount(at[firsts], minlength=bins)
+            for b_max in group:
+                counts[b_max] += hist.reshape(b_max + 1, -1).sum(axis=1)
             for b_max in group if len(firsts) else ():
-                values, ok = _bounded(low[firsts],
-                                      _U(min(b_max, _CLAMP) + 1))
+                values, ok = _bounded(low[firsts], _U(b_max + 1))
                 for i, length, accepted in zip(firsts.tolist(),
                                                values.tolist(), ok.tolist()):
                     if not accepted:

@@ -200,7 +200,7 @@ class DeScoCodec(CombinedCodec):
         c1 = ScoCodec(ScoParams(b0, t0, step=params.b, orientation=MAIN,
                                 field=field), h)
         c2 = ScoCodec(ScoParams(b0, t0, step=params.a - params.b,
-                                orientation=OFF, field=field), h or c1.h)
+                                orientation=OFF, field=field), c1.h)
         super().__init__([Component(c1, 0, n), Component(c2, params.delta, n)],
                          (params.t1, params.user2_deadline))
 

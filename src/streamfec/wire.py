@@ -19,11 +19,6 @@ import numpy as np
 from .gf import GF
 
 
-def element_width(field: GF) -> int:
-    """Bytes per element: minimal big-endian width for values < field order."""
-    return field.dtype.itemsize
-
-
 def check_stream(symbols: np.ndarray, field: GF, width: Optional[int] = None,
                  erased: np.ndarray = ...) -> None:
     """ValueError naming each one's dtype and shape (a non-array's type)
@@ -55,7 +50,7 @@ def check_stream(symbols: np.ndarray, field: GF, width: Optional[int] = None,
 def pack_stream(symbols: np.ndarray, field: GF) -> bytes:
     """Wire bytes of an (n, width) stream, checked by ``check_stream``."""
     check_stream(symbols, field)
-    return symbols.astype(f">u{element_width(field)}", copy=False).tobytes()
+    return symbols.astype(field.dtype.newbyteorder(">"), copy=False).tobytes()
 
 
 def unpack_stream(data: bytes, field: GF, symbol_width: int) -> np.ndarray:
@@ -63,11 +58,11 @@ def unpack_stream(data: bytes, field: GF, symbol_width: int) -> np.ndarray:
     ``check_stream`` refuses an element outside the field where it is
     read.  ValueError names the byte offset of a truncated last record.
     """
-    w = element_width(field)
-    record = w * symbol_width
+    record = field.dtype.itemsize * symbol_width
     if record <= 0:
         raise ValueError("symbol_width must be positive")
     if len(data) % record:
         raise ValueError(
             f"truncated stream: bad record at byte {len(data) - len(data) % record}")
-    return np.frombuffer(data, dtype=f">u{w}").reshape(-1, symbol_width)
+    return np.frombuffer(data, dtype=field.dtype.newbyteorder(">")).reshape(
+        -1, symbol_width)

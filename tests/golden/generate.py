@@ -59,13 +59,12 @@ def run_cli(argv: List[str]) -> str:
 def roundtrip(work: Path, spec, seed: int) -> Dict[str, str]:
     """Digests of one encode and the two users' decodes."""
     from streamfec.desco import DeScoCodec, DeScoParams, descriptor
-    from streamfec.wire import element_width
 
     b1, t1, a, b = spec
     codec = DeScoCodec(DeScoParams(b1, t1, a, b))
     rng = random.Random(seed)
     order = codec.field.order
-    width = element_width(codec.field)
+    width = codec.field.dtype.itemsize
     source = bytearray()
     for _ in range(SLOTS * codec.subs_per_slot):
         source += rng.randrange(order).to_bytes(width, "big")

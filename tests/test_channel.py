@@ -234,20 +234,44 @@ def test_burst_length_counts_match_draws(seed):
         assert counts[b_max] == drawn_counts(seed, segments, b_max), b_max
 
 
-def test_burst_length_counts_share_histograms_up_to_a_bound():
-    """Ranges whose common multiple passes _BINS take histograms of their
-    own, and a range above _BINS one alone; the counts still equal the
-    draws."""
-    b_max_list = [0, 4, 10, 11, 12, channel._BINS + 7]
-    groups = channel._histogram_groups(b_max_list)
-    assert sorted(b for _, group in groups for b in group) == b_max_list
-    assert len(groups) > 2
-    for bins, group in groups:
-        assert all(bins % (b_max + 1) == 0 for b_max in group)
-        assert bins <= channel._BINS or len(group) == 1
-    counts = burst_length_counts(7, 300, b_max_list)
-    for b_max in b_max_list:
-        assert counts[b_max] == drawn_counts(7, 300, b_max), b_max
+def test_burst_length_counts_share_histograms_up_to_a_bound(monkeypatch):
+    """One histogram per chunk, over the least common multiple of the
+    ranges b_max + 1, serves every b_max when it has at most _BINS bins
+    (2520 for b_max 0..8); otherwise each b_max takes a histogram over
+    its own range.  Each histogram finds its first words once
+    (_bin_firsts), and the counts equal the draws either way."""
+    bin_firsts = channel._bin_firsts
+    histograms = []
+
+    def counting(products, bins):
+        histograms.append(bins)
+        return bin_firsts(products, bins)
+
+    monkeypatch.setattr(channel, "_bin_firsts", counting)
+    big = channel._BINS + 7
+    for b_max_list, bins in [(list(range(9)), [2520]),
+                             ([0, 4, 10, 11, 12, big],
+                              [1, 5, 11, 12, 13, big + 1])]:
+        histograms.clear()
+        burst_length_counts(7, channel._CHUNK + 50, b_max_list)  # two chunks
+        assert histograms == bins * 2, b_max_list
+        counts = burst_length_counts(7, 300, b_max_list)
+        for b_max in b_max_list:
+            assert counts[b_max] == drawn_counts(7, 300, b_max), b_max
+
+
+def test_burst_length_counts_refuses_a_b_max_of_2_32():
+    """A b_max >= 2**32 would need a counts list of over 2**32 entries:
+    it is refused, naming the value, before any array is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^b_max must be < 2\*\*32, got 4294967296$"):
+            burst_length_counts(7, 10, [2**32])
+        _, top = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert top < 2**20, top
 
 
 def test_rejected_words_are_bin_firsts():
@@ -282,6 +306,12 @@ def test_burst_length_counts_repeats_and_validation():
 KERNEL_SEEDS = [0, 7, 1009, 2**32 + 5, 2**100 + 7]
 
 
+def segment_generator(seed, seg):
+    """The generator that draw_segment_burst draws a segment's burst
+    from."""
+    return np.random.PCG64(np.random.SeedSequence([seed, seg]))
+
+
 @pytest.mark.parametrize("seed", KERNEL_SEEDS)
 def test_kernel_outputs_equal_numpy(seed):
     # segment 0 has the entropy word 0; 2**32 - 2.. takes one word, 2**32..
@@ -290,7 +320,7 @@ def test_kernel_outputs_equal_numpy(seed):
                         (2**32 - 2, 2**32), (2**32, 2**32 + 2)]:
         out = channel._first_outputs(seed, first, stop)
         assert out.tolist() == [
-            int(channel._segment_bits(seed, seg).random_raw())
+            int(segment_generator(seed, seg).random_raw())
             for seg in range(first, stop)], (first, stop)
 
 
@@ -312,7 +342,7 @@ def test_kernel_bounded_draw_and_forced_rejection():
     values, ok = channel._bounded(out & channel._LOW32, np.uint64(high))
     assert 0.15 < 1 - ok.mean() < 0.35
     for seg in np.flatnonzero(ok):
-        rng = np.random.Generator(channel._segment_bits(7, int(seg)))
+        rng = np.random.Generator(segment_generator(7, int(seg)))
         assert int(rng.integers(0, high)) == values[seg]
     # b_max 1: every burst of length 1 draws its start from [0, 3 * 2**30);
     # a zero-length one has start 0, whatever the kernel's raw start

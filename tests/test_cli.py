@@ -122,6 +122,10 @@ def test_one_command_parser_prints_what_the_full_parser_does(capsys,
              (["verify", "--bogus"], usage, "err", every),
              (["verify", "--b1", "1", "--bogus", "x"], usage, "err",
               "streamfec: error: unrecognized arguments: --bogus x"),
+             # reported under the top-level parser's usage
+             (["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+               "--bogus"], usage, "err",
+              "usage: streamfec [-h] [--config CONFIG]"),
              (["--config", "c.cfg", "verify", "--bogus"], usage, "err",
               "streamfec: error: unrecognized arguments: --bogus"),
              (["--config", "c.cfg", "verify", "-h"], ok, "out",
@@ -270,6 +274,10 @@ def test_simulate_empty_list_is_usage_error(flag, value, capsys):
     (SIM + ["--schemes", "ia", "--b1", "2", "--t1", "5", "--alpha-num", "3",
              "--alpha-den", "2"],
      "ia scheme requires an integer alpha"),
+    # its counts list would have over 2**32 entries
+    (["simulate", "--b1", "1", "--t1", "2", "--alpha-num", "2",
+      "--bmax-list", "4294967296", "--segment-len", "4294967297",
+      "--segments", "1"], "b_max must be < 2**32, got 4294967296"),
 ])
 def test_simulate_refusals_are_usage_errors(argv, message, capsys):
     code, text = run(argv)
@@ -816,7 +824,8 @@ def test_cli_runs_as_a_process_of_its_own(tmp_path):
     code, _, err = process("encode", "--descriptor", "missing.txt",
                            "--in", "missing.bin", "--out", "out.bin")
     assert code == 3 and err.startswith("i/o error: ")
-    # the corrupted stream of the CI's installed-CLI step
+    # parities that contradict the earlier ones exit 4, naming the
+    # stream slot where the decoder meets the contradiction
     (tmp_path / "desco.txt").write_text(
         descriptor(DeScoCodec(DeScoParams(2, 5, 2))))
     corrupt = bytearray(24 * 7)

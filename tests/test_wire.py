@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from streamfec.gf import GF
-from streamfec.wire import (check_stream, element_width, pack_stream,
-                            unpack_stream)
+from streamfec.wire import check_stream, pack_stream, unpack_stream
 
 
 def test_element_width():
-    assert element_width(GF(1)) == 1
-    assert element_width(GF(8)) == 1
-    assert element_width(GF(9)) == 2
-    assert element_width(GF(16)) == 2
+    # an element takes its field's dtype on the wire, big-endian
+    assert GF(1).dtype.itemsize == 1
+    assert GF(8).dtype.itemsize == 1
+    assert GF(9).dtype.itemsize == 2
+    assert GF(16).dtype.itemsize == 2
 
 
 def test_pack_golden_bytes():
