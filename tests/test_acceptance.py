@@ -26,7 +26,7 @@ from streamfec.sco import ScoParams, vertical_interleave
 from reference_bounds import (HIGH_DELAY, periodic_pattern,
                               rlc_partial_threshold, rlc_perfect_threshold)
 from reference_decoder import ml_decode_times
-from zero_bursts import sweep, zero_burst_log
+from zero_bursts import burst_outcome, zero_burst_log
 
 GF2 = GF(1)
 rng = random.Random(20240820)
@@ -118,10 +118,9 @@ def test_achievability_grid():
     for (b1, t1, a, b) in GRID:
         p = DeScoParams(b1, t1, a, b)
         codec = DeScoCodec(p)
-        window = 10 * (t1 + b1)
-        w1, m1 = sweep(codec, b1, user=1, window=window)
+        w1, m1 = burst_outcome(codec, b1, user=1)
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
-        w2, m2 = sweep(codec, p.b2, user=2, window=window)
+        w2, m2 = burst_outcome(codec, p.b2, user=2)
         assert (w2, m2) == (p.user2_deadline, 0), (b1, t1, a, b)
         # and no shorter burst misses either user's deadline
         for length, (_, misses) in burst_outcomes(
@@ -150,44 +149,46 @@ def test_burst_times_equal_full_decode():
           f"codecs at lengths 0..2*b2+2")
 
 
-def full_sweep(codec, burst_len, user, window):
-    """Reference for ``sweep``, so for ``burst_outcomes``: one decode at
-    every start."""
+def full_sweep(codec, burst_len, user, starts):
+    """Reference for ``burst_outcome``, so for ``burst_outcomes``: the
+    distinct (worst delay, misses) of one full decode at each start."""
     deadline = codec.deadline(user)
-    worst = misses = 0
-    for start in range(window - burst_len + 1):
+    outcomes = set()
+    for start in starts:
         log = zero_burst_log(codec, start, burst_len)
-        misses += len(log.misses(deadline))
+        worst = 0
         for slot in range(start, start + burst_len):
             t = int(log.slot_times[slot])
             if t >= 0:  # a slot never recovered has no delay
                 worst = max(worst, t - slot)
-    return worst, misses
+        outcomes.add((worst, len(log.misses(deadline))))
+    return outcomes
 
 
 def test_cut_sweep_equals_full_sweep():
+    """A burst decodes alike at every start: one full decode per start
+    gives ``burst_outcome``'s figures at each."""
     started = time.monotonic()
     for (b1, t1, a, b) in GRID:
         p = DeScoParams(b1, t1, a, b)
         codec = DeScoCodec(p)
-        window = 10 * (t1 + b1)
+        starts = range(10 * (t1 + b1))
         for length, user in ((b1, 1), (p.b2, 2)):
-            assert sweep(codec, length, user, window) \
-                == full_sweep(codec, length, user, window), (p, user)
-    # over-length bursts (misses > 0, so the interior decode's misses are
-    # multiplied) and windows shorter than reach_slots
+            assert full_sweep(codec, length, user, starts) \
+                == {burst_outcome(codec, length, user)}, (p, user)
+    # over-length bursts (misses > 0), and starts from 0 up to and
+    # past reach_slots
     missed = 0
     for codec, b1, b2 in ((DeScoCodec(DeScoParams(1, 2, 2)), 1, 2),
                           (DeScoCodec(DeScoParams(2, 3, 3, 2)), 2, 3),
                           (ia_sco_build(2, 3, 2), 2, 4)):
         for length in (b1, b2, b2 + 1):
-            for window in (codec.reach_slots - 1, codec.reach_slots + length,
-                           4 * codec.reach_slots):
-                for user in (1, 2):
-                    got = sweep(codec, length, user, window)
-                    assert got == full_sweep(codec, length, user, window), \
-                        (codec.deadlines, length, window, user)
-                    missed += got[1] > 0
+            for user in (1, 2):
+                got = burst_outcome(codec, length, user)
+                assert full_sweep(codec, length, user,
+                                  range(4 * codec.reach_slots)) == {got}, \
+                    (codec.deadlines, length, user)
+                missed += got[1] > 0
     assert missed > 0
     elapsed = time.monotonic() - started
     print(f"PASS cut sweep equals the full sweep on {len(GRID)} sets "

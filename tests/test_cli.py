@@ -28,7 +28,7 @@ def run(argv):
 
 def test_verify_passes_for_valid_codec():
     code, text = run(["verify", "--b1", "1", "--t1", "2",
-                      "--alpha-num", "2", "--window", "25"])
+                      "--alpha-num", "2"])
     assert code == cli.EXIT_OK
     assert "PASS" in text
     assert "user-1 max delay 2" in text
@@ -37,7 +37,7 @@ def test_verify_passes_for_valid_codec():
 
 def test_verify_rational_alpha():
     code, text = run(["verify", "--b1", "2", "--t1", "5", "--alpha-num", "3",
-                      "--alpha-den", "2", "--window", "30"])
+                      "--alpha-den", "2"])
     assert code == cli.EXIT_OK and "PASS" in text
 
 
@@ -51,19 +51,30 @@ def test_invalid_params_is_usage_error():
     assert code == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("window", ["0", "-5", "1"])
-def test_verify_window_below_b2_is_usage_error(window, capsys):
-    # b2 = 2: a shorter window holds no user-2 burst start
+def test_verify_has_no_window_option(capsys):
+    # verify reports one burst per user, not a count over starts
     code, text = run(["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2",
-                      "--window", window])
+                      "--window", "25"])
     assert code == cli.EXIT_USAGE and text == ""
-    assert "at least b2 = 2" in capsys.readouterr().err
+    assert "unrecognized arguments: --window 25" in capsys.readouterr().err
 
 
-def test_verify_window_of_b2_is_accepted():
-    code, text = run(["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2",
-                      "--window", "2"])
-    assert code == cli.EXIT_OK and "PASS" in text
+def test_verify_fails_when_a_burst_misses(monkeypatch):
+    real = cli.burst_outcomes
+
+    def user1_late(codec, lengths):
+        outcomes = real(codec, lengths)
+        worst, misses = outcomes[1]  # b1 = 1: its one slot recovered late
+        outcomes[1] = (worst + 1, (1,) + misses[1:])
+        return outcomes
+
+    monkeypatch.setattr(cli, "burst_outcomes", user1_late)
+    code, text = run(["verify", "--b1", "1", "--t1", "2", "--alpha-num", "2"])
+    assert code == cli.EXIT_VERIFY
+    assert text.splitlines()[1:] == [
+        "user-1 max delay 3 (target 2), misses 1",
+        "user-2 max delay 5 (target 5), misses 0",
+        "FAIL"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,10 +11,10 @@ from streamfec.desco import (CombinedCodec, DeScoCodec, DeScoParams,
                              ia_sco_build, optimal_delay, parse_descriptor,
                              rate_upper_bound, sco_build)
 from streamfec.gf import GF
-from streamfec.sco import ScoParams, capacity
+from streamfec.sco import ScoParams, capacity, memory_bound
 from streamfec.wire import pack_stream
 
-from zero_bursts import sweep, zero_burst_log
+from zero_bursts import burst_outcome, zero_burst_log
 
 rng = random.Random(20240818)
 
@@ -124,30 +124,24 @@ def test_symbol_width_rational_alpha():
     assert all(len(sym) == 14 for sym in stream)
 
 
-def encode_step(codec, src, t):
-    """Slot t's channel symbol from the slots its parities reach."""
-    return codec.encode_stream(src[max(0, t - codec.reach_slots):t + 1])[-1]
-
-
-def test_encode_step_matches_stream():
-    codec = DeScoCodec(DeScoParams(1, 2, 2))
-    src = random_source(codec, 8)
-    full = codec.encode_stream(src)
-    for t in range(8):
-        assert np.array_equal(encode_step(codec, src, t), full[t])
-
-
-@pytest.mark.parametrize("codec", [DeScoCodec(DeScoParams(1, 2, 2)),
-                                   DeScoCodec(DeScoParams(2, 3, 3, 2)),
-                                   ia_sco_build(1, 2, 2)])
-def test_encode_step_reads_only_the_reach(codec):
-    keep = max(comp.reach for comp in codec.components)  # in stream slots
+@pytest.mark.parametrize("codec", [
+    pytest.param(sco_build(ScoParams(2, 3, field=GF(1))), id="sco-2-3-gf2"),
+    pytest.param(sco_build(ScoParams(2, 3, step=2)), id="sco-2-3-step2"),
+    pytest.param(DeScoCodec(DeScoParams(1, 2, 2)), id="desco-1-2-2"),
+    pytest.param(DeScoCodec(DeScoParams(2, 3, 3, 2)), id="desco-2-3-3/2"),
+    pytest.param(ia_sco_build(1, 2, 2), id="ia-1-2-2"),
+])
+def test_every_slot_encodes_from_reach_slots_of_history(codec):
+    keep = codec.reach_slots
+    assert keep == max(comp.reach for comp in codec.components)  # in slots
+    if len(codec.components) == 1:  # a single-user code's memory
+        assert keep == memory_bound(codec.components[0].codec.params)
     src = random_source(codec, 3 * keep + 4)
     full = codec.encode_stream(src)
-    assert codec.reach_slots == keep
     for t in range(len(src)):
-        # slots before the window are not passed, so they go unread
-        assert np.array_equal(encode_step(codec, src, t), full[t]), t
+        # slots before the last reach_slots are not passed, so they go unread
+        assert np.array_equal(
+            codec.encode_stream(src[max(0, t - keep):t + 1])[-1], full[t]), t
 
 
 def test_encode_rejects_elements_outside_the_field():
@@ -218,10 +212,9 @@ def test_delay_grid():
     for (b1, t1, a, b) in cases:
         p = DeScoParams(b1, t1, a, b)
         codec = DeScoCodec(p)
-        window = 4 * (t1 + p.user2_deadline)
-        w1, m1 = sweep(codec, b1, user=1, window=window)
+        w1, m1 = burst_outcome(codec, b1, user=1)
         assert (w1, m1) == (t1, 0), (b1, t1, a, b)
-        w2, m2 = sweep(codec, p.b2, user=2, window=window)
+        w2, m2 = burst_outcome(codec, p.b2, user=2)
         assert (w2, m2) == (p.user2_deadline, 0), (b1, t1, a, b)
 
 
@@ -236,7 +229,7 @@ def test_zero_stream_burst_is_structural():
         assert np.array_equal(log_rand.sub_times, log_zero.sub_times)
 
 
-def test_burst_loss_count_profile_12_alpha2():
+def test_burst_outcome_misses_by_length_12_alpha2():
     codec = DeScoCodec(DeScoParams(1, 2, 2))
     got = [burst_outcomes(codec, [length])[length][1] for length in range(6)]
     assert [u2 for _, u2 in got] == [0, 0, 0, 3, 4, 5]
@@ -252,7 +245,7 @@ def test_burst_loss_count_profile_12_alpha2():
     pytest.param(DeScoCodec(DeScoParams(2, 3, 3, 2)), 3, id="desco-2-3-3/2"),
     pytest.param(ia_sco_build(1, 2, 2), 2, id="ia-1-2-2"),
 ])
-def test_batched_burst_losses_equal_one_decode_per_length(codec, b2):
+def test_burst_outcomes_equal_one_full_decode_per_length(codec, b2):
     """``burst_outcomes`` gives each length the worst delay and the
     misses, per user, of one decode of that burst alone at start 0."""
     lengths = range(1, 2 * b2 + 3)
@@ -274,8 +267,8 @@ def test_ia_baseline_has_larger_user2_delay():
     ia = ia_sco_build(2, 3, 2)
     de = DeScoCodec(DeScoParams(2, 3, 2))
     assert ia.user2_deadline == 9 and de.user2_deadline == 8
-    w_ia, m_ia = sweep(ia, 4, user=2, window=60)
-    w_de, m_de = sweep(de, 4, user=2, window=60)
+    w_ia, m_ia = burst_outcome(ia, 4, user=2)
+    w_de, m_de = burst_outcome(de, 4, user=2)
     assert (w_ia, m_ia) == (9, 0)
     assert (w_de, m_de) == (8, 0)
 
@@ -287,7 +280,7 @@ def test_ia_deadline_values():
 
 def test_ia_user1_still_meets_t1():
     ia = ia_sco_build(2, 3, 2)
-    w, m = sweep(ia, 2, user=1, window=40)
+    w, m = burst_outcome(ia, 2, user=1)
     assert (w, m) == (3, 0)
 
 

@@ -526,7 +526,7 @@ def test_batched_bursts_equal_draw_segment_burst(seed, segments, segment_len,
 
 @pytest.mark.parametrize("name", CODECS)
 @given(data=st.data())
-def test_encode_step_reads_reach_slots_of_history(name, data):
+def test_any_slot_encodes_from_reach_slots_of_history(name, data):
     codec = CODECS[name]
     keep = codec.reach_slots
     assert keep == max(c.reach for c in codec.components)

@@ -91,28 +91,6 @@ def test_zero_source_gives_zero_parities():
         assert np.array_equal(sym[5:], (0, 0))
 
 
-def test_encode_step_matches_streaming_encoder():
-    codec = sco_build(ScoParams(2, 3, field=GF2))
-    src = random_source(codec, 10)
-    r = codec.reach_slots
-    for t in range(10):
-        # a streaming encoder's step: the current slot and reach_slots before
-        assert np.array_equal(codec.encode_stream(src[max(0, t - r):t + 1])[-1],
-                              codec.encode_stream(src[:t + 1])[t])
-
-
-def test_encode_step_reads_only_memory():
-    params = ScoParams(2, 3, step=2)
-    codec = sco_build(params)
-    m = memory_bound(params)
-    src = random_source(codec, 3 * m)
-    full = codec.encode_stream(src)
-    for t in range(len(src)):
-        # slots before the window are not passed, so they go unread
-        assert np.array_equal(codec.encode_stream(src[max(0, t - m):t + 1])[-1],
-                              full[t]), t
-
-
 def test_encoders_reject_elements_outside_the_field():
     codec = sco_build(ScoParams(2, 3))  # GF(8)
     r = codec.reach_slots

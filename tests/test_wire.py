@@ -7,7 +7,7 @@ from streamfec.gf import GF
 from streamfec.wire import check_stream, pack_stream, unpack_stream
 
 
-def test_element_width():
+def test_field_dtype_is_one_byte_up_to_gf256():
     # an element takes its field's dtype on the wire, big-endian
     assert GF(1).dtype.itemsize == 1
     assert GF(8).dtype.itemsize == 1

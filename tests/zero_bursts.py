@@ -1,10 +1,10 @@
 """One burst on an all-zero stream, decoded through ``codec.decode``.
 
 ``desco.burst_decode_log`` runs one burst's erasure shape at slot 0
-with no stream around it, and ``desco.burst_outcomes`` reads its times;
-tests that need a burst at another start or horizon, or a full stream
-decode as the reference for those two, decode ``channel.single_burst``
-here instead.
+with no stream around it, and ``desco.burst_outcomes`` reads its times
+as ``verify`` does (``burst_outcome``); tests that need a burst at
+another start or horizon, or a full stream decode as the reference for
+those two, decode ``channel.single_burst`` here instead.
 """
 
 import numpy as np
@@ -22,9 +22,8 @@ def zero_burst_log(codec, start, length, horizon=None):
     return codec.decode(zeros, single_burst(start, length, horizon))[1]
 
 
-def sweep(codec, length, user, window):
-    """(worst delay, misses) of a burst of the length at every start in
-    0 .. window - length, from ``burst_outcomes`` as ``verify`` reads it:
-    the burst's outcome at one start, its misses once per start."""
+def burst_outcome(codec, length, user):
+    """(worst delay, the user's misses) of one burst of the length, from
+    ``burst_outcomes`` as ``verify`` reads it: alike at every start."""
     worst, misses = burst_outcomes(codec, [length])[length]
-    return worst, (window - length + 1) * misses[user - 1]
+    return worst, misses[user - 1]
