@@ -124,6 +124,17 @@ def test_symbol_width_rational_alpha():
     assert all(len(sym) == 14 for sym in stream)
 
 
+def test_encode_step_matches_stream():
+    codec = DeScoCodec(DeScoParams(1, 2, 2))
+    src = random_source(codec, 8)
+    full = codec.encode_stream(src)
+    r = codec.reach_slots
+    for t in range(8):
+        # a streaming encoder's step: the current slot and reach_slots before
+        assert np.array_equal(
+            codec.encode_stream(src[max(0, t - r):t + 1])[-1], full[t]), t
+
+
 @pytest.mark.parametrize("codec", [
     pytest.param(sco_build(ScoParams(2, 3, field=GF(1))), id="sco-2-3-gf2"),
     pytest.param(sco_build(ScoParams(2, 3, step=2)), id="sco-2-3-step2"),
