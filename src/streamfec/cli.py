@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -34,9 +35,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INCONSISTENT = 4
 # decode log rows per _log_rows call and write: flat memory.  A chunk's
-# slot digits are computed once and serve as the recovery slot of every
-# row recovered at its own slot; a larger chunk is faster but raises the
-# peak RSS of a long decode
+# received rows are cut from one template per digit count and only its
+# erased rows are formatted; a larger chunk is faster but raises the peak
+# RSS of a long decode
 LOG_CHUNK = 4096
 
 
@@ -292,44 +293,62 @@ def cmd_encode(args, out) -> int:
     return EXIT_OK
 
 
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """ASCII digits of an int array, ``width`` of them along a new last
-    axis, with the leading zeros NUL."""
-    digits = np.zeros(values.shape + (width,), dtype=np.uint8)
-    for col in range(width - 1, -1, -1):
-        quot = values // 10
-        digit = (values - quot * 10).astype(np.uint8) + ord("0")
-        if col < width - 1:
-            digit *= values != 0  # a leading zero is NUL
-        digits[..., col] = digit
-        values = quot
-    return digits
+def _received_rows(lo: int, hi: int, width: int) -> bytes:
+    """The decode log rows ``s,s,0,0`` of slots lo..hi-1, all of
+    ``width`` digits, as ASCII.  Each block of 100 slots from a multiple
+    of 100 on copies one template: the fixed-width row with both slot
+    fields' last two digits set, 100 times.  Only the higher digits, one
+    per block, are added per block, and the rows of lo..hi-1 are cut
+    from the blocks'."""
+    size = 2 * width + 6
+    row = (b"0" * width + b",") * 2 + b"0,0\n"
+    template = np.frombuffer(bytearray(row * 100),
+                             dtype=np.uint8).reshape(100, size)
+    low = np.arange(100, dtype=np.uint8)
+    for col in range(width - 1, max(width - 3, -1), -1):
+        template[:, col] += low % 10
+        template[:, col + width + 1] = template[:, col]
+        low //= 10
+    first = lo // 100
+    rows = np.empty(((hi - 1) // 100 + 1 - first, 100, size), dtype=np.uint8)
+    rows[:] = template
+    high = np.arange(first, first + len(rows))
+    for col in range(width - 3, -1, -1):
+        rows[:, :, col] += (high % 10).astype(np.uint8)[:, None]
+        rows[:, :, col + width + 1] = rows[:, :, col]
+        high //= 10
+    return rows.reshape(-1, size)[lo - 100 * first:hi - 100 * first].tobytes()
 
 
-def _log_rows(lo: int, latest: np.ndarray, miss: np.ndarray) -> bytes:
-    """The decode log rows ``slot,recovery_slot,delay,miss`` of slots lo..
-    as ASCII: ``latest`` is each slot's recovery slot, -1 if never, and
-    ``miss`` its bool.  Each number is a fixed-width digit field with
-    its leading zeros NUL, as are both times of an unrecovered slot, and
-    the NULs are dropped.  Most slots are recovered at their own slot:
-    each row takes the slot's digits as its recovery slot and delay 0,
-    and only the other rows get their own."""
-    n = len(latest)
-    slots = np.arange(lo, lo + n)
-    width = len(str(max(lo + n - 1, int(latest.max(initial=0)))))
-    rows = np.zeros((n, 3 * (width + 1) + 2), dtype=np.uint8)
-    fields = rows[:, :-2].reshape(n, 3, width + 1)  # a view: digits, ","
-    fields[:, :, width] = ord(",")
-    fields[:, 0, :width] = fields[:, 1, :width] = _digits(slots, width)
-    fields[:, 2, width - 1] = ord("0")
-    late = (latest != slots).nonzero()[0]
-    times = latest[late]
-    digits = _digits(np.stack([times, times - slots[late]], axis=1), width)
-    digits *= (times >= 0)[:, None, None]  # never recovered: both NUL
-    fields[late, 1:, :width] = digits
-    rows[:, -2] = miss.view(np.uint8) + ord("0")
-    rows[:, -1] = ord("\n")
-    return rows[rows != 0].tobytes()
+def _log_rows(lo: int, hi: int, erased: List[int], latest: List[int],
+              late: set) -> bytes:
+    """The decode log rows ``slot,recovery_slot,delay,miss`` of slots
+    lo..hi-1 as ASCII: ``erased`` lists the erased slots among them in
+    ascending order, ``latest`` their recovery slots, -1 if never, and
+    ``late`` holds the slots that miss.  Every other slot is received and
+    known at its own slot, so its row reads ``s,s,0,0``: the rows of each
+    run of slots with one digit count come from one template row
+    (``_received_rows``).  Only the erased rows are formatted, an
+    unrecovered slot's times empty, and spliced in for theirs."""
+    out = []
+    i = 0
+    while lo < hi:
+        width = len(str(lo))
+        top = min(hi, 10 ** width)  # slots lo..top-1 have width digits
+        received = _received_rows(lo, top, width)
+        size = 2 * width + 6
+        at = lo  # the next slot to write
+        j = bisect_left(erased, top, i)
+        for slot, time in zip(erased[i:j], latest[i:j]):
+            if slot > at:
+                out.append(received[(at - lo) * size:(slot - lo) * size])
+            out.append(b"%d,%d,%d,%d\n" % (slot, time, time - slot,
+                                            slot in late)
+                       if time >= 0 else b"%d,,,1\n" % slot)
+            at = slot + 1
+        out.append(received[(at - lo) * size:])
+        lo, i = top, j
+    return b"".join(out)
 
 
 def _decode_parser(make) -> argparse.ArgumentParser:
@@ -359,14 +378,16 @@ def cmd_decode(args, out) -> int:
         fh.write(wire.pack_stream(recovered, codec.field))
     misses = log.misses(deadline)
     if args.log:
-        latest = log.slot_times
-        miss = np.zeros(len(latest), dtype=bool)
-        miss[misses] = True
+        late = set(misses)
         with open(args.log, "wb") as fh:
             fh.write(b"slot,recovery_slot,delay,miss\n")
-            for lo in range(0, len(latest), LOG_CHUNK):
-                fh.write(_log_rows(lo, latest[lo:lo + LOG_CHUNK],
-                                   miss[lo:lo + LOG_CHUNK]))
+            i = 0
+            for lo in range(0, log.horizon, LOG_CHUNK):
+                hi = min(lo + LOG_CHUNK, log.horizon)
+                j = i + int(np.count_nonzero(erased[lo:hi]))
+                fh.write(_log_rows(lo, hi, log.erased[i:j].tolist(),
+                                   log.erased_slot_times[i:j].tolist(), late))
+                i = j
     print(f"decoded {log.horizon} slots, {len(misses)} misses", file=out)
     return EXIT_OK
 

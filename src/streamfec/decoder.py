@@ -54,13 +54,21 @@ ds * n_subs + sub, so a parity at row i reads the variable
 i * n_subs + offset.  A contradiction leaves its system as it was, so
 the run goes on, noting the slot of its earliest contradicting cluster
 (``syndrome``).  ``staged_decode`` groups ``_HORIZON`` clusters at a
-time by shape, gathers each shape's windows by one index, each value a
-vector at the field's dtype with a column per cluster (XOR adds,
-``field.mul`` multiplies; plain ints for one cluster), runs the engine
-once and places every cluster's times and values at its first slot;
-the trace adds that slot to the shape's events as it is walked
-(``Trace``).  The horizon bounds the columns, so memory is flat in
-length.  ``desco``'s ``burst_decode_log`` runs one burst's shape on
+time by shape and runs the engine once per shape.  A shape with one
+cluster whose window lies in the stream takes it as one slice of the
+symbols, plain ints, and writes its events back one by one.  Any other
+shape gathers its windows by one index, zeros before slot 0, each value
+a vector at the field's dtype with a column per cluster, or a plain int
+for one cluster, and places every cluster's times and values at its
+first slot by one ``put`` each.  XOR adds; ``field.mul`` multiplies
+vectors, and a product of plain ints is one lookup in the field's log
+tables.  The trace adds a cluster's first slot to the shape's events as
+it is walked (``Trace``).
+The horizon bounds the columns, so working memory is flat in length.
+Only erased slots have times to keep: a received slot's sub-symbols are
+known at its own slot.  So the decode keeps the erased slots' times
+alone, in slot order, a row per erased slot, and ``StreamLog`` derives
+the rest.  ``desco``'s ``burst_decode_log`` runs one burst's shape on
 zero windows, with no stream, for every user's outcome at every start.
 
 ``encode_symbols`` evaluates the same templates column-wise over a
@@ -75,7 +83,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -142,47 +150,63 @@ class Trace:
 
 @dataclass
 class StreamLog:
-    """Per-sub-symbol recovery times of one decode.
+    """Per-sub-symbol recovery times of one decode, kept for the erased
+    slots only.
 
-    ``sub_times`` is a (horizon, n_subs) int array: ``sub_times[slot, sub]``
-    is the stream slot at which the sub-symbol became known (its own slot
-    when received) or -1 if it was never recovered; every user reads them.
-    ``trace`` attributes each recovered erased sub-symbol to the parity
-    that pinned it: a ``Trace``, an iterable in stream order with a
-    length, whose events are built as it is iterated.
+    ``erased`` holds the erased slots in ascending order and
+    ``erased_sub_times`` their (len(erased), n_subs) times:
+    ``erased_sub_times[i, sub]`` is the stream slot at which sub-symbol
+    ``sub`` of slot ``erased[i]`` became known, -1 if it never was.  A
+    received sub-symbol is known at its own slot, so that is all a
+    horizon-long decode keeps; every user reads them.  ``trace``
+    attributes each recovered erased sub-symbol to the parity that
+    pinned it: a ``Trace``, an iterable in stream order with a length,
+    whose events are built as it is iterated.
+
+    The dense forms, ``sub_times`` and ``slot_times``, are built on first
+    use; none of the arrays may change afterwards.  Both rest on the
+    decoder's causality invariant (see the module docstring): every
+    sub-symbol of a received slot is known at its own slot, and no
+    sub-symbol of an erased slot ever is, since the parities of its own
+    slot are lost with it and no earlier parity reads it.
     """
 
-    sub_times: np.ndarray
+    horizon: int
+    erased: np.ndarray
+    erased_sub_times: np.ndarray
     trace: Trace
 
-    @property
-    def horizon(self) -> int:
-        return len(self.sub_times)
+    @cached_property
+    def erased_slot_times(self) -> np.ndarray:
+        """Recovery time of each erased slot: the latest time of its
+        sub-symbols, -1 if any is missing."""
+        rows = self.erased_sub_times
+        return np.where((rows < 0).any(axis=1), -1, rows.max(axis=1))
+
+    @cached_property
+    def sub_times(self) -> np.ndarray:
+        """The (horizon, n_subs) recovery times of every sub-symbol: a
+        received slot's row holds its own slot."""
+        times = np.empty((self.horizon, self.erased_sub_times.shape[1]),
+                         dtype=self.erased_sub_times.dtype)
+        times[:] = np.arange(self.horizon)[:, None]
+        times[self.erased] = self.erased_sub_times
+        return times
 
     @cached_property
     def slot_times(self) -> np.ndarray:
-        """Recovery time of every slot in the horizon: the latest time of
-        its sub-symbols, -1 if any is missing.  Computed on first use;
-        ``sub_times`` must not change afterwards.
-
-        It rests on the decoder's causality invariant (see the module
-        docstring): every sub-symbol of a received slot is known at its
-        own slot, and no sub-symbol of an erased slot ever is, since
-        the parities of its own slot are lost with it and no earlier
-        parity reads it.  So a slot whose first sub-symbol is known at
-        its own slot has that slot as its time, and only the others,
-        the erased slots, are reduced over their sub-symbols."""
-        latest = np.arange(len(self.sub_times))
-        erased = (self.sub_times[:, 0] != latest).nonzero()[0]
-        rows = self.sub_times[erased]
-        latest[erased] = np.where((rows < 0).any(axis=1), -1, rows.max(axis=1))
+        """Recovery time of every slot in the horizon: its own slot when
+        received, else ``erased_slot_times``."""
+        latest = np.arange(self.horizon)
+        latest[self.erased] = self.erased_slot_times
         return latest
 
     def misses(self, deadline: int) -> List[int]:
-        """Slots not recovered within ``deadline`` slots of their own."""
-        latest = self.slot_times
-        late = latest > np.arange(len(latest)) + deadline
-        return (late | (latest < 0)).nonzero()[0].tolist()
+        """Slots not recovered within ``deadline`` slots of their own:
+        erased slots only, as a received slot is known at its own."""
+        latest = self.erased_slot_times
+        late = (latest < 0) | (latest > self.erased + deadline)
+        return self.erased[late].tolist()
 
 
 class Component:
@@ -291,25 +315,32 @@ _SCAN = 1024  # mask slots per nonzero() call: scan memory is flat in length
 _HORIZON = 1024  # clusters grouped by shape at a time: flat memory too
 
 
-def _clusters(erased: np.ndarray, reach: int) -> Iterator[Tuple[int, bytes]]:
-    """(first erased slot, shape) of each erasure cluster, in stream order;
-    the slice clips the shape's mask bytes at the horizon."""
+def _clusters(erased: np.ndarray, reach: int
+              ) -> Iterator[Tuple[int, int, bytes]]:
+    """(first erased slot, erased slots before it, shape) of each erasure
+    cluster, in stream order; the slice clips the shape's mask bytes at
+    the horizon."""
     first = last = -reach - 1  # no erasure yet
+    base = count = 0
     for lo in range(0, len(erased), _SCAN):
         for t in erased[lo:lo + _SCAN].nonzero()[0].tolist():
-            if lo + t - last > reach:
+            t += lo
+            if t - last > reach:
                 if last >= 0:
-                    yield first, erased[first:last + reach + 1].tobytes()
-                first = lo + t
-            last = lo + t
+                    yield first, base, erased[first:last + reach + 1].tobytes()
+                first, base = t, count
+            last = t
+            count += 1
     if last >= 0:
-        yield first, erased[first:last + reach + 1].tobytes()
+        yield first, base, erased[first:last + reach + 1].tobytes()
 
 
 class ShapeEngine:
     """The staged logic over one cluster shape (see the module docstring),
     given once the codec's tables: components, field, sub-symbols and
-    parities per slot, widest reach and each parity row's term offsets."""
+    parities per slot, widest reach, each parity row's term offsets, and
+    the field's log table with its antilog table written twice, so a
+    product of two nonzero elements is one lookup of the logs' sum."""
 
     def __init__(self, components: Sequence[Component], field: GF,
                  n_subs: int, n_parities: int):
@@ -317,7 +348,8 @@ class ShapeEngine:
         self.tables = (components, field, n_subs, n_parities, self.reach,
                        [tuple(off for comp in components
                               for off, _ in comp.flat_terms[j])
-                        for j in range(n_parities)])
+                        for j in range(n_parities)],
+                       field._log, field._alog * 2)
 
     def run(self, key: bytes, src: list, par: list, firsts: np.ndarray
             ) -> Tuple[List[tuple], List[int]]:
@@ -327,7 +359,8 @@ class ShapeEngine:
         fields of each recovery in shape coordinates (time t is t slots
         past a cluster's first, window row t + reach) and the stream slot
         of each contradiction noted."""
-        components, field, n_subs, n_parities, reach, probes = self.tables
+        (components, field, n_subs, n_parities, reach, probes, logs,
+         exps) = self.tables
         mul = field.mul
         vector = len(firsts) > 1
         nones = [None] * n_subs
@@ -380,8 +413,10 @@ class ShapeEngine:
                         if value is None:
                             unknowns[v] = coeff
                             watchers.setdefault(v, []).append((pp, ci))
-                        elif vector or value:  # a zero element adds nothing
+                        elif vector:
                             const = const ^ mul(coeff, value)
+                        elif value:  # a zero element adds nothing
+                            const ^= exps[logs[coeff] + logs[value]]
                     pp.unknowns.append(unknowns)
                     if unknowns:
                         pp.live += 1
@@ -402,8 +437,10 @@ class ShapeEngine:
                             continue  # its equation is already in a system
                         unknowns = pp.unknowns[ci]
                         coeff = unknowns.pop(v)
-                        if vector or value:
+                        if vector:
                             pp.const = pp.const ^ mul(coeff, value)
+                        elif value:
+                            pp.const ^= exps[logs[coeff] + logs[value]]
                         if not unknowns:
                             pp.live -= 1
                             ready.append(pp)
@@ -442,60 +479,84 @@ def staged_decode(components: Sequence[Component], field: GF, n_subs: int,
     channel symbols and ``erased`` the (horizon,) bool mask of the slots
     lost on the channel, whose rows are never read; ``check_stream``
     refuses anything else.  Returns (recovered, times, trace): recovered
-    is the (horizon, n_subs) source array, 0 where a sub-symbol was
-    never recovered; times is the (horizon, n_subs) int array of
-    recovery slots, a received row holding its own slot and -1 marking a
-    sub-symbol never recovered (see ``StreamLog``); trace is the parity
-    attribution of each recovered erased sub-symbol, cluster by cluster
-    in stream order, a ``Trace`` built as it is iterated.  Per grouping
-    horizon of ``_HORIZON`` clusters, each shape's windows are gathered,
-    run once through the ``ShapeEngine`` and placed (see the module
-    docstring); then InconsistentSystemError names the horizon's
-    earliest stream slot whose parities contradict the others.
+    is the (horizon, n_subs) source array at the field's dtype, 0 where a
+    sub-symbol was never recovered; times is the (n_erased, n_subs) int
+    array of the erased slots' recovery slots, in slot order, -1 marking
+    a sub-symbol never recovered (a received sub-symbol is known at its
+    own slot, see ``StreamLog``); trace is the parity attribution of each
+    recovered erased sub-symbol, cluster by cluster in stream order, a
+    ``Trace`` built as it is iterated.  Per grouping horizon of
+    ``_HORIZON`` clusters, each shape's windows are gathered, run once
+    through the ``ShapeEngine`` and placed (see the module docstring);
+    then InconsistentSystemError names the horizon's earliest stream
+    slot whose parities contradict the others.
     """
     check_stream(symbols, field, n_subs + n_parities, erased)
     engine = ShapeEngine(components, field, n_subs, n_parities)
     reach = engine.reach
-    recovered = symbols[:, :n_subs].copy()
-    # row t holds t, filled in place: no horizon-long temporary
-    times = np.arange(len(symbols) * n_subs).reshape(-1, n_subs)
-    times //= n_subs
-    recovered[erased] = 0
-    times[erased] = -1
+    recovered = symbols[:, :n_subs].astype(field.dtype)
+    recovered[erased.nonzero()[0]] = 0  # by index: faster than by mask
+    times = np.full((np.count_nonzero(erased), n_subs), -1)
     horizons = []  # see Trace
     clusters = _clusters(erased, reach)
     while chunk := list(islice(clusters, _HORIZON)):
-        shapes: Dict[bytes, int] = {}  # shape -> id, in order of appearance
-        firsts = np.array([first for first, _ in chunk], dtype=np.int64)
-        ids = np.array([shapes.setdefault(key, len(shapes))
-                        for _, key in chunk], dtype=np.uint16)
+        # shape -> its clusters' indices in the chunk, in order of appearance
+        members: Dict[bytes, List[int]] = {}
+        for i, (_, _, key) in enumerate(chunk):
+            members.setdefault(key, []).append(i)
+        firsts = np.array([first for first, _, _ in chunk], dtype=np.int64)
+        ids = np.empty(len(chunk), dtype=np.uint16)
         events: List[List[tuple]] = []
         contradictions: List[int] = []  # slots, in this grouping horizon
-        for k, key in enumerate(shapes):
-            at_firsts = firsts[ids == k]
-            # gather the (row, symbol, column) window at the field's dtype,
-            # zeros before slot 0: a vector (a view) per entry, or an int
-            at = np.arange(-reach, len(key))[:, None] + at_firsts
-            rows = symbols.take(at, 0, mode="clip").astype(field.dtype,
-                                                          copy=False)
-            if at_firsts[0] < reach:
-                rows[at < 0] = 0
-            rows = rows.transpose(0, 2, 1)
-            cut = list if len(at_firsts) > 1 else lambda e: e.ravel().tolist()
-            src = cut(rows[:, :n_subs].reshape(-1, len(at_firsts)))
-            par = cut(rows[:, n_subs:].reshape(-1, len(at_firsts)))
-            del at, rows
+        for k, (key, which) in enumerate(members.items()):
+            ids[which] = k
+            at_firsts = firsts[which]
+            first, base, _ = chunk[which[0]]
+            whole = len(which) == 1 and first >= reach
+            if whole:
+                # one cluster, all its window in the stream: a slice
+                rows = symbols[first - reach:first + len(key)]
+                src = rows[:, :n_subs].ravel().tolist()
+                par = rows[:, n_subs:].ravel().tolist()
+            else:
+                # gather the (row, symbol, column) window at the field's
+                # dtype, zeros before slot 0: a vector (a view) per entry,
+                # or an int
+                at = np.arange(-reach, len(key))[:, None] + at_firsts
+                rows = symbols.take(at, 0, mode="clip").astype(
+                    field.dtype, copy=False)
+                if at_firsts[0] < reach:
+                    rows[at < 0] = 0
+                rows = rows.transpose(0, 2, 1)
+                cut = (list if len(which) > 1
+                       else lambda e: e.ravel().tolist())
+                src = cut(rows[:, :n_subs].reshape(-1, len(which)))
+                par = cut(rows[:, n_subs:].reshape(-1, len(which)))
+                del at
+            del rows
             shape_events, noted = engine.run(key, src, par, at_firsts)
+            # (event, cluster at slot f): f + slot, sub, known at f +
+            # time, its value read back from the window; the slot's row
+            # in times is the cluster's erased slots before it plus the
+            # shape's up to it
+            rank = list(accumulate(key))
+            if whole:
+                for slot, sub, time, *_ in shape_events:
+                    recovered[first + slot, sub] = src[(slot + reach)
+                                                       * n_subs + sub]
+                    times[base + rank[slot] - 1, sub] = first + time
+            elif shape_events:
+                flat = [e[0] * n_subs + e[1] for e in shape_events]
+                recovered.put(np.add.outer(flat, at_firsts * n_subs),
+                              [src[v + reach * n_subs] for v in flat])
+                bases = np.array([chunk[i][1] for i in which])
+                times.put(np.add.outer([(rank[e[0]] - 1) * n_subs + e[1]
+                                        for e in shape_events],
+                                       bases * n_subs),
+                          np.add.outer([e[2] for e in shape_events],
+                                       at_firsts))
             contradictions += noted
             events.append(shape_events)
-            if shape_events:
-                # place (event, cluster at slot f): f + slot, sub, known
-                # at f + time, its value read back from the window
-                flat = [e[0] * n_subs + e[1] for e in shape_events]
-                at = np.add.outer(flat, at_firsts * n_subs)
-                times.put(at, np.add.outer([e[2] for e in shape_events],
-                                           at_firsts))
-                recovered.put(at, [src[v + reach * n_subs] for v in flat])
         if contradictions:
             slot = min(contradictions)
             raise InconsistentSystemError(

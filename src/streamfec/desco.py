@@ -177,14 +177,16 @@ class CombinedCodec:
         ``symbols`` is the (n_slots, symbol_width) integer array received
         and ``erased`` the (n_slots,) bool mask of its lost rows, never
         read; ``check_stream`` refuses anything else.  Returns (recovered,
-        log): recovered is the (n_slots, subs_per_slot) source array, 0
-        wherever ``log.sub_times`` is -1 (never recovered), and
-        ``log.misses(self.deadline(u))`` lists user u's misses.
+        log): recovered is the (n_slots, subs_per_slot) source array at
+        the field's dtype, 0 wherever ``log.sub_times`` is -1 (never
+        recovered), and ``log.misses(self.deadline(u))`` lists user u's
+        misses; the log keeps the times of the erased slots only.
         """
         recovered, times, trace = staged_decode(
             self.components, self.field, self.subs_per_slot,
             self.parities_per_slot, symbols, erased)
-        return recovered, StreamLog(times, trace)
+        return recovered, StreamLog(len(symbols), erased.nonzero()[0],
+                                    times, trace)
 
 
 class DeScoCodec(CombinedCodec):

@@ -696,16 +696,21 @@ def assert_same_log(text: str, want: str, slots: int) -> None:
 @pytest.mark.parametrize("params", [(1, 2, 2), (2, 5, 2)])
 def test_decode_log_bytes_equal_row_by_row(tmp_path, params):
     """The log's bytes equal csv.writer's row-by-row log for both users,
-    at horizons on each side of a digit-count edge (10, 100, 10 000) and
-    of a LOG_CHUNK edge: random bursts at every horizon, some of them
+    at horizons on each side of a digit-count edge (10, 100, 1 000,
+    10 000, 100 000), where the received rows' template changes, and of
+    a LOG_CHUNK edge: random bursts at every horizon, some of them
     longer than the codec recovers, every slot erased (each row
-    ``slot,,,1``) at two, and no --pattern at two."""
+    ``slot,,,1``) at two, and no --pattern at two.  One stream has a
+    chunk that starts and ends on an erased row between two chunks with
+    no erased row."""
     codec = DeScoCodec(DeScoParams(*params))
     chunk = cli.LOG_CHUNK
-    horizons = [0, 1, 9, 10, 11, 99, 100, 101, chunk - 1, chunk, chunk + 1,
-                10_000, 10_001]
+    horizons = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1_000, 1_001,
+                chunk - 1, chunk, chunk + 1, 10_000, 10_001,
+                99_999, 100_000, 100_001]
     cases = ([(slots, "bursts") for slots in horizons]
-             + [(1, "all"), (chunk + 1, "all"), (0, None), (10_001, None)])
+             + [(1, "all"), (chunk + 1, "all"), (0, None), (10_001, None),
+                (3 * chunk, "chunk edges")])
     rng = np.random.default_rng(17)
     files = {k: tmp_path / k for k in ("codec", "stream", "pattern", "rec",
                                        "log")}
@@ -722,6 +727,8 @@ def test_decode_log_bytes_equal_row_by_row(tmp_path, params):
         if kind is not None:
             if kind == "all":
                 bursts = [(0, slots)]
+            elif kind == "chunk edges":
+                bursts = [(chunk, 1), (chunk + 100, 3), (2 * chunk - 1, 1)]
             else:
                 starts = np.sort(rng.choice(slots, slots // 20, replace=False))
                 bursts = [(s, min(int(n), slots - s)) for s, n in

@@ -162,6 +162,13 @@ def test_shape_grouped_decode_equals_reference(name, data):
         rng = np.random.default_rng(corrupt)
         rx[corrupt:, codec.subs_per_slot] ^= rng.integers(
             1, codec.field.order, len(rx) - corrupt).astype(rx.dtype)
+    assert_decodes_like_reference(codec, rx, erased)
+
+
+def assert_decodes_like_reference(codec, rx, erased):
+    """``staged_decode`` and the per-cluster reference both decode, alike,
+    or both find a contradiction, at the same stream slot; returns the
+    reference's result, or the slot."""
     args = (codec.components, codec.field, codec.subs_per_slot,
             codec.parities_per_slot, rx, erased)
     results = []
@@ -175,13 +182,46 @@ def test_shape_grouped_decode_equals_reference(name, data):
     if isinstance(want, int):
         assert got == want
     else:
-        assert_same_decode(got, want)
+        assert_same_decode(got, want, erased)
+    return want
 
 
-def assert_same_decode(got, want):
-    """Equal recovered values, times and trace, in order."""
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
+@pytest.mark.parametrize("start, slots", [
+    pytest.param(1, 60, id="within-reach-of-slot-0"),
+    pytest.param(40, 58, id="clipped-at-the-horizon"),
+    pytest.param(40, 100, id="mid-stream"),
+])
+def test_one_cluster_windows_equal_reference(start, slots, corrupt):
+    """A shape with one cluster takes its window by a gather with zero
+    rows before slot 0 when its first erasure is within reach of slot 0,
+    and as one slice of the stream otherwise, clipped at the horizon or
+    not.  Each decodes like the per-cluster reference: DE-SCo (2,5,2),
+    erasures at start + 0, 1, 6, 7 (one cluster, reach 12).  A flipped
+    bit in the received slot after the first burst makes each
+    contradict, at the same slot as the reference."""
+    codec = DeScoCodec(DeScoParams(2, 5, 2))
+    assert codec.reach_slots == 12  # a shape ends at start + 20
+    rng = np.random.default_rng(3)
+    rx = codec.encode_stream(rng.integers(
+        0, codec.field.order, (slots, codec.subs_per_slot)))
+    erased = np.zeros(slots, dtype=bool)
+    erased[[start, start + 1, start + 6, start + 7]] = True
+    if corrupt:
+        rx[start + 2, 0] ^= 1
+    want = assert_decodes_like_reference(codec, rx, erased)
+    assert isinstance(want, int) == corrupt
+
+
+def assert_same_decode(got, want, erased):
+    """Equal recovered values, times and trace, in order.  The decoder
+    keeps times for the erased slots only, so they equal the reference's
+    rows of them; every other row of the reference holds its own slot."""
     assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[1], want[1][erased])
+    received = (~erased).nonzero()[0]
+    assert np.array_equal(want[1][received],
+                          np.repeat(received[:, None], want[1].shape[1], 1))
     assert len(got[2]) == len(want[2])
     assert list(got[2]) == list(want[2])
 
@@ -221,7 +261,7 @@ def test_shape_grouped_decode_across_grouping_horizons(name, n_clusters):
                           (len(erased), codec.subs_per_slot))
     args = (codec.components, codec.field, codec.subs_per_slot,
             codec.parities_per_slot, codec.encode_stream(source), erased)
-    assert_same_decode(staged_decode(*args), reference_decode(*args))
+    assert_same_decode(staged_decode(*args), reference_decode(*args), erased)
 
 
 def test_trace_length_builds_no_event(monkeypatch):
@@ -322,10 +362,8 @@ def test_decoder_keeps_values_of_erased_sub_symbols_only(name, data):
     codec = CODECS[name]
     source, pattern = data.draw(channel_runs(codec))
     rx = codec.encode_stream(source)
-    recovered, times, _ = staged_decode(codec.components, codec.field,
-                                        codec.subs_per_slot,
-                                        codec.parities_per_slot, rx,
-                                        apply(pattern, rx))
+    recovered, log = codec.decode(rx, apply(pattern, rx))
+    times = log.sub_times
     assert recovered.shape == times.shape == (len(pattern),
                                               codec.subs_per_slot)
     for (slot, sub), t in np.ndenumerate(times):
@@ -464,7 +502,9 @@ def test_decoder_working_memory_does_not_grow_with_length():
     most are not, so few retained outputs hide the working memory.  A
     run decodes all of a shape's clusters in a grouping horizon, so
     (2,5,2) also has a ceiling that a window built through full-size
-    temporaries exceeds."""
+    temporaries exceeds.  The outputs it keeps, the recovered source at
+    the field's dtype and the times of the erased slots only, stay under
+    12 bytes per slot (8 % of the slots are erased here)."""
     def working_bytes(codec, slots):
         rx = np.zeros((slots, codec.symbol_width), dtype=np.int64)
         erased = np.zeros(slots, dtype=bool)
@@ -478,18 +518,20 @@ def test_decoder_working_memory_does_not_grow_with_length():
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak - current, int((result[1][erased] >= 0).sum())
+        assert len(result[1]) == erased.sum()
+        return peak - current, int((result[1] >= 0).sum()), current
 
     short, long = 2 * 50 * decoder._HORIZON, 8 * 50 * decoder._HORIZON
     codec = DeScoCodec(DeScoParams(2, 5, 2))
-    (small, _), (large, recovered) = (working_bytes(codec, short),
-                                      working_bytes(codec, long))
+    (small, _, _), (large, recovered, kept) = (working_bytes(codec, short),
+                                               working_bytes(codec, long))
     assert recovered == long // 50 * 4 * codec.subs_per_slot
     assert large < small + 16 * 1024, (small, large)
     assert small < 5 * 2**20, small
+    assert kept < 12 * long, kept / long
     codec = DeScoCodec(DeScoParams(1, 2, 2))
-    (small, _), (large, _) = (working_bytes(codec, short),
-                              working_bytes(codec, long))
+    (small, _, _), (large, _, _) = (working_bytes(codec, short),
+                                    working_bytes(codec, long))
     assert large < small + 16 * 1024, (small, large)
 
 
